@@ -14,7 +14,6 @@ import os
 import statistics
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -221,14 +220,7 @@ def cmd_bench(args):
         print(f"error: {e}")
         return EXIT_SCHEMA
     t_list = [int(v) for v in args.T_list.split(",")]
-    workers = max(1, int(os.environ.get("KINOMO_THREADS", "1")))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            rows = list(
-                ex.map(lambda T: _bench_cell(scn, T, args.formulation, args.repeats), t_list)
-            )
-    else:
-        rows = [_bench_cell(scn, T, args.formulation, args.repeats) for T in t_list]
+    rows = [_bench_cell(scn, T, args.formulation, args.repeats) for T in t_list]
     path = os.path.join(args.out_dir, f"{scn.name}_bench_{args.formulation}.csv")
     _write_csv(path, ["T", "n_vars", "iter_count", "total_ms", "ms_per_iter", "kkt_final"], rows)
     for r in rows:

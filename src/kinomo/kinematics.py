@@ -15,33 +15,6 @@ import numpy as np
 
 from .linalg import BlockTridiagCholesky, NotPositiveDefinite
 
-block_tridiag_cholesky = BlockTridiagCholesky  # re-exported factorization entry point
-
-
-class LineSearchFailure(RuntimeError):
-    pass
-
-
-def _cross3(a, b):
-    # np.cross carries large call overhead for single 3-vectors; this
-    # function sits on the hottest kinematics path
-    return np.array(
-        [
-            a[1] * b[2] - a[2] * b[1],
-            a[2] * b[0] - a[0] * b[2],
-            a[0] * b[1] - a[1] * b[0],
-        ]
-    )
-
-
-def _axis_rotation(axis, angle):
-    axis = np.asarray(axis, dtype=float)
-    c, s = np.cos(angle), np.sin(angle)
-    K = np.array(
-        [[0, -axis[2], axis[1]], [axis[2], 0, -axis[0]], [-axis[1], axis[0], 0]]
-    )
-    return np.eye(3) + s * K + (1 - c) * (K @ K)
-
 
 @dataclass(frozen=True)
 class Link:
@@ -73,6 +46,13 @@ class KinematicModel:
     effectors: dict  # name -> (link index, local offset)
     lower: np.ndarray = None  # soft joint limits, NaN where unbounded
     upper: np.ndarray = None
+    # per-link constants stacked once for the batched functions
+    masses: np.ndarray = field(init=False, repr=False, compare=False)  # (n,)
+    link_coms: np.ndarray = field(init=False, repr=False, compare=False)  # (n, 3)
+    inertias: np.ndarray = field(init=False, repr=False, compare=False)  # (n, 3, 3)
+    axes: np.ndarray = field(init=False, repr=False, compare=False)  # (n, 3)
+    # revolute joints: cross-product matrix K of the axis and K @ K
+    skews: np.ndarray = field(init=False, repr=False, compare=False)  # (n, 2, 3, 3)
 
     def __post_init__(self):
         object.__setattr__(self, "links", tuple(self.links))
@@ -84,6 +64,16 @@ class KinematicModel:
             object.__setattr__(self, "lower", np.full(n, np.nan))
         if self.upper is None:
             object.__setattr__(self, "upper", np.full(n, np.nan))
+        axes = np.array([ln.axis for ln in self.links]).reshape(n, 3)
+        K = np.swapaxes(np.cross(axes[:, None, :], np.eye(3)), 1, 2)  # K e_j = a x e_j
+        for name, value in (
+            ("masses", np.array([ln.mass for ln in self.links], dtype=float)),
+            ("link_coms", np.array([ln.com for ln in self.links]).reshape(n, 3)),
+            ("inertias", np.array([ln.inertia for ln in self.links]).reshape(n, 3, 3)),
+            ("axes", axes),
+            ("skews", np.stack([K, K @ K], axis=1)),
+        ):
+            object.__setattr__(self, name, value)
 
     @property
     def dof(self):
@@ -106,127 +96,142 @@ class JointTrajectory:
         return np.vstack([qd, qd[-1]])  # last step reuses the previous velocity
 
 
+# Every function below takes joint values of shape (..., n) and works on
+# the leading axes in one numpy pass; the Python loops run over the links.
+# A 1-D input gives unbatched results.
+
+
+def _apply(R, v):
+    """Matrix-vector product over leading axes: R (..., 3, 3), v (..., 3)."""
+    return (R @ v[..., None])[..., 0]
+
+
 def forward_kinematics(model: KinematicModel, q):
-    """World rotation/origin per link, link CoM positions and the total CoM."""
+    """World rotation/origin per link, link CoM positions and the total CoM:
+    R (..., n, 3, 3), p (..., n, 3), CoMs (..., n, 3), x_com (..., 3)."""
     q = np.asarray(q, dtype=float)
     n = model.dof
-    if q.shape[0] != n:
+    if q.shape[-1:] != (n,):
         raise ValueError(f"expected {n} joint values")
-    R = np.empty((n, 3, 3))
-    p = np.empty((n, 3))
+    R = np.empty(q.shape[:-1] + (n, 3, 3))
+    p = np.empty(q.shape[:-1] + (n, 3))
+    eye = np.eye(3)
     for i, ln in enumerate(model.links):
-        Rp = np.eye(3) if ln.parent < 0 else R[ln.parent]
-        pp = np.zeros(3) if ln.parent < 0 else p[ln.parent]
+        Rp = eye if ln.parent < 0 else R[..., ln.parent, :, :]
+        pp = 0.0 if ln.parent < 0 else p[..., ln.parent, :]
         if ln.kind == "revolute":
-            R[i] = Rp @ _axis_rotation(ln.axis, q[i])
-            p[i] = pp + Rp @ ln.offset
+            # Rodrigues' formula about the joint axis
+            qi = q[..., i, None, None]
+            K, K2 = model.skews[i]
+            R[..., i, :, :] = Rp @ (eye + np.sin(qi) * K + (1 - np.cos(qi)) * K2)
+            p[..., i, :] = pp + Rp @ ln.offset
         else:
-            R[i] = Rp
-            p[i] = pp + Rp @ (ln.offset + ln.axis * q[i])
-    masses = np.array([ln.mass for ln in model.links])
-    coms = p + np.einsum("nij,nj->ni", R, np.array([ln.com for ln in model.links]))
-    total = masses.sum()
-    x_com = (masses[:, None] * coms).sum(axis=0) / total
+            R[..., i, :, :] = Rp
+            p[..., i, :] = pp + _apply(Rp, ln.offset + ln.axis * q[..., i, None])
+    coms = p + _apply(R, model.link_coms)
+    x_com = (model.masses[:, None] * coms).sum(axis=-2) / model.masses.sum()
     return R, p, coms, x_com
 
 
+def _point(fk, link_index, local_offset):
+    R, p, _, _ = fk
+    return p[..., link_index, :] + _apply(R[..., link_index, :, :], local_offset)
+
+
 def effector_positions(model, q):
-    R, p, _, _ = forward_kinematics(model, q)
-    return {
-        name: p[idx] + R[idx] @ off for name, (idx, off) in model.effectors.items()
-    }
+    fk = forward_kinematics(model, q)
+    return {name: _point(fk, idx, off) for name, (idx, off) in model.effectors.items()}
 
 
-def _velocities(model, q, qdot, R, p):
-    n = model.dof
-    omega = np.zeros((n, 3))
-    v = np.zeros((n, 3))
+def _joint_axes(model, R):
+    """World joint axes (..., n, 3). A revolute joint's own rotation leaves
+    its axis fixed, so the link frame gives the same axis as its parent's."""
+    return _apply(R, model.axes)
+
+
+def _link_velocities(model, R, p, qdot):
+    """Angular velocity and origin velocity of every link, (..., n, 3) each."""
+    a_w = _joint_axes(model, R)
+    shape = np.broadcast_shapes(p.shape[:-2], qdot.shape[:-1]) + p.shape[-2:]
+    omega = np.zeros(shape)
+    v = np.zeros(shape)
     for i, ln in enumerate(model.links):
-        Rp = np.eye(3) if ln.parent < 0 else R[ln.parent]
-        if ln.parent >= 0:
-            op, vp, pp = omega[ln.parent], v[ln.parent], p[ln.parent]
-        else:
-            op, vp, pp = np.zeros(3), np.zeros(3), np.zeros(3)
-        omega[i] = op
-        v[i] = vp + _cross3(op, p[i] - pp)
-        a_w = Rp @ ln.axis
+        j = ln.parent
+        if j >= 0:
+            omega[..., i, :] = omega[..., j, :]
+            v[..., i, :] = v[..., j, :] + np.cross(
+                omega[..., j, :], p[..., i, :] - p[..., j, :]
+            )
+        motion = a_w[..., i, :] * qdot[..., i, None]
         if ln.kind == "revolute":
-            omega[i] = omega[i] + a_w * qdot[i]
+            omega[..., i, :] += motion
         else:
-            v[i] = v[i] + a_w * qdot[i]
+            v[..., i, :] += motion
     return omega, v
 
 
 def centroidal_momentum(model, q, qdot, fk=None):
-    """(l, k): linear momentum and angular momentum about the total CoM."""
+    """(l, k): linear momentum and angular momentum about the total CoM,
+    (..., 3) each."""
     qdot = np.asarray(qdot, dtype=float)
     R, p, coms, x_com = fk if fk is not None else forward_kinematics(model, q)
-    omega, v = _velocities(model, q, qdot, R, p)
-    l = np.zeros(3)
-    k = np.zeros(3)
-    for i, ln in enumerate(model.links):
-        if ln.mass == 0.0 and not np.any(ln.inertia):
-            continue
-        v_ci = v[i] + _cross3(omega[i], coms[i] - p[i])
-        l += ln.mass * v_ci
-        k += R[i] @ ln.inertia @ R[i].T @ omega[i]
-        k += ln.mass * _cross3(coms[i] - x_com, v_ci)
+    omega, v = _link_velocities(model, R, p, qdot)
+    v_c = v + np.cross(omega, coms - p)
+    m = model.masses[:, None]
+    l = (m * v_c).sum(axis=-2)
+    spin = _apply(R, _apply(model.inertias, _apply(np.swapaxes(R, -1, -2), omega)))
+    k = (spin + m * np.cross(coms - x_com[..., None, :], v_c)).sum(axis=-2)
     return l, k
 
 
 def centroidal_momentum_matrix(model, q):
-    """H(q) with (l, k) = H qdot, assembled by unit-velocity probing."""
-    n = model.dof
-    fk = forward_kinematics(model, q)
-    H = np.zeros((6, n))
-    e = np.zeros(n)
-    for j in range(n):
-        e[j] = 1.0
-        l, k = centroidal_momentum(model, q, e, fk=fk)
-        H[:3, j] = l
-        H[3:, j] = k
-        e[j] = 0.0
-    return H
+    """H(q) (..., 6, n) with (l, k) = H qdot, assembled from one batch of
+    unit-velocity probes."""
+    R, p, coms, x_com = forward_kinematics(model, q)
+    # a probe axis in front of the link axis
+    fk = (R[..., None, :, :, :], p[..., None, :, :], coms[..., None, :, :],
+          x_com[..., None, :])
+    l, k = centroidal_momentum(model, q, np.eye(model.dof), fk=fk)
+    return np.swapaxes(np.concatenate([l, k], axis=-1), -1, -2)
 
 
 def momentum_state(model, q, qdot):
-    """h = (x_com, l, k) matching the dynamics-side momentum state."""
+    """h = (x_com, l, k) (..., 9) matching the dynamics-side momentum state."""
     fk = forward_kinematics(model, q)
     l, k = centroidal_momentum(model, q, qdot, fk=fk)
-    return np.concatenate([fk[3], l, k])
+    return np.concatenate([fk[3], l, k], axis=-1)
 
 
 def momentum_jacobian(model, q, qdot, fd_step=1e-6):
-    """(d h/d q, d h/d qdot); velocities enter linearly so that block is
-    exact, the configuration block uses central finite differences."""
+    """(d h/d q, d h/d qdot), (..., 9, n) each; velocities enter linearly so
+    that block is exact, the configuration block uses central finite
+    differences with all 2n probes of every entry in one batch."""
+    q = np.asarray(q, dtype=float)
+    qdot = np.asarray(qdot, dtype=float)
     n = model.dof
     H = centroidal_momentum_matrix(model, q)
-    dq_dot = np.vstack([np.zeros((3, n)), H])
-    dq = np.zeros((9, n))
-    for j in range(n):
-        qp, qm = q.copy(), q.copy()
-        qp[j] += fd_step
-        qm[j] -= fd_step
-        dq[:, j] = (momentum_state(model, qp, qdot) - momentum_state(model, qm, qdot)) / (
-            2 * fd_step
-        )
+    dq_dot = np.concatenate([np.zeros(H.shape[:-2] + (3, n)), H], axis=-2)
+    step = fd_step * np.eye(n)
+    probes = np.concatenate([q[..., None, :] + step, q[..., None, :] - step], axis=-2)
+    h = momentum_state(model, probes, qdot[..., None, :])
+    dq = np.swapaxes(h[..., :n, :] - h[..., n:, :], -1, -2) / (2 * fd_step)
     return dq, dq_dot
 
 
 def point_jacobian(model, q, link_index, local_offset, fk=None):
-    """Geometric Jacobian of a point attached to a link (3 x n, exact)."""
-    R, p, _, _ = fk if fk is not None else forward_kinematics(model, q)
-    x = p[link_index] + R[link_index] @ local_offset
-    J = np.zeros((3, model.dof))
+    """Geometric Jacobian (..., 3, n) of a point attached to a link (exact)."""
+    fk = fk if fk is not None else forward_kinematics(model, q)
+    x = _point(fk, link_index, local_offset)
+    R, p, _, _ = fk
+    a_w = _joint_axes(model, R)
+    J = np.zeros(p.shape[:-2] + (3, model.dof))
     i = link_index
     while i >= 0:
         ln = model.links[i]
-        Rp = np.eye(3) if ln.parent < 0 else R[ln.parent]
-        a_w = Rp @ ln.axis
         if ln.kind == "revolute":
-            J[:, i] = _cross3(a_w, x - p[i])
+            J[..., :, i] = np.cross(a_w[..., i, :], x - p[..., i, :])
         else:
-            J[:, i] = a_w
+            J[..., :, i] = a_w[..., i, :]
         i = ln.parent
     return J
 
@@ -344,57 +349,76 @@ def _limit_residual(model, q, w):
     return np.sqrt(w) * r
 
 
-def _step_residual_and_jac(model, q_t, q_next, delta, h_ref_t, eff_ref_t, post_t, weights, with_jac=True):
-    """Residual r(q_t, q_next) for one step and its two Jacobian blocks."""
+def _residuals(model, q, delta, refs, weights, with_jac=True):
+    """Residuals (T+1, m) of all steps of the trajectory q (T+1, n) and
+    their Jacobians (T+1, m, n) with respect to the step's own
+    configuration q_t and to the next one. Step T reuses the last velocity:
+    its next configuration is the extrapolated 2 q_T - q_{T-1}."""
     n = model.dof
-    qdot = (q_next - q_t) / delta
-    fk = forward_kinematics(model, q_t)
-    l, k = centroidal_momentum(model, q_t, qdot, fk=fk)
-    h = np.concatenate([fk[3], l, k])
+    q_next = np.concatenate([q[1:], 2 * q[-1:] - q[-2:-1]])
+    qdot = (q_next - q) / delta
+    fk = forward_kinematics(model, q)
+    l, k = centroidal_momentum(model, q, qdot, fk=fk)
+    h = np.concatenate([fk[3], l, k], axis=-1)
     wm = np.sqrt(weights.momentum)
-    res = [wm * (h - h_ref_t)]
-    rows_eff = []
-    for name, target in eff_ref_t.items():
-        idx, off = model.effectors[name]
-        x = fk[1][idx] + fk[0][idx] @ off
-        res.append(np.sqrt(weights.effector) * (x - target))
-        rows_eff.append((idx, off))
-    res.append(np.sqrt(weights.posture) * (q_t - post_t))
-    res.append(_limit_residual(model, q_t, weights.joint_limit))
-    r = np.concatenate(res)
+    we = np.sqrt(weights.effector)
+    effs = [model.effectors[name] for name in refs.effector_ref]
+    res = [wm * (h - refs.h_ref)]
+    for (idx, off), target in zip(effs, refs.effector_ref.values()):
+        res.append(we * (_point(fk, idx, off) - target))
+    res.append(np.sqrt(weights.posture) * (q - refs.posture_ref))
+    res.append(_limit_residual(model, q, weights.joint_limit))
+    r = np.concatenate(res, axis=-1)
     if not with_jac:
         return r, None, None
-    dq, dqd = momentum_jacobian(model, q_t, qdot)
-    Jt = [wm[:, None] * (dq - dqd / delta)]
-    Jn = [wm[:, None] * (dqd / delta)]
-    for idx, off in rows_eff:
-        Jp = np.sqrt(weights.effector) * point_jacobian(model, q_t, idx, off, fk=fk)
-        Jt.append(Jp)
-        Jn.append(np.zeros((3, n)))
-    Jt.append(np.sqrt(weights.posture) * np.eye(n))
-    Jn.append(np.zeros((n, n)))
-    lim = np.zeros(n)
+    dq, dqd = momentum_jacobian(model, q, qdot)
+    eye = np.eye(n)
     with np.errstate(invalid="ignore"):
-        lim[(q_t < model.lower) | (q_t > model.upper)] = 1.0
-    Jt.append(np.sqrt(weights.joint_limit) * np.diag(lim))
-    Jn.append(np.zeros((n, n)))
-    return r, np.vstack(Jt), np.vstack(Jn)
+        outside = (q < model.lower) | (q > model.upper)
+    Jt = np.concatenate(
+        [wm[:, None] * (dq - dqd / delta)]
+        + [we * point_jacobian(model, q, idx, off, fk=fk) for idx, off in effs]
+        + [np.broadcast_to(np.sqrt(weights.posture) * eye, q.shape + (n,)),
+           np.sqrt(weights.joint_limit) * outside[..., None] * eye],
+        axis=-2,
+    )
+    Jn = np.zeros_like(Jt)
+    Jn[:, :9] = wm[:, None] * (dqd / delta)
+    return r, Jt, Jn
 
 
 def _trajectory_cost(model, q, delta, refs, weights):
-    T = q.shape[0] - 1
-    cost = 0.0
-    for t in range(T + 1):
-        # at t = T the velocity reuses the last finite difference
-        qa = q[t] if t < T else q[T]
-        qb = q[t + 1] if t < T else 2 * q[T] - q[T - 1]
-        r, _, _ = _step_residual_and_jac(
-            model, qa, qb, delta,
-            refs.h_ref[t], {k: v[t] for k, v in refs.effector_ref.items()},
-            refs.posture_ref[t], weights, with_jac=False,
-        )
-        cost += 0.5 * float(r @ r)
-    return cost
+    r, _, _ = _residuals(model, q, delta, refs, weights, with_jac=False)
+    return 0.5 * float(np.sum(r * r))
+
+
+def _normal_equations(r, Jt, Jn):
+    """Gradient (T*n,) and the block tridiagonal Gauss-Newton matrix,
+    diagonal blocks (T, n, n) and sub-diagonal blocks (T-1, n, n), over the
+    decision variables q_1..q_T from the per-step residuals and Jacobians of
+    ``_residuals``."""
+    T = r.shape[0] - 1
+    n = Jt.shape[-1]
+    # Step t couples decision blocks lo_t and hi_t = lo_t + 1, where block b
+    # holds q_{b+1}; block -1 is the fixed q_0. Step t < T pairs q_t with
+    # q_{t+1}; step T pairs q_{T-1} and q_T through its extrapolation.
+    lo = np.arange(-1, T)
+    lo[T] = T - 2
+    hi = lo + 1
+    keep = lo >= 0
+    J_lo = np.concatenate([Jt[:T], -Jn[T:]])
+    J_hi = np.concatenate([Jn[:T], Jt[T:] + 2 * Jn[T:]])
+    J_loT = np.swapaxes(J_lo, 1, 2)
+    J_hiT = np.swapaxes(J_hi, 1, 2)
+    grad = np.zeros((T, n))
+    diag = np.zeros((T, n, n))
+    off = np.zeros((T - 1, n, n))
+    np.add.at(grad, hi, _apply(J_hiT, r))
+    np.add.at(grad, lo[keep], _apply(J_loT[keep], r[keep]))
+    np.add.at(diag, hi, J_hiT @ J_hi)
+    np.add.at(diag, lo[keep], J_loT[keep] @ J_lo[keep])
+    np.add.at(off, lo[keep], J_hiT[keep] @ J_lo[keep])
+    return grad.ravel(), diag, off
 
 
 def solve_kinematic_subproblem(
@@ -420,45 +444,11 @@ def solve_kinematic_subproblem(
     converged = True
     damping = 0.0
     for _ in range(max_iter):
-        diag = [np.zeros((n, n)) for _ in range(T)]
-        off = [np.zeros((n, n)) for _ in range(T - 1)]
-        grad = np.zeros(T * n)
-        for t in range(T + 1):
-            if t < T:
-                qa, qb = q[t], q[t + 1]
-            else:
-                qa, qb = q[T], 2 * q[T] - q[T - 1]
-            r, Jt, Jn = _step_residual_and_jac(
-                model, qa, qb, delta,
-                refs.h_ref[t], {k: v[t] for k, v in refs.effector_ref.items()},
-                refs.posture_ref[t], weights,
-            )
-            if t == T:
-                # q_T enters both arguments: the extrapolated q_{T+1} is 2 q_T - q_{T-1}
-                Ja = Jt + 2 * Jn
-                if T >= 2:
-                    blocks = [(T - 2, -Jn), (T - 1, Ja)]
-                else:
-                    blocks = [(T - 1, Ja - Jn)]
-            elif t == 0:
-                blocks = [(0, Jn)]  # q_0 is fixed
-            else:
-                blocks = [(t - 1, Jt), (t, Jn)]
-            for bi, Ji in blocks:
-                grad[bi * n : (bi + 1) * n] += Ji.T @ r
-                diag[bi] += Ji.T @ Ji
-            for (bi, Ji), (bj, Jj) in zip(blocks, blocks[1:]):
-                # consecutive decision blocks (bj = bi + 1 by construction)
-                lo, hi = (bi, bj) if bi < bj else (bj, bi)
-                Jlo = Ji if bi < bj else Jj
-                Jhi = Jj if bi < bj else Ji
-                off[lo] += Jhi.T @ Jlo
+        grad, diag, off = _normal_equations(*_residuals(model, q, delta, refs, weights))
         step = None
         while step is None:
             try:
-                fac = BlockTridiagCholesky(
-                    [D + (1e-10 + damping) * np.eye(n) for D in diag], off
-                )
+                fac = BlockTridiagCholesky(diag + (1e-10 + damping) * np.eye(n), off)
                 step = -fac.solve(grad)
             except NotPositiveDefinite:
                 damping = max(1e-6, damping * 10)

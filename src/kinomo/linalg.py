@@ -60,10 +60,6 @@ class BlockTridiagCholesky:
         return np.concatenate(x)
 
 
-def block_tridiag_cholesky(diag, off):
-    return BlockTridiagCholesky(diag, off)
-
-
 def _to_lower_banded(K, bw):
     """Convert a sparse symmetric matrix to LAPACK lower banded storage."""
     n = K.shape[0]

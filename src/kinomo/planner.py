@@ -81,7 +81,7 @@ def _effector_path(scn, name, lift):
     path = np.zeros((scn.T + 1, 3))
     for ph in phases:
         path[ph.sigma : ph.epsilon] = ph.location_world
-    path[scn.T] = phases[-1].location_world
+    path[phases[-1].epsilon :] = phases[-1].location_world  # hold the last stance
     for a, b in zip(phases, phases[1:]):
         lo, hi = a.epsilon, b.sigma  # swing steps lo..hi-1
         if lo >= hi:
@@ -115,13 +115,6 @@ def initialize_references(scn, opts=None):
     }
     q = np.tile(scn.q0, (scn.T + 1, 1))
     return PlanState(h_bar, lambda_bar, c_bar, q)
-
-
-def _kinematic_momentum(model, traj):
-    qd = traj.qdot
-    return np.array(
-        [momentum_state(model, traj.q[t], qd[t]) for t in range(traj.q.shape[0])]
-    )
 
 
 def _solve_momentum(scn, state, opts):
@@ -197,9 +190,7 @@ def plan(scn, opts=None):
         "delta_h": [],
         "delta_c": [],
         "momentum_status": [],
-        "com_y_range_init": float(np.ptp([
-            forward_kinematics(scn.model, q)[3][1] for q in state.q
-        ])),
+        "com_y_range_init": float(np.ptp(forward_kinematics(scn.model, state.q)[3][:, 1])),
     }
     traj = None
     h_dyn = None
@@ -217,14 +208,8 @@ def plan(scn, opts=None):
             )
         except Exception as e:  # propagate with the pass index attached
             raise PlannerError(outer, f"kinematic sub-problem failed: {e}")
-        h_kin = _kinematic_momentum(scn.model, traj)
-        c_new = {
-            name: np.array([
-                effector_positions(scn.model, traj.q[t])[name]
-                for t in range(scn.T + 1)
-            ])
-            for name in scn.model.effectors
-        }
+        h_kin = momentum_state(scn.model, traj.q, traj.qdot)
+        c_new = effector_positions(scn.model, traj.q)
 
         res, sol = _solve_momentum(
             scn, PlanState(h_kin, state.lambda_bar, c_new, traj.q), opts

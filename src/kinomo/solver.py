@@ -349,8 +349,8 @@ def solve_ipm(p: NlpProblem, opts: SolverOptions = None) -> SolveResult:
     res = kkt_residual(p, x, z, y)
     if max(res) <= opts.kkt_tol:
         status = "Converged"
-    elif status != "Converged" and res[1] > 1e-4:
-        status = "Infeasible"
+    elif stall >= 8 and res[1] > 1e-4:
+        status = "Infeasible"  # stalled short of primal feasibility
     return SolveResult(x, z, y, status, stats, obj.value(x), res)
 
 

@@ -16,6 +16,8 @@ from kinomo.kinematics import (
     point_jacobian,
     solve_kinematic_subproblem,
 )
+from kinomo.planner import PlanOptions, initialize_references
+from kinomo.scenario import make_stepping_scenario
 
 MODEL = default_biped()
 Q_STAND = biped_standing_configuration(MODEL)
@@ -131,6 +133,66 @@ class TestMomentum:
             assert np.allclose(J[:, j], (xp - xm) / (2 * eps), atol=1e-6)
 
 
+class TestBatched:
+    """Every kinematics function on a batch equals its row-by-row calls."""
+
+    rng = np.random.default_rng(17)
+    Q = Q_STAND + rng.normal(size=(8, MODEL.dof)) * 0.3
+    QDOT = rng.normal(size=(8, MODEL.dof))
+
+    def assert_rows(self, batched, rows, atol=1e-12):
+        assert batched.shape == (len(rows),) + rows[0].shape
+        assert np.allclose(batched, np.array(rows), rtol=0.0, atol=atol)
+
+    def test_forward_kinematics(self):
+        batched = forward_kinematics(MODEL, self.Q)
+        rows = [forward_kinematics(MODEL, q) for q in self.Q]
+        for i, out in enumerate(batched):
+            self.assert_rows(out, [r[i] for r in rows])
+
+    def test_effector_positions(self):
+        batched = effector_positions(MODEL, self.Q)
+        for name in MODEL.effectors:
+            self.assert_rows(batched[name], [effector_positions(MODEL, q)[name] for q in self.Q])
+
+    def test_momentum(self):
+        l, k = centroidal_momentum(MODEL, self.Q, self.QDOT)
+        rows = [centroidal_momentum(MODEL, q, qd) for q, qd in zip(self.Q, self.QDOT)]
+        self.assert_rows(l, [r[0] for r in rows])
+        self.assert_rows(k, [r[1] for r in rows])
+        self.assert_rows(
+            momentum_state(MODEL, self.Q, self.QDOT),
+            [momentum_state(MODEL, q, qd) for q, qd in zip(self.Q, self.QDOT)],
+        )
+        self.assert_rows(
+            centroidal_momentum_matrix(MODEL, self.Q),
+            [centroidal_momentum_matrix(MODEL, q) for q in self.Q],
+        )
+
+    def test_jacobians(self):
+        dq, dqd = momentum_jacobian(MODEL, self.Q, self.QDOT)
+        rows = [momentum_jacobian(MODEL, q, qd) for q, qd in zip(self.Q, self.QDOT)]
+        self.assert_rows(dq, [r[0] for r in rows], atol=1e-8)
+        self.assert_rows(dqd, [r[1] for r in rows])
+        idx, off = MODEL.effectors["l_foot"]
+        self.assert_rows(
+            point_jacobian(MODEL, self.Q, idx, off),
+            [point_jacobian(MODEL, q, idx, off) for q in self.Q],
+        )
+
+    def test_first_pass_cost_pinned(self):
+        # the cost of the planner's first kinematic pass on the benchmark's
+        # one-step instance, as computed before the kinematics were batched
+        scn = make_stepping_scenario(T=21)
+        opts = PlanOptions()
+        state = initialize_references(scn, opts)
+        refs = KinematicRefs(state.h_bar, state.c_bar, scn.q0.copy())
+        _, cost = solve_kinematic_subproblem(
+            scn.model, refs, scn.T, scn.delta, opts.kinematic_weights, scn.q0, max_iter=10
+        )
+        assert cost == pytest.approx(0.7810224205592, rel=1e-8)
+
+
 def standing_refs(T, model=MODEL, q0=Q_STAND):
     h0 = momentum_state(model, q0, np.zeros(model.dof))
     eff = effector_positions(model, q0)
@@ -173,6 +235,37 @@ class TestSubproblem:
         traj, _ = solve_kinematic_subproblem(MODEL, refs, T, delta, w, Q_STAND, max_iter=40)
         _, _, _, x_com = forward_kinematics(MODEL, traj.q[T])
         assert abs(x_com[1] - 0.03) < 5e-3
+
+    @pytest.mark.parametrize("T", [1, 4])
+    def test_normal_equations_match_cost(self, T):
+        # gradient and Gauss-Newton matrix over q_1..q_T against finite
+        # differences of the residuals, the extrapolated last step included
+        rng = np.random.default_rng(5)
+        n, delta = MODEL.dof, 0.1
+        refs = standing_refs(T)
+        refs = KinematicRefs(refs.h_ref, refs.effector_ref, np.tile(Q_STAND, (T + 1, 1)))
+        w = KinematicWeights()
+        q = Q_STAND + rng.normal(size=(T + 1, n)) * 0.05
+
+        def residuals(dx):
+            qx = q.copy()
+            qx[1:] += dx.reshape(T, n)
+            return kinematics._residuals(MODEL, qx, delta, refs, w, with_jac=False)[0]
+
+        grad, diag, off = kinematics._normal_equations(
+            *kinematics._residuals(MODEL, q, delta, refs, w)
+        )
+        eps = 1e-6
+        fd = np.array([
+            (0.5 * np.sum(residuals(e) ** 2) - 0.5 * np.sum(residuals(-e) ** 2)) / (2 * eps)
+            for e in np.eye(T * n) * eps
+        ])
+        assert np.allclose(grad, fd, rtol=1e-5, atol=1e-6)
+        d = rng.normal(size=(T, n))
+        Jd = (residuals(eps * d) - residuals(-eps * d)) / (2 * eps)
+        quad = sum(d[b] @ diag[b] @ d[b] for b in range(T))
+        quad += 2 * sum(d[b + 1] @ off[b] @ d[b] for b in range(T - 1))
+        assert quad == pytest.approx(np.sum(Jd ** 2), rel=1e-6)
 
     def test_qdot_convention(self):
         traj = kinematics.JointTrajectory(np.arange(12.0).reshape(4, 3), 0.5)

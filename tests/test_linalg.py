@@ -37,7 +37,7 @@ class TestBlockTridiagCholesky:
     def test_identity_blocks(self):
         diag = [np.eye(3) for _ in range(5)]
         off = [np.zeros((3, 3)) for _ in range(4)]
-        f = linalg.block_tridiag_cholesky(diag, off)
+        f = linalg.BlockTridiagCholesky(diag, off)
         rhs = rng.normal(size=15)
         assert np.allclose(f.solve(rhs), rhs)
 
@@ -45,7 +45,7 @@ class TestBlockTridiagCholesky:
         diag, off = random_block_tridiag(40, 7, seed=3)
         M = assemble_dense(diag, off)
         rhs = rng.normal(size=M.shape[0])
-        x = linalg.block_tridiag_cholesky(diag, off).solve(rhs)
+        x = linalg.BlockTridiagCholesky(diag, off).solve(rhs)
         xd = np.linalg.solve(M, rhs)
         assert np.linalg.norm(x - xd) <= 1e-9 * max(1.0, np.linalg.norm(xd))
 
@@ -53,7 +53,7 @@ class TestBlockTridiagCholesky:
         diag = [np.eye(2), -np.eye(2)]
         off = [np.zeros((2, 2))]
         with pytest.raises(linalg.NotPositiveDefinite):
-            linalg.block_tridiag_cholesky(diag, off)
+            linalg.BlockTridiagCholesky(diag, off)
 
     def test_timing_linear(self):
         b = 7
@@ -62,7 +62,7 @@ class TestBlockTridiagCholesky:
             diag, off = random_block_tridiag(T, b, seed=1)
             t0 = time.perf_counter()
             for _ in range(3):
-                linalg.block_tridiag_cholesky(diag, off).solve(np.ones(T * b))
+                linalg.BlockTridiagCholesky(diag, off).solve(np.ones(T * b))
             return time.perf_counter() - t0
 
         run(50)  # warm-up

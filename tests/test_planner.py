@@ -68,6 +68,18 @@ class TestInitialization:
         assert np.all(np.diff(np.concatenate([[0.0], xs, [0.1]])) > 0)
         assert path[7:14, 2].max() > 0.01
 
+    def test_path_holds_last_stance(self):
+        # a foot whose last contact ends before T stays where it last stood
+        for T, name in ((14, "r_foot"), (28, "l_foot")):
+            scn = make_stepping_scenario(T=T)
+            path = initialize_references(scn).c_bar[name]
+            last = max(
+                (ph for ph in scn.phases if ph.effector_id == name), key=lambda ph: ph.sigma
+            )
+            assert last.epsilon < T
+            assert np.all(np.any(path != 0.0, axis=1))
+            assert np.allclose(path[last.epsilon :], last.location_world)
+
     def test_force_reference_is_never_updated(self):
         scn = make_standing_scenario(T=6)
         state0 = initialize_references(scn)

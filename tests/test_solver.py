@@ -13,6 +13,8 @@ from kinomo.contact import (
     cop_wrench_feasibility,
 )
 from kinomo.dynamics import MomentumState, RobotConstants
+from kinomo.planner import initialize_references
+from kinomo.scenario import load_scenario, rescale_horizon
 from kinomo.solver import (
     SolverOptions,
     _solve_dense_qp,
@@ -161,6 +163,19 @@ class TestIpm:
         # report Infeasible; the solution saturates the friction cone
         assert res.status in ("Converged", "MaxIter")
         assert res.kkt[1] <= 1e-6
+
+    @pytest.mark.parametrize(
+        "build, max_iter", [(build_simultaneous, 1), (build_sequential, 10)]
+    )
+    def test_budget_exhausted_is_max_iter(self, build, max_iter):
+        # far from feasible when the budget runs out, but not stalled
+        scn = rescale_horizon(load_scenario("scenarios/step_stones.json"), 30)
+        state = initialize_references(scn)
+        p = build(scn.momentum_scenario(state.h_bar, state.lambda_bar))
+        res = solve_ipm(p, SolverOptions(max_iter=max_iter))
+        assert len(res.stats) == max_iter
+        assert res.kkt[1] > 1e-4
+        assert res.status == "MaxIter"
 
 
 class TestConvexSubclass:
