@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import os
 import statistics
 import sys
@@ -19,7 +20,7 @@ import numpy as np
 
 from . import planner, scenario
 from .contact import ContactWrenchCom, com_to_cop, cop_wrench_feasibility
-from .solver import SolverOptions, solve
+from .solver import solve
 from .transcription import build_sequential, build_simultaneous, extract_sequential, extract_simultaneous
 
 CSV_HEADER = "# kinomo-csv v1"
@@ -51,17 +52,12 @@ def _load(path):
 
 
 def _solver_options(scn, args):
-    opts = scn.solver
     backend = getattr(args, "backend", None)
     if backend:
-        opts = SolverOptions(
-            max_iter=opts.max_iter, kkt_tol=opts.kkt_tol, mu0=opts.mu0,
-            mu_reduction=opts.mu_reduction,
-            fraction_to_boundary=opts.fraction_to_boundary,
-            reg_floor=opts.reg_floor,
-            backend={"ipm": "ipm", "sqp": "sqp_dense"}[backend],
+        return dataclasses.replace(
+            scn.solver, backend={"ipm": "ipm", "sqp": "sqp_dense"}[backend]
         )
-    return opts
+    return scn.solver
 
 
 def _momentum_problem(scn, formulation):

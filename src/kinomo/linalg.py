@@ -64,7 +64,7 @@ def _to_lower_banded(K, bw):
     """Convert a sparse symmetric matrix to LAPACK lower banded storage."""
     n = K.shape[0]
     coo = K.tocoo()
-    ab = np.zeros((bw + 1, n))
+    ab = np.zeros((bw + 1, n), order="F")
     mask = coo.row >= coo.col
     r, c, v = coo.row[mask], coo.col[mask], coo.data[mask]
     ab[r - c, c] = 0.0
@@ -75,35 +75,34 @@ def _to_lower_banded(K, bw):
 class BandedArrowFactorization:
     """Cholesky of a SPD matrix that is banded after moving a small set of
     dense ("arrow") rows/columns to the end, solved via a Schur complement
-    on the arrow block."""
+    on the arrow block.
 
-    def __init__(self, K, band_order, arrow_order):
-        n = K.shape[0]
-        K = sp.csc_matrix(K)
+    Takes the matrix prepacked in that order: ``ab`` holds the band block
+    in LAPACK lower band storage (Fortran order, overwritten by its
+    factor), ``W`` the band-arrow coupling and ``C`` the arrow block, both
+    dense. ``band_order`` and ``arrow_order`` map the packed positions
+    back to the caller's indices.
+    """
+
+    def __init__(self, ab, W, C, band_order, arrow_order):
         self.band_order = np.asarray(band_order, dtype=np.intp)
         self.arrow_order = np.asarray(arrow_order, dtype=np.intp)
-        if self.band_order.size + self.arrow_order.size != n:
-            raise ValueError("band and arrow orders must partition all indices")
+        nb, na = self.band_order.size, self.arrow_order.size
+        n = nb + na
         perm = np.concatenate([self.band_order, self.arrow_order])
         self.inv_perm = np.empty(n, dtype=np.intp)
         self.inv_perm[perm] = np.arange(n)
-        Kp = K[perm][:, perm].tocsr()
-        nb = self.band_order.size
-        na = self.arrow_order.size
-        B = Kp[:nb, :nb]
-        coo = B.tocoo()
-        self.bw = int(np.abs(coo.row - coo.col).max(initial=0))
-        ab = _to_lower_banded(B, self.bw)
-        cb, info = lapack.dpbtrf(ab, lower=1)
+        cb, info = lapack.dpbtrf(ab, lower=1, overwrite_ab=1)
         if info != 0:
             raise NotPositiveDefinite(f"banded Cholesky failed (info={info})")
         self._cb = cb
         self.nb, self.na = nb, na
         if na:
-            W = np.asarray(Kp[:nb, nb:].todense())
-            C = np.asarray(Kp[nb:, nb:].todense())
-            X = self._band_solve(W)
-            S = C - W.T @ X
+            # S = C - W^T B^-1 W = C - Y^T Y with Y = L^-1 W, B = L L^T
+            Y, info = lapack.dtbtrs(cb, W, uplo="L")
+            if info != 0:
+                raise NotPositiveDefinite(f"banded triangular solve failed (info={info})")
+            S = C - Y.T @ Y
             S = 0.5 * (S + S.T)
             try:
                 self._schur = sla.cho_factor(S, lower=True)
@@ -138,27 +137,58 @@ def factorize_banded_arrow(K, band_order, arrow_order=()):
 
     ``band_order`` lists the indices of the banded part in an order that
     makes it narrow-banded (e.g. grouped by time step); ``arrow_order``
-    lists the dense coupling indices. Raises NotPositiveDefinite.
+    lists the dense coupling indices. K may be sparse or dense; it is
+    packed into the storage BandedArrowFactorization takes. Raises
+    NotPositiveDefinite.
     """
-    return BandedArrowFactorization(K, band_order, np.asarray(arrow_order, dtype=np.intp))
+    band_order = np.asarray(band_order, dtype=np.intp)
+    arrow_order = np.asarray(arrow_order, dtype=np.intp)
+    if band_order.size + arrow_order.size != K.shape[0]:
+        raise ValueError("band and arrow orders must partition all indices")
+    perm = np.concatenate([band_order, arrow_order])
+    Kp = sp.csc_matrix(K)[perm][:, perm].tocsr()
+    nb = band_order.size
+    B = Kp[:nb, :nb].tocoo()
+    bw = int(np.abs(B.row - B.col).max(initial=0))
+    ab = _to_lower_banded(B, bw)
+    W = np.asfortranarray(Kp[:nb, nb:].toarray())
+    C = Kp[nb:, nb:].toarray()
+    return BandedArrowFactorization(ab, W, C, band_order, arrow_order)
 
 
 class BandedLU:
     """LU factorization (partial pivoting) of a general banded matrix,
     used for the symmetric quasi-definite KKT systems of the simultaneous
-    formulation. Linear time in the matrix dimension for fixed bandwidth."""
+    formulation. Linear time in the matrix dimension for fixed bandwidth.
+
+    ``BandedLU(K, order)`` packs the sparse K permuted by ``order``;
+    ``BandedLU.from_band`` takes storage already packed."""
 
     def __init__(self, K, order):
         n = K.shape[0]
-        self.order = np.asarray(order, dtype=np.intp)
-        self.inv_order = np.empty(n, dtype=np.intp)
-        self.inv_order[self.order] = np.arange(n)
-        Kp = sp.csc_matrix(K)[self.order][:, self.order].tocoo()
+        order = np.asarray(order, dtype=np.intp)
+        Kp = sp.csc_matrix(K)[order][:, order].tocoo()
         kl = int((Kp.row - Kp.col).max(initial=0))
         ku = int((Kp.col - Kp.row).max(initial=0))
-        ab = np.zeros((2 * kl + ku + 1, n))
+        ab = np.zeros((2 * kl + ku + 1, n), order="F")
         np.add.at(ab, (kl + ku + Kp.row - Kp.col, Kp.col), Kp.data)
-        lu, piv, info = lapack.dgbtrf(ab, kl, ku)
+        self._factor(ab, kl, ku, order)
+
+    @classmethod
+    def from_band(cls, ab, kl, ku, order):
+        """Factorize ``ab``, the permuted matrix in LAPACK general band
+        storage (``2 kl + ku + 1`` rows, Fortran order, the first ``kl``
+        rows workspace), in place. ``order`` is the permutation."""
+        self = cls.__new__(cls)
+        self._factor(ab, kl, ku, np.asarray(order, dtype=np.intp))
+        return self
+
+    def _factor(self, ab, kl, ku, order):
+        n = order.size
+        self.order = order
+        self.inv_order = np.empty(n, dtype=np.intp)
+        self.inv_order[order] = np.arange(n)
+        lu, piv, info = lapack.dgbtrf(ab, kl, ku, overwrite_ab=1)
         if info != 0:
             raise NotPositiveDefinite(f"banded LU failed (info={info})")
         self._lu, self._piv, self._kl, self._ku = lu, piv, kl, ku

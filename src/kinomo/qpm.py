@@ -44,9 +44,6 @@ class QuadTerm:
     def add_gradient(self, x, out, scale=1.0):
         out[self.idx] += (2.0 * scale) * (self.mat @ x[self.idx])
 
-    def grad_sparse(self, x):
-        return self.idx, 2.0 * (self.mat @ x[self.idx])
-
     def dense(self, n):
         m = np.zeros((n, n))
         m[np.ix_(self.idx, self.idx)] = self.mat
@@ -124,21 +121,6 @@ class QpmRow:
         if self.minus is not None:
             parts.append(self.minus.idx)
         return np.unique(np.concatenate(parts)) if parts else self.lin_idx
-
-    def grad_sparse(self, x):
-        """Gradient restricted to the row support: (idx, values)."""
-        idx = self.support()
-        g = np.zeros(idx.size)
-        pos = {int(j): i for i, j in enumerate(idx)}
-        for j, v in zip(self.lin_idx, self.lin_val):
-            g[pos[int(j)]] += v
-        for term, sign in ((self.plus, 1.0), (self.minus, -1.0)):
-            if term is None:
-                continue
-            ti, tv = term.grad_sparse(x)
-            for j, v in zip(ti, tv):
-                g[pos[int(j)]] += sign * v
-        return idx, g
 
     def is_affine(self):
         return self.plus is None and self.minus is None
@@ -448,9 +430,3 @@ def min_quad_eigenvalue(v):
                 worst = min(worst, float(np.linalg.eigvalsh(term.mat)[0]))
     return worst
 
-
-def validate_psd(v, tol=PSD_TOL):
-    lam = min_quad_eigenvalue(v)
-    if lam < -tol:
-        raise ValueError(f"stored quadratic part has eigenvalue {lam} < -{tol}")
-    return lam

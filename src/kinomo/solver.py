@@ -15,7 +15,10 @@ and factorizes
 by the banded-plus-arrow Cholesky (sequential formulation, no equality
 rows) or, with the dynamics equalities appended, as a quasi-definite
 banded KKT system in step-interleaved order (simultaneous formulation).
-Both factorizations cost O(T) per iteration for a fixed effector count.
+KKTSystem assembles that matrix into fixed LAPACK band storage: the
+sparsity pattern and the slot of every entry are worked out once per
+solve, and each iteration only scatters numbers into the slots. Both
+factorizations cost O(T) per iteration for a fixed effector count.
 
 A dense line-search SQP with the same convexified Hessian serves as the
 baseline solver for cross-checking on small instances.
@@ -29,13 +32,12 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .linalg import BandedLU, NotPositiveDefinite, factorize_banded_arrow
+from . import linalg
+# The IPM packs its own band storage and factorizes through kinomo.linalg;
+# the sparse-input factorizations stay importable from here, where
+# perfbench/tracing.py wraps them.
+from .linalg import BandedLU, NotPositiveDefinite, factorize_banded_arrow  # noqa: F401
 from .transcription import NlpProblem, convexified_lagrangian_hessian
-
-
-def solve_with(factorization, rhs):
-    """Apply a factorization produced by factorize_banded_arrow."""
-    return factorization.solve(rhs)
 
 
 class QPSubproblemInfeasible(RuntimeError):
@@ -86,25 +88,36 @@ class SolveResult:
         return self.status == "Converged"
 
 
+def _kkt_norms(r_d, g_i, z, g_e):
+    """Infinity norms of the four KKT blocks from the stationarity residual
+    r_d = grad J - A_I^T z - A_E^T y and the constraint values."""
+    primal = max(
+        float(np.maximum(-g_i, 0.0).max(initial=0.0)),
+        float(np.abs(g_e).max(initial=0.0)),
+    )
+    return (
+        float(np.abs(r_d).max(initial=0.0)),
+        primal,
+        float(np.maximum(-z, 0.0).max(initial=0.0)),
+        float(np.abs(z * g_i).max(initial=0.0)),
+    )
+
+
 def kkt_residual(p: NlpProblem, x, z, y):
     """Infinity norms of the four KKT blocks under the sign convention
     L = J - z g_I - y g_E: (stationarity, primal, dual, complementarity)."""
-    obj = p.compiled_objective()
-    r_d = obj.gradient(x)
-    primal = 0.0
-    comp = 0.0
+    z, y = np.asarray(z), np.asarray(y)
+    r_d = p.compiled_objective().gradient(x)
+    g_i = g_e = np.zeros(0)
     if p.n_ineq:
         ineq = p.compiled_ineq()
-        g = ineq.value(x)
-        r_d = r_d - ineq.jacobian(x).T @ np.asarray(z)
-        primal = max(primal, float(np.maximum(-g, 0.0).max(initial=0.0)))
-        comp = float(np.abs(np.asarray(z) * g).max(initial=0.0))
+        g_i = ineq.value(x)
+        r_d = r_d - ineq.jacobian(x).T @ z
     if p.n_eq:
         eq = p.compiled_eq()
-        r_d = r_d - eq.jacobian(x).T @ np.asarray(y)
-        primal = max(primal, float(np.abs(eq.value(x)).max(initial=0.0)))
-    dual = float(np.maximum(-np.asarray(z), 0.0).max(initial=0.0)) if p.n_ineq else 0.0
-    return (float(np.abs(r_d).max(initial=0.0)), primal, dual, comp)
+        g_e = eq.value(x)
+        r_d = r_d - eq.jacobian(x).T @ y
+    return _kkt_norms(r_d, g_i, z, g_e)
 
 
 def estimate_factorization_flops(p: NlpProblem):
@@ -149,6 +162,211 @@ def _simultaneous_kkt_order(p: NlpProblem):
     return np.array(order, dtype=np.intp)
 
 
+def _sorted_unique(a):
+    """np.unique by one sort: numpy's hash-based unique is several times
+    slower on these key arrays."""
+    a = np.sort(a)
+    keep = np.ones(a.size, dtype=bool)
+    keep[1:] = a[1:] != a[:-1]
+    return a[keep]
+
+
+def _row_pairs(indptr):
+    """Every pair (k1, k2), k1 >= k2, of entry positions within one row of
+    a CSR pattern: the terms of A^T diag(sigma) A."""
+    lengths = np.diff(indptr)
+    p1, p2 = [np.zeros(0, dtype=np.int32)], [np.zeros(0, dtype=np.int32)]
+    for L in np.unique(lengths):
+        a, b = np.tril_indices(L)
+        start = indptr[:-1][lengths == L][:, None]
+        p1.append((start + a).ravel().astype(np.int32))
+        p2.append((start + b).ravel().astype(np.int32))
+    return np.concatenate(p1), np.concatenate(p2)
+
+
+class KKTSystem:
+    """The IPM's Newton matrix in fixed LAPACK band storage.
+
+    The constructor does the symbolic work, once per solve: it takes the
+    union pattern of every entry the matrix can hold (objective Hessian,
+    each stored Q and P entry, A_I^T A_I from the Jacobian's fixed CSR
+    pattern, the diagonal and, in the simultaneous form, A_E, A_E^T and
+    the -gamma I block), numbers its lower-triangle entries ("slots") and
+    maps each slot to its place in the band storage. ``assemble`` then
+    only computes the slot values,
+
+        K = H_obj + G_Q max(c, 0) + G_P max(-c, 0) + A_I^T Sigma A_I,
+
+    ``pack`` scatters them into the storage with delta written onto the
+    diagonal of K, and ``factor`` factorizes the storage in place:
+    banded-plus-arrow Cholesky of K + delta I (sequential), or banded LU
+    of [[K + delta I, A_E^T], [A_E, -gamma I]] in step-interleaved order
+    (simultaneous). ``ineq`` and ``eq`` are the problem's compiled
+    constraint functions, None where it has none.
+    """
+
+    gamma = 1e-8
+
+    def __init__(self, p: NlpProblem, ineq, eq):
+        n = p.n
+        m_i = ineq.m if ineq is not None else 0
+        m_e = eq.m if eq is not None else 0
+        N = n + m_e
+        self.m_i, self.m_e = m_i, m_e
+
+        # (i, j) keys, i >= j, of every contribution, source by source
+        H = p.compiled_objective().H.tocoo()
+        low = H.row >= H.col
+        keys = {"obj": H.row[low].astype(np.int64) * N + H.col[low]}
+        const_val = H.data[low]
+        # the Q and P entries: keys, columns and values of G_Q and G_P,
+        # whose column r scales by row r of the stacked coefficients c
+        curv = {
+            part: ([np.zeros(0, np.int64)], [np.zeros(0, np.intp)], [np.zeros(0)])
+            for part in "QP"
+        }
+        col0 = 0
+        for fn in (ineq, eq):
+            if fn is not None:
+                for part, (rows, ii, jj, vv) in zip("QP", fn.curvature_entries()):
+                    key = ii.astype(np.int64) * N + jj
+                    for lst, a in zip(curv[part], (key, rows + col0, vv)):
+                        lst.append(a)
+                col0 += fn.m
+        for part, (k, c, v) in curv.items():
+            keys[part] = np.concatenate(k)
+            curv[part] = np.concatenate(c), np.concatenate(v)
+        if m_i:
+            p1, p2 = _row_pairs(ineq.indptr)
+            keys["pairs"] = ineq.indices[p1] * N + ineq.indices[p2]
+            self._row_len = np.diff(ineq.indptr)
+        keys["diag"] = np.arange(n, dtype=np.int64) * (N + 1)
+        if m_e:
+            eq_rows = n + np.repeat(np.arange(m_e, dtype=np.int64), np.diff(eq.indptr))
+            keys["ae"] = eq_rows * N + eq.indices
+            keys["eq_diag"] = np.arange(n, N, dtype=np.int64) * (N + 1)
+        pattern = _sorted_unique(np.concatenate([_sorted_unique(k) for k in keys.values()]))
+        slot = {k: np.searchsorted(pattern, v).astype(np.int32) for k, v in keys.items()}
+        del keys  # before the matrices below are built
+        S = pattern.size
+
+        self._const = np.bincount(slot["obj"], const_val, minlength=S)
+        if m_e:
+            self._const[slot["eq_diag"]] -= self.gamma
+            self._ae_slot = slot["ae"]
+        self._G = {
+            part: sp.csr_matrix((v, (slot[part], c)), shape=(S, m_i + m_e))
+            for part, (c, v) in curv.items()
+        }
+        if m_i:
+            # A_I^T Sigma A_I as a matrix-vector product: row `slot` of
+            # _AtA holds J[k2] at column k1 for each pair of that slot, so
+            # that _AtA @ (sigma J) sums sigma_r J[k1] J[k2]; only the data
+            # J[k2] changes between iterations
+            order = np.argsort(slot["pairs"], kind="stable")
+            indptr = np.zeros(S + 1, dtype=np.int32)
+            np.cumsum(np.bincount(slot["pairs"], minlength=S), out=indptr[1:])
+            self._p2 = p2[order].astype(np.intp)
+            self._AtA = sp.csr_matrix(
+                (np.zeros(order.size), p1[order], indptr), shape=(S, ineq.indices.size)
+            )
+
+        # band storage: each slot's place, and a mirror place off the diagonal
+        row, col = np.divmod(pattern, N)
+        if m_e:
+            self.order = _simultaneous_kkt_order(p)
+        else:
+            self.band_order = p.layout.band_order()
+            self.arrow_order = p.layout.arrow_indices
+            self.order = np.concatenate([self.band_order, self.arrow_order])
+        pos = np.empty(N, dtype=np.intp)
+        pos[self.order] = np.arange(N)
+        hi = np.maximum(pos[row], pos[col])
+        lo = np.minimum(pos[row], pos[col])
+        off = hi != lo
+        if m_e:
+            self.kl = self.ku = int((hi - lo).max(initial=0))
+            ld = 2 * self.kl + self.ku + 1
+            mid = self.kl + self.ku
+            dst = mid + hi - lo + lo * ld
+            mirror = off
+            mirror_dst = mid + lo - hi + hi * ld
+            shapes = [(ld, N)]
+        else:
+            nb, na = self.band_order.size, self.arrow_order.size
+            in_band = hi < nb
+            bw = int((hi - lo)[in_band].max(initial=0))
+            n_ab, n_w = (bw + 1) * nb, nb * na
+            a_hi, a_lo = hi - nb, lo - nb
+            dst = np.where(
+                in_band,
+                hi - lo + lo * (bw + 1),
+                np.where(lo < nb, n_ab + lo + a_hi * nb, n_ab + n_w + a_hi + a_lo * na),
+            )
+            # the dense arrow block C is stored in full
+            mirror = off & (lo >= nb)
+            mirror_dst = n_ab + n_w + a_lo + a_hi * na
+            shapes = [(bw + 1, nb), (nb, na), (na, na)]
+        self._dst = np.concatenate([dst, mirror_dst[mirror]])
+        self._src = np.concatenate([np.arange(S), np.flatnonzero(mirror)])
+        self._diag_dst = dst[slot["diag"]]
+        self._storage = np.zeros(sum(r * c for r, c in shapes))
+        self._blocks = _fortran_views(self._storage, shapes)
+
+    def assemble(self, c_i, sigma, J_i, c_e, J_e):
+        """Compute this iteration's slot values.
+
+        ``c_i``, ``c_e`` are the curvature coefficients of the inequality
+        and equality rows (c >= 0 keeps c Q, c < 0 keeps |c| P, as in
+        convexified_lagrangian_hessian), ``sigma`` the diagonal Z S^-1 and
+        ``J_i``, ``J_e`` the data arrays of the Jacobians in their fixed
+        CSR patterns. An absent family takes empty arrays and None."""
+        c = np.concatenate([c_i, c_e])
+        v = self._const.copy()
+        # a part whose coefficients are all zero is skipped: the
+        # inequality duals of the IPM make every c_i negative
+        for part, cp in (("Q", np.maximum(c, 0.0)), ("P", np.maximum(-c, 0.0))):
+            if cp.any():
+                v += self._G[part] @ cp
+        if self.m_i:
+            np.take(J_i, self._p2, out=self._AtA.data)
+            v += self._AtA @ (J_i * np.repeat(sigma, self._row_len))
+        if self.m_e:
+            v[self._ae_slot] = J_e
+        self._v = v
+
+    def pack(self, delta):
+        """Write the assembled matrix, with delta added to the diagonal of
+        K, into the band storage and return its blocks: (ab,) in LAPACK
+        general band storage (simultaneous), or (ab, W, C) with ab in
+        lower band storage (sequential), all in the permuted ``order``."""
+        self._storage.fill(0.0)
+        self._storage[self._dst] = self._v[self._src]
+        self._storage[self._diag_dst] += delta
+        return self._blocks
+
+    def factor(self, delta):
+        """Pack with delta and factorize the storage in place; the
+        factorization lives there until the next pack. Raises
+        NotPositiveDefinite."""
+        if self.m_e:
+            (ab,) = self.pack(delta)
+            return linalg.BandedLU.from_band(ab, self.kl, self.ku, self.order)
+        ab, W, C = self.pack(delta)
+        return linalg.BandedArrowFactorization(
+            ab, W, C, self.band_order, self.arrow_order
+        )
+
+
+def _fortran_views(flat, shapes):
+    """Consecutive Fortran-ordered 2-D views of one flat buffer."""
+    views, start = [], 0
+    for r, c in shapes:
+        views.append(flat[start : start + r * c].reshape((r, c), order="F"))
+        start += r * c
+    return views
+
+
 def _fraction_to_boundary(v, dv, tau):
     neg = dv < 0
     if not np.any(neg):
@@ -161,10 +379,10 @@ def solve_ipm(p: NlpProblem, opts: SolverOptions = None) -> SolveResult:
     opts = opts or SolverOptions()
     n = p.n
     obj = p.compiled_objective()
-    ineq = p.compiled_ineq() if p.n_ineq else None
-    eq = p.compiled_eq() if p.n_eq else None
     m_i = p.n_ineq
     m_e = p.n_eq
+    ineq = p.compiled_ineq() if m_i else None
+    eq = p.compiled_eq() if m_e else None
 
     x = _ballistic_initial_point(p)
     mu = opts.mu0
@@ -176,28 +394,27 @@ def solve_ipm(p: NlpProblem, opts: SolverOptions = None) -> SolveResult:
         s = np.zeros(0)
         z = np.zeros(0)
     y = np.zeros(m_e)
-
-    band = p.layout.band_order()
-    arrow = p.layout.arrow_indices
-    kkt_order = _simultaneous_kkt_order(p) if m_e else None
-    gamma = 1e-8
+    kkt = KKTSystem(p, ineq, eq)
 
     stats = []
     status = "MaxIter"
-    t_start = time.perf_counter()
     stall = 0
+    g_i = g_e = np.zeros(0)
     for it in range(opts.max_iter):
         it_t0 = time.perf_counter()
         grad = obj.gradient(x)
+        r_d = grad.copy()
         if m_i:
             g_i = ineq.value(x)
             A_i = ineq.jacobian(x)
             r_i = g_i - s
+            r_d -= A_i.T @ z
         if m_e:
             g_e = eq.value(x)
             A_e = eq.jacobian(x)
+            r_d -= A_e.T @ y
 
-        res = kkt_residual(p, x, z, y)
+        res = _kkt_norms(r_d, g_i, z, g_e)
         kkt_norm = max(res)
         if kkt_norm <= opts.kkt_tol:
             status = "Converged"
@@ -212,50 +429,32 @@ def solve_ipm(p: NlpProblem, opts: SolverOptions = None) -> SolveResult:
         if max(pert) <= 10.0 * mu:
             mu = max(mu * opts.mu_reduction, 1e-14)
 
-        duals_coeff_i = -2.0 * z if m_i else np.zeros(0)
-        duals_coeff_e = -2.0 * y if m_e else np.zeros(0)
-        H = convexified_lagrangian_hessian(p, x, (duals_coeff_i, duals_coeff_e))
-
-        # reduced system matrix and right-hand side
-        r_d = grad.copy()
-        if m_i:
-            r_d -= A_i.T @ z
-        if m_e:
-            r_d -= A_e.T @ y
+        # reduced system: K = H_tilde + A_I^T Sigma A_I (+ delta I)
+        sigma = z / s
+        kkt.assemble(
+            -2.0 * z, sigma, A_i.data if m_i else None,
+            -2.0 * y, A_e.data if m_e else None,
+        )
         rhs = -r_d
         if m_i:
-            sigma = z / s
-            K = H + A_i.T @ sp.diags(sigma) @ A_i
             rhs = rhs + A_i.T @ (mu / s - z - sigma * r_i)
-        else:
-            K = H
+        if m_e:
+            rhs = np.concatenate([rhs, -g_e])
 
         delta = opts.reg_floor
-        dx = None
-        while dx is None:
+        sol = None
+        while sol is None:
             try:
-                Kr = (K + delta * sp.eye(n)).tocsr()
-                if m_e:
-                    kkt_mat = sp.bmat(
-                        [[Kr, A_e.T], [A_e, -gamma * sp.eye(m_e)]], format="csr"
-                    )
-                    sol = BandedLU(kkt_mat, kkt_order).solve(
-                        np.concatenate([rhs, -g_e])
-                    )
-                    # row 1 reads K dx + A_e^T w = rhs while the Newton
-                    # system wants K dx - A_e^T dy = rhs, hence dy = -w
-                    dx, w = sol[:n], sol[n:]
-                    dy = -w
-                else:
-                    fac = factorize_banded_arrow(Kr, band, arrow)
-                    dx = fac.solve(rhs)
-                    dy = np.zeros(0)
+                sol = kkt.factor(delta).solve(rhs)
             except NotPositiveDefinite:
                 delta *= 10.0
                 if delta > 1e-2:
                     return SolveResult(
                         x, z, y, "NumericFailure", stats, obj.value(x), res
                     )
+        # row 1 of the simultaneous system reads K dx + A_e^T w = rhs while
+        # the Newton system wants K dx - A_e^T dy = rhs, hence dy = -w
+        dx, dy = sol[:n], -sol[n:]
 
         if m_i:
             ds = A_i @ dx + r_i
@@ -274,16 +473,22 @@ def solve_ipm(p: NlpProblem, opts: SolverOptions = None) -> SolveResult:
             np.abs(z).max(initial=0.0), np.abs(y).max(initial=0.0)
         )
 
-        def merit(xv, sv):
-            val = obj.value(xv)
+        def merit(f, sv, gi, ge):
+            val = f
             if m_i:
                 val -= mu * np.log(sv).sum()
-                val += nu * np.abs(ineq.value(xv) - sv).sum()
+                val += nu * np.abs(gi - sv).sum()
             if m_e:
-                val += nu * np.abs(eq.value(xv)).sum()
+                val += nu * np.abs(ge).sum()
             return val
 
-        phi0 = merit(x, s)
+        def merit_at(xv, sv):
+            return merit(
+                obj.value(xv), sv,
+                ineq.value(xv) if m_i else None, eq.value(xv) if m_e else None,
+            )
+
+        phi0 = merit(obj.value(x), s, g_i, g_e)
         dphi = float(grad @ dx)
         if m_i:
             dphi -= mu * float((ds / s).sum())
@@ -302,7 +507,7 @@ def solve_ipm(p: NlpProblem, opts: SolverOptions = None) -> SolveResult:
             accepted = True
         else:
             for _ in range(40):
-                if merit(x + alpha * dx, s + alpha * ds) <= phi0 + 1e-4 * alpha * dphi + noise:
+                if merit_at(x + alpha * dx, s + alpha * ds) <= phi0 + 1e-4 * alpha * dphi + noise:
                     accepted = True
                     break
                 alpha *= 0.5
@@ -311,23 +516,28 @@ def solve_ipm(p: NlpProblem, opts: SolverOptions = None) -> SolveResult:
             # certified by backtracking; fall back to accepting the full
             # fraction-to-boundary step whenever it shrinks the perturbed
             # KKT residual, which is what the Newton step targets
-            def pert_norm(xv, sv, zv, yv):
-                gr = obj.gradient(xv)
-                vals = []
+            def pert_norm(gr, sv, zv, gi, ge):
+                vals = [np.abs(gr).max(initial=0.0)]
                 if m_i:
-                    gr = gr - ineq.jacobian(xv).T @ zv
-                    vals.append(np.abs(ineq.value(xv) - sv).max(initial=0.0))
+                    vals.append(np.abs(gi - sv).max(initial=0.0))
                     vals.append(np.abs(sv * zv - mu).max(initial=0.0))
                 if m_e:
-                    gr = gr - eq.jacobian(xv).T @ yv
-                    vals.append(np.abs(eq.value(xv)).max(initial=0.0))
-                vals.append(np.abs(gr).max(initial=0.0))
+                    vals.append(np.abs(ge).max(initial=0.0))
                 return max(vals)
 
+            x_t = x + alpha_max * dx
+            s_t = s + alpha_max * ds
             z_t = np.maximum(z + alpha_max * dz, 1e-16) if m_i else z
-            y_t = y + alpha_max * dy if m_e else y
-            trial = pert_norm(x + alpha_max * dx, s + alpha_max * ds, z_t, y_t)
-            if trial <= pert_norm(x, s, z, y) * (1.0 - 1e-4 * alpha_max):
+            gr_t = obj.gradient(x_t)
+            g_it = g_et = None
+            if m_i:
+                gr_t = gr_t - ineq.jacobian(x_t).T @ z_t
+                g_it = ineq.value(x_t)
+            if m_e:
+                gr_t = gr_t - eq.jacobian(x_t).T @ (y + alpha_max * dy)
+                g_et = eq.value(x_t)
+            trial = pert_norm(gr_t, s_t, z_t, g_it, g_et)
+            if trial <= pert_norm(r_d, s, z, g_i, g_e) * (1.0 - 1e-4 * alpha_max):
                 alpha = alpha_max
                 accepted = True
         if not accepted:
@@ -346,11 +556,12 @@ def solve_ipm(p: NlpProblem, opts: SolverOptions = None) -> SolveResult:
         if stall >= 8:
             break
 
-    res = kkt_residual(p, x, z, y)
-    if max(res) <= opts.kkt_tol:
-        status = "Converged"
-    elif stall >= 8 and res[1] > 1e-4:
-        status = "Infeasible"  # stalled short of primal feasibility
+    if status != "Converged":  # x moved after its last evaluation
+        res = kkt_residual(p, x, z, y)
+        if max(res) <= opts.kkt_tol:
+            status = "Converged"
+        elif stall >= 8 and res[1] > 1e-4:
+            status = "Infeasible"  # stalled short of primal feasibility
     return SolveResult(x, z, y, status, stats, obj.value(x), res)
 
 

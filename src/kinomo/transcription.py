@@ -255,13 +255,16 @@ class CompiledVectorFunction:
                 if term is None:
                     continue
                 k = term.idx.size
-                pos = indptr[i] + np.searchsorted(sup, term.idx)
+                # int32 indices: these arrays hold an entry per (row, Q/P
+                # entry), the bulk of a compiled problem's memory
+                idx = term.idx.astype(np.int32)
+                pos = (indptr[i] + np.searchsorted(sup, term.idx)).astype(np.int32)
                 Mr.append(np.repeat(pos, k))
-                Mc.append(np.tile(term.idx, k))
+                Mc.append(np.tile(idx, k))
                 Mv.append(2.0 * sign * term.mat.ravel())
-                rws.append(np.full(k * k, i, dtype=np.intp))
-                ii.append(np.repeat(term.idx, k))
-                jj.append(np.tile(term.idx, k))
+                rws.append(np.full(k * k, i, dtype=np.int32))
+                ii.append(np.repeat(idx, k))
+                jj.append(np.tile(idx, k))
                 vv.append(term.mat.ravel())
         self.indptr = indptr
         self.indices = np.concatenate(indices) if indices else np.zeros(0, dtype=np.intp)
@@ -272,13 +275,13 @@ class CompiledVectorFunction:
             return np.concatenate(parts) if parts else np.zeros(0, dtype=dtype)
 
         self._M = sp.csr_matrix(
-            (cat(Mv), (cat(Mr, np.intp), cat(Mc, np.intp))), shape=(nnz, n)
+            (cat(Mv), (cat(Mr, np.int32), cat(Mc, np.int32))), shape=(nnz, n)
         )
         self._qrow, self._qi, self._qj, self._qv = (
-            cat(qrow, np.intp), cat(qi, np.intp), cat(qj, np.intp), cat(qv),
+            cat(qrow, np.int32), cat(qi, np.int32), cat(qj, np.int32), cat(qv),
         )
         self._prow, self._pi, self._pj, self._pv = (
-            cat(prow, np.intp), cat(pi, np.intp), cat(pj, np.intp), cat(pv),
+            cat(prow, np.int32), cat(pi, np.int32), cat(pj, np.int32), cat(pv),
         )
         self._rowsum = sp.csr_matrix(
             (np.ones(nnz), self.indices * 0 + np.arange(nnz), indptr), shape=(m, nnz)
@@ -294,11 +297,18 @@ class CompiledVectorFunction:
         data = self.base + self._M @ x
         return sp.csr_matrix((data, self.indices, self.indptr), shape=(self.m, self.n))
 
-    def jacobian_structure(self):
-        return sp.csr_matrix(
-            (np.ones(self.indices.size), self.indices, self.indptr),
-            shape=(self.m, self.n),
-        )
+    def curvature_entries(self):
+        """The stored Q and P entries on and below the diagonal, each as
+        (row, i, j, value) arrays: the fixed data that hessian_combo
+        scales by the row coefficients."""
+        out = []
+        for rows, ii, jj, vv in (
+            (self._qrow, self._qi, self._qj, self._qv),
+            (self._prow, self._pi, self._pj, self._pv),
+        ):
+            low = ii >= jj
+            out.append((rows[low], ii[low], jj[low], vv[low]))
+        return out
 
     def hessian_combo(self, coeffs, convexify=True):
         """sum_i c_i * (Q_i - P_i), convexified to its PSD part per row:

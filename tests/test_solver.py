@@ -1,7 +1,9 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from test_transcription import biped_scenario, foot_surface, stepping_scenario
 
@@ -14,8 +16,9 @@ from kinomo.contact import (
 )
 from kinomo.dynamics import MomentumState, RobotConstants
 from kinomo.planner import initialize_references
-from kinomo.scenario import load_scenario, rescale_horizon
+from kinomo.scenario import load_scenario, rescale_horizon, scenario_from_dict
 from kinomo.solver import (
+    KKTSystem,
     SolverOptions,
     _solve_dense_qp,
     estimate_factorization_flops,
@@ -30,6 +33,7 @@ from kinomo.transcription import (
     TrackingWeights,
     build_sequential,
     build_simultaneous,
+    convexified_lagrangian_hessian,
     extract_sequential,
 )
 
@@ -239,3 +243,82 @@ class TestDiagnostics:
         assert res.converged and res.status == "Converged"
         assert len(res.stats) >= 1
         assert res.stats[-1].kkt <= 1e-6
+
+
+def _unpacked(kkt, blocks):
+    """The matrix held in KKTSystem's band storage, as a dense array in
+    the problem's own variable order."""
+    N = kkt.order.size
+    D = np.zeros((N, N))
+    if kkt.m_e:
+        (ab,) = blocks
+        mid = kkt.kl + kkt.ku
+        for d in range(-kkt.ku, kkt.kl + 1):  # d = i - j
+            j = np.arange(max(0, -d), min(N, N - d))
+            D[j + d, j] = ab[mid + d, j]
+    else:
+        ab, W, C = blocks
+        nb = ab.shape[1]
+        for d in range(ab.shape[0]):
+            j = np.arange(nb - d)
+            D[j + d, j] = D[j, j + d] = ab[d, j]
+        D[:nb, nb:] = W
+        D[nb:, :nb] = W.T
+        D[nb:, nb:] = C
+    out = np.empty_like(D)
+    out[np.ix_(kkt.order, kkt.order)] = D
+    return out
+
+
+class TestKKTSystem:
+    @pytest.mark.parametrize("build", [build_sequential, build_simultaneous])
+    def test_matches_sparse_oracle(self, build):
+        scn = rescale_horizon(load_scenario("scenarios/step_stones.json"), 12)
+        state = initialize_references(scn)
+        p = build(scn.momentum_scenario(state.h_bar, state.lambda_bar))
+        ineq = p.compiled_ineq()
+        eq = p.compiled_eq() if p.n_eq else None
+        if eq is None:
+            assert p.layout.arrow_indices.size  # the W and C blocks are used
+        kkt = KKTSystem(p, ineq, eq)
+        rng = np.random.default_rng(7)
+        for _ in range(2):  # the second assembly overwrites the first
+            x = rng.normal(size=p.n)
+            z = rng.uniform(0.1, 10.0, size=p.n_ineq)
+            sigma = z / rng.uniform(0.1, 10.0, size=p.n_ineq)
+            y = rng.normal(size=p.n_eq)
+            A_i = ineq.jacobian(x)
+            A_e = eq.jacobian(x) if eq else None
+            kkt.assemble(-2.0 * z, sigma, A_i.data, -2.0 * y, A_e.data if eq else None)
+        K = convexified_lagrangian_hessian(p, x, (-2.0 * z, -2.0 * y))
+        K = K + A_i.T @ sp.diags(sigma) @ A_i
+        if eq is not None:
+            K = sp.bmat([[K, A_e.T], [A_e, -KKTSystem.gamma * sp.eye(p.n_eq)]])
+        K = K.toarray()
+        shift = np.zeros(K.shape[0])
+        shift[: p.n] = 1.0
+        rhs = rng.normal(size=K.shape[0])
+        for delta in (1e-4, 1e-2):  # the second as after a rejected factorization
+            Kd = K + np.diag(delta * shift)
+            packed = _unpacked(kkt, kkt.pack(delta))
+            assert np.abs(packed - Kd).max() <= 1e-12 * np.abs(Kd).max()
+            ref = np.linalg.solve(Kd, rhs)
+            sol = kkt.factor(delta).solve(rhs)
+            assert np.linalg.norm(sol - ref) <= 1e-8 * np.linalg.norm(ref)
+
+    def test_step_seq_objective(self):
+        # step_stones cut at T=49 (instance 0 of perfbench's step-seq
+        # workload), pinned to the objective this solve reaches with the
+        # Newton matrix assembled from the sparse convexified_lagrangian_hessian
+        with open("scenarios/step_stones.json") as f:
+            data = json.load(f)
+        data["T"] = 49
+        data["phases"] = [ph for ph in data["phases"] if ph["sigma"] < 49]
+        for ph in data["phases"]:
+            ph["epsilon"] = min(ph["epsilon"], 49)
+        scn = scenario_from_dict(data, name="step_stones")
+        state = initialize_references(scn)
+        p = build_sequential(scn.momentum_scenario(state.h_bar, state.lambda_bar))
+        res = solve_ipm(p, scn.solver)
+        assert res.converged
+        assert res.objective == pytest.approx(57.939665012061596, rel=1e-6)
