@@ -3,7 +3,8 @@ planning and horizon-scaling benchmarks.
 
 All outputs are CSV files prefixed with the version header line
 ``# kinomo-csv v1``. Exit codes: 0 success, 2 schema/parse error,
-3 solver did not converge, 4 numeric failure.
+3 solver did not converge, 4 numeric failure (also an infeasible SQP
+subproblem, and a contact export met with a non-positive normal force).
 """
 
 from __future__ import annotations
@@ -16,14 +17,15 @@ import statistics
 import sys
 import time
 
-import numpy as np
-
 from . import planner, scenario
-from .contact import ContactWrenchCom, com_to_cop, cop_wrench_feasibility
-from .solver import solve
-from .transcription import build_sequential, build_simultaneous, extract_sequential, extract_simultaneous
+from .contact import ContactWrenchCom, NormalForceNonPositive, com_to_cop, cop_wrench_feasibility
+from .solver import QPSubproblemInfeasible, solve
+from .transcription import extract_sequential, extract_simultaneous
 
 CSV_HEADER = "# kinomo-csv v1"
+
+# the --formulation choices and the formulation names they stand for
+FORMULATIONS = {"seq": "sequential", "sim": "simultaneous"}
 
 EXIT_OK = 0
 EXIT_SCHEMA = 2
@@ -46,11 +48,6 @@ def _write_csv(path, columns, rows):
         w.writerows(rows)
 
 
-def _load(path):
-    scn = scenario.load_scenario(path)
-    return scn
-
-
 def _solver_options(scn, args):
     backend = getattr(args, "backend", None)
     if backend:
@@ -60,21 +57,14 @@ def _solver_options(scn, args):
     return scn.solver
 
 
-def _momentum_problem(scn, formulation):
-    state = planner.initialize_references(scn)
-    ms = scn.momentum_scenario(state.h_bar, state.lambda_bar)
-    build = build_sequential if formulation == "seq" else build_simultaneous
-    return build(ms)
-
-
-def _contact_rows(scn, p, sol, formulation):
+def _contact_rows(scn, sol, formulation):
     """(t, effector, world force, CoP coordinates, normal torque, feasible)."""
     rows = []
     for t in range(scn.T):
         for i, ph in enumerate(scn.phases):
             if not ph.active(t):
                 continue
-            if formulation == "seq":
+            if formulation == "sequential":
                 w = com_to_cop(
                     ContactWrenchCom(sol["forces"][i][t], sol["kappas"][i][t]),
                     ph.surface, sol["h"][t, :3],
@@ -92,7 +82,7 @@ def _contact_rows(scn, p, sol, formulation):
 
 def cmd_validate(args):
     try:
-        scn = _load(args.scenario)
+        scn = scenario.load_scenario(args.scenario)
     except scenario.ParseError as e:
         print(f"parse error: {e}")
         return EXIT_SCHEMA
@@ -108,11 +98,11 @@ def cmd_validate(args):
 
 def cmd_momentum(args):
     try:
-        scn = _load(args.scenario)
+        scn = scenario.load_scenario(args.scenario)
     except (scenario.ParseError, scenario.SchemaViolation) as e:
         print(f"error: {e}")
         return EXIT_SCHEMA
-    p = _momentum_problem(scn, args.formulation)
+    p = planner.momentum_problem(scn, planner.initialize_references(scn), args.formulation)
     res = solve(p, _solver_options(scn, args))
     print(
         f"{scn.name} [{args.formulation}/{res.status}] n={p.n} "
@@ -120,7 +110,9 @@ def cmd_momentum(args):
     )
     if res.status == "NumericFailure":
         return EXIT_NUMERIC
-    sol = extract_sequential(p, res.x) if args.formulation == "seq" else extract_simultaneous(p, res.x)
+    extract = extract_sequential if args.formulation == "sequential" else extract_simultaneous
+    sol = extract(p, res.x)
+    contacts = _contact_rows(scn, sol, args.formulation)
     base = os.path.join(args.out_dir, scn.name)
     _write_csv(
         base + "_momentum.csv",
@@ -130,7 +122,7 @@ def cmd_momentum(args):
     _write_csv(
         base + "_contacts.csv",
         ["t", "effector", "fx", "fy", "fz", "px_hat", "py_hat", "tau_hat", "feasible"],
-        _contact_rows(scn, p, sol, args.formulation),
+        contacts,
     )
     _write_csv(
         base + "_iterations.csv",
@@ -142,13 +134,14 @@ def cmd_momentum(args):
 
 def cmd_plan(args):
     try:
-        scn = _load(args.scenario)
+        scn = scenario.load_scenario(args.scenario)
     except (scenario.ParseError, scenario.SchemaViolation) as e:
         print(f"error: {e}")
         return EXIT_SCHEMA
-    formulation = "sequential" if args.formulation == "seq" else "simultaneous"
     try:
-        traj, h, forces, report = planner.plan(scn, planner.PlanOptions(formulation=formulation))
+        traj, h, forces, report = planner.plan(
+            scn, planner.PlanOptions(formulation=args.formulation)
+        )
     except planner.PlannerError as e:
         print(f"error: {e}")
         return EXIT_NUMERIC
@@ -177,7 +170,7 @@ def cmd_plan(args):
         [
             [r[0], r[1], r[5], r[6],
              *_phase_for(scn, r[0], r[1]).surface.p_max, r[8]]
-            for r in _contact_rows(ms, None, sol, "seq")
+            for r in _contact_rows(ms, sol, "sequential")
         ],
     )
     print(
@@ -196,7 +189,7 @@ def _phase_for(scn, t, effector):
 
 def _bench_cell(scn, T, formulation, repeats):
     base = scenario.rescale_horizon(scn, T)
-    p = _momentum_problem(base, formulation)
+    p = planner.momentum_problem(base, planner.initialize_references(base), formulation)
     times, iters, kkts = [], [], []
     for _ in range(repeats):
         t0 = time.perf_counter()
@@ -211,13 +204,15 @@ def _bench_cell(scn, T, formulation, repeats):
 
 def cmd_bench(args):
     try:
-        scn = _load(args.scenario)
+        scn = scenario.load_scenario(args.scenario)
     except (scenario.ParseError, scenario.SchemaViolation) as e:
         print(f"error: {e}")
         return EXIT_SCHEMA
     t_list = [int(v) for v in args.T_list.split(",")]
     rows = [_bench_cell(scn, T, args.formulation, args.repeats) for T in t_list]
-    path = os.path.join(args.out_dir, f"{scn.name}_bench_{args.formulation}.csv")
+    # the file keeps the option's spelling: seq | sim
+    short = {v: k for k, v in FORMULATIONS.items()}[args.formulation]
+    path = os.path.join(args.out_dir, f"{scn.name}_bench_{short}.csv")
     _write_csv(path, ["T", "n_vars", "iter_count", "total_ms", "ms_per_iter", "kkt_final"], rows)
     for r in rows:
         print(f"T={r[0]:5d} n={r[1]:6d} iters={r[2]:.0f} total={r[3]:.1f}ms per_iter={r[4]:.2f}ms kkt={r[5]:.2e}")
@@ -238,18 +233,18 @@ def build_parser():
 
     p = sub.add_parser("momentum", help="solve the momentum sub-problem")
     common(p)
-    p.add_argument("--formulation", choices=("seq", "sim"), default="seq")
+    p.add_argument("--formulation", choices=tuple(FORMULATIONS), default="seq")
     p.add_argument("--backend", choices=("ipm", "sqp"), default=None)
     p.set_defaults(fn=cmd_momentum)
 
     p = sub.add_parser("plan", help="run the full alternating planner")
     common(p)
-    p.add_argument("--formulation", choices=("seq", "sim"), default="seq")
+    p.add_argument("--formulation", choices=tuple(FORMULATIONS), default="seq")
     p.set_defaults(fn=cmd_plan)
 
     p = sub.add_parser("bench", help="horizon-scaling benchmark")
     common(p)
-    p.add_argument("--formulation", choices=("seq", "sim"), default="seq")
+    p.add_argument("--formulation", choices=tuple(FORMULATIONS), default="seq")
     p.add_argument("--T-list", dest="T_list", default="25,50,100,200,400")
     p.add_argument("--repeats", type=int, default=3)
     p.set_defaults(fn=cmd_bench)
@@ -258,7 +253,13 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    if "formulation" in vars(args):
+        args.formulation = FORMULATIONS[args.formulation]
+    try:
+        return args.fn(args)
+    except (QPSubproblemInfeasible, NormalForceNonPositive) as e:
+        print(f"error: {type(e).__name__}: {e}")
+        return EXIT_NUMERIC
 
 
 if __name__ == "__main__":

@@ -23,7 +23,7 @@ from .kinematics import (
     forward_kinematics,
     momentum_state,
 )
-from .solver import SolverOptions, solve
+from .solver import solve
 from .transcription import build_sequential, build_simultaneous, extract_sequential, extract_simultaneous
 
 
@@ -70,18 +70,18 @@ def _support_centroid(scn, t):
     return np.mean(pts, axis=0)
 
 
-def _effector_path(scn, name, lift):
-    """Scheduled contact locations with interpolated swing segments."""
+def _effector_path(scn, name, p0, lift):
+    """Scheduled contact locations with interpolated swing segments. The
+    initial position p0 is held until the first contact, the last stance
+    after the last one."""
     phases = sorted(
         (ph for ph in scn.phases if ph.effector_id == name), key=lambda ph: ph.sigma
     )
-    if not phases:  # effector never in contact: hold its initial position
-        p0 = effector_positions(scn.model, scn.q0)[name]
-        return np.tile(p0, (scn.T + 1, 1))
-    path = np.zeros((scn.T + 1, 3))
+    path = np.tile(p0, (scn.T + 1, 1))
     for ph in phases:
         path[ph.sigma : ph.epsilon] = ph.location_world
-    path[phases[-1].epsilon :] = phases[-1].location_world  # hold the last stance
+    if phases:
+        path[phases[-1].epsilon :] = phases[-1].location_world
     for a, b in zip(phases, phases[1:]):
         lo, hi = a.epsilon, b.sigma  # swing steps lo..hi-1
         if lo >= hi:
@@ -110,24 +110,30 @@ def initialize_references(scn, opts=None):
         for t in range(ph.sigma, ph.epsilon):
             fr[t] = -M * g / n_active[t]
         lambda_bar[i] = fr
+    p0 = effector_positions(scn.model, scn.q0)
     c_bar = {
-        name: _effector_path(scn, name, opts.swing_lift) for name in scn.model.effectors
+        name: _effector_path(scn, name, p0[name], opts.swing_lift)
+        for name in scn.model.effectors
     }
     q = np.tile(scn.q0, (scn.T + 1, 1))
     return PlanState(h_bar, lambda_bar, c_bar, q)
 
 
-def _solve_momentum(scn, state, opts):
+def momentum_problem(scn, state, formulation):
+    """The momentum sub-problem of ``scn`` at the references of ``state``,
+    built in ``formulation`` ("sequential" | "simultaneous")."""
     ms = scn.momentum_scenario(state.h_bar, state.lambda_bar)
-    if opts.formulation == "sequential":
-        p = build_sequential(ms)
-        res = solve(p, scn.solver)
-        sol = extract_sequential(p, res.x) if res.status != "NumericFailure" else None
-    else:
-        p = build_simultaneous(ms)
-        res = solve(p, scn.solver)
-        sol = extract_simultaneous(p, res.x) if res.status != "NumericFailure" else None
-    return res, sol
+    build = build_sequential if formulation == "sequential" else build_simultaneous
+    return build(ms)
+
+
+def _solve_momentum(scn, state, opts):
+    p = momentum_problem(scn, state, opts.formulation)
+    res = solve(p, scn.solver)
+    if res.status == "NumericFailure":
+        return res, None
+    extract = extract_sequential if opts.formulation == "sequential" else extract_simultaneous
+    return res, extract(p, res.x)
 
 
 def _check_dynamics_feasible(scn, sol, outer):

@@ -27,7 +27,7 @@ baseline solver for cross-checking on small instances.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -118,17 +118,6 @@ def kkt_residual(p: NlpProblem, x, z, y):
         g_e = eq.value(x)
         r_d = r_d - eq.jacobian(x).T @ y
     return _kkt_norms(r_d, g_i, z, g_e)
-
-
-def estimate_factorization_flops(p: NlpProblem):
-    """Analytic per-iteration factorization cost from block sizes:
-    O(T b^3) for the band plus the arrow Schur complement terms."""
-    layout = p.layout
-    n_band = layout.n_vars - layout.arrow_indices.size
-    per_step = max(1, n_band // max(1, layout.T))
-    bw = 3 * per_step if layout.kind == "sequential" else 2 * (per_step + 9)
-    na = int(layout.arrow_indices.size)
-    return n_band * bw * bw + na * na * n_band + na**3
 
 
 def _ballistic_initial_point(p: NlpProblem):
@@ -374,8 +363,28 @@ def _fraction_to_boundary(v, dv, tau):
     return float(min(1.0, tau * np.min(-v[neg] / dv[neg])))
 
 
+def _barrier_merit(f, s, g_i, g_e, mu, nu):
+    """The barrier l1 merit function f - mu sum log s + nu |(g_I - s, g_E)|_1."""
+    return f - mu * np.log(s).sum() + nu * (np.abs(g_i - s).sum() + np.abs(g_e).sum())
+
+
+def _perturbed_residual(r_d, s, z, g_i, g_e, mu):
+    """2-norm of the barrier-perturbed KKT residual (r_d, g_I - s, s z - mu, g_E)."""
+    return float(np.linalg.norm(np.concatenate([r_d, g_i - s, s * z - mu, g_e])))
+
+
 def solve_ipm(p: NlpProblem, opts: SolverOptions = None) -> SolveResult:
-    """Structure-exploiting primal-dual interior-point method."""
+    """Structure-exploiting primal-dual interior-point method.
+
+    The step is globalized by one backtracking line search from the
+    fraction-to-boundary step length. A trial point is accepted when it
+    meets Armijo on the barrier l1 merit function or shrinks the 2-norm of
+    the barrier-perturbed KKT residual: the filter idea of Waechter and
+    Biegler (Math. Prog. 106, 2006) with the current iterate as the only
+    filter entry. Each trial point is evaluated once, and the accepted
+    one's evaluations serve the next iteration. When no trial is accepted
+    the solve ends: Infeasible above a primal residual of 1e-4, else MaxIter.
+    """
     opts = opts or SolverOptions()
     n = p.n
     obj = p.compiled_objective()
@@ -383,37 +392,34 @@ def solve_ipm(p: NlpProblem, opts: SolverOptions = None) -> SolveResult:
     m_e = p.n_eq
     ineq = p.compiled_ineq() if m_i else None
     eq = p.compiled_eq() if m_e else None
+    empty = np.zeros(0)
+
+    def evaluate(x, z, y):
+        """(f, grad f, r_d, g_I, A_I, g_E, A_E) at x, with the stationarity
+        residual r_d = grad f - A_I^T z - A_E^T y."""
+        f, grad = obj.value(x), obj.gradient(x)
+        r_d, g_i, A_i, g_e, A_e = grad, empty, None, empty, None
+        if m_i:
+            g_i, A_i = ineq.value(x), ineq.jacobian(x)
+            r_d = r_d - A_i.T @ z
+        if m_e:
+            g_e, A_e = eq.value(x), eq.jacobian(x)
+            r_d = r_d - A_e.T @ y
+        return f, grad, r_d, g_i, A_i, g_e, A_e
 
     x = _ballistic_initial_point(p)
     mu = opts.mu0
-    if m_i:
-        g0 = ineq.value(x)
-        s = np.maximum(g0, 1.0)
-        z = mu / s
-    else:
-        s = np.zeros(0)
-        z = np.zeros(0)
+    s = np.maximum(ineq.value(x), 1.0) if m_i else empty
+    z = mu / s
     y = np.zeros(m_e)
+    ev = evaluate(x, z, y)
     kkt = KKTSystem(p, ineq, eq)
 
     stats = []
     status = "MaxIter"
-    stall = 0
-    g_i = g_e = np.zeros(0)
-    for it in range(opts.max_iter):
+    for it in range(opts.max_iter + 1):
         it_t0 = time.perf_counter()
-        grad = obj.gradient(x)
-        r_d = grad.copy()
-        if m_i:
-            g_i = ineq.value(x)
-            A_i = ineq.jacobian(x)
-            r_i = g_i - s
-            r_d -= A_i.T @ z
-        if m_e:
-            g_e = eq.value(x)
-            A_e = eq.jacobian(x)
-            r_d -= A_e.T @ y
-
+        f, grad, r_d, g_i, A_i, g_e, A_e = ev
         res = _kkt_norms(r_d, g_i, z, g_e)
         kkt_norm = max(res)
         if kkt_norm <= opts.kkt_tol:
@@ -421,16 +427,16 @@ def solve_ipm(p: NlpProblem, opts: SolverOptions = None) -> SolveResult:
             stats.append(IterationStat(it, kkt_norm, mu, 0.0,
                                        (time.perf_counter() - it_t0) * 1e3))
             break
+        if it == opts.max_iter:
+            break
 
         # barrier-perturbed residual controls the mu schedule
-        pert = [res[0], res[1]]
-        if m_i:
-            pert.append(float(np.abs(s * z - mu).max(initial=0.0)))
-        if max(pert) <= 10.0 * mu:
+        if max(res[0], res[1], np.abs(s * z - mu).max(initial=0.0)) <= 10.0 * mu:
             mu = max(mu * opts.mu_reduction, 1e-14)
 
         # reduced system: K = H_tilde + A_I^T Sigma A_I (+ delta I)
         sigma = z / s
+        r_i = g_i - s
         kkt.assemble(
             -2.0 * z, sigma, A_i.data if m_i else None,
             -2.0 * y, A_e.data if m_e else None,
@@ -449,120 +455,44 @@ def solve_ipm(p: NlpProblem, opts: SolverOptions = None) -> SolveResult:
             except NotPositiveDefinite:
                 delta *= 10.0
                 if delta > 1e-2:
-                    return SolveResult(
-                        x, z, y, "NumericFailure", stats, obj.value(x), res
-                    )
+                    return SolveResult(x, z, y, "NumericFailure", stats, f, res)
         # row 1 of the simultaneous system reads K dx + A_e^T w = rhs while
         # the Newton system wants K dx - A_e^T dy = rhs, hence dy = -w
         dx, dy = sol[:n], -sol[n:]
+        ds = A_i @ dx + r_i if m_i else empty
+        dz = mu / s - z - sigma * ds
+        tau = opts.fraction_to_boundary
+        alpha_max = min(_fraction_to_boundary(s, ds, tau), _fraction_to_boundary(z, dz, tau))
 
-        if m_i:
-            ds = A_i @ dx + r_i
-            dz = mu / s - z - sigma * ds
-            tau = opts.fraction_to_boundary
-            alpha_max = min(
-                _fraction_to_boundary(s, ds, tau), _fraction_to_boundary(z, dz, tau)
-            )
-        else:
-            ds = np.zeros(0)
-            dz = np.zeros(0)
-            alpha_max = 1.0
-
-        # Armijo backtracking on the barrier merit function
-        nu = 1.0 + 2.0 * max(
-            np.abs(z).max(initial=0.0), np.abs(y).max(initial=0.0)
-        )
-
-        def merit(f, sv, gi, ge):
-            val = f
-            if m_i:
-                val -= mu * np.log(sv).sum()
-                val += nu * np.abs(gi - sv).sum()
-            if m_e:
-                val += nu * np.abs(ge).sum()
-            return val
-
-        def merit_at(xv, sv):
-            return merit(
-                obj.value(xv), sv,
-                ineq.value(xv) if m_i else None, eq.value(xv) if m_e else None,
-            )
-
-        phi0 = merit(obj.value(x), s, g_i, g_e)
-        dphi = float(grad @ dx)
-        if m_i:
-            dphi -= mu * float((ds / s).sum())
-            dphi -= nu * float(np.abs(r_i).sum())
-        if m_e:
-            dphi -= nu * float(np.abs(g_e).sum())
+        nu = 1.0 + 2.0 * max(np.abs(z).max(initial=0.0), np.abs(y).max(initial=0.0))
+        phi0 = _barrier_merit(f, s, g_i, g_e, mu, nu)
+        dphi = float(grad @ dx) - mu * float((ds / s).sum())
+        dphi -= nu * float(np.abs(r_i).sum() + np.abs(g_e).sum())
+        theta0 = _perturbed_residual(r_d, s, z, g_i, g_e, mu)
         alpha = alpha_max
-        accepted = False
-        # the merit cannot be evaluated more accurately than the rounding
-        # noise of its large summands; below that, backtracking only sees
-        # noise and the full fraction-to-boundary step is the right move
-        noise = 1e-13 * (
-            1.0 + abs(phi0) + (nu * np.abs(g_i).sum() if m_i else 0.0)
-        )
-        if dphi >= -max(1e-9 * (1.0 + abs(phi0)), noise):
-            accepted = True
+        for _ in range(40):
+            x_t, s_t = x + alpha * dx, s + alpha * ds
+            z_t, y_t = np.maximum(z + alpha * dz, 1e-16), y + alpha * dy
+            ev = evaluate(x_t, z_t, y_t)
+            f_t, _, r_dt, g_it, _, g_et, _ = ev
+            if (
+                _barrier_merit(f_t, s_t, g_it, g_et, mu, nu)
+                <= phi0 + 1e-4 * alpha * min(dphi, 0.0)
+                or _perturbed_residual(r_dt, s_t, z_t, g_it, g_et, mu)
+                <= (1.0 - 1e-4 * alpha) * theta0
+            ):
+                break
+            alpha *= 0.5
         else:
-            for _ in range(40):
-                if merit_at(x + alpha * dx, s + alpha * ds) <= phi0 + 1e-4 * alpha * dphi + noise:
-                    accepted = True
-                    break
-                alpha *= 0.5
-        if (not accepted or alpha < 1e-4 * alpha_max) and alpha_max > 1e-8:
-            # merit progress smaller than its evaluation noise cannot be
-            # certified by backtracking; fall back to accepting the full
-            # fraction-to-boundary step whenever it shrinks the perturbed
-            # KKT residual, which is what the Newton step targets
-            def pert_norm(gr, sv, zv, gi, ge):
-                vals = [np.abs(gr).max(initial=0.0)]
-                if m_i:
-                    vals.append(np.abs(gi - sv).max(initial=0.0))
-                    vals.append(np.abs(sv * zv - mu).max(initial=0.0))
-                if m_e:
-                    vals.append(np.abs(ge).max(initial=0.0))
-                return max(vals)
-
-            x_t = x + alpha_max * dx
-            s_t = s + alpha_max * ds
-            z_t = np.maximum(z + alpha_max * dz, 1e-16) if m_i else z
-            gr_t = obj.gradient(x_t)
-            g_it = g_et = None
-            if m_i:
-                gr_t = gr_t - ineq.jacobian(x_t).T @ z_t
-                g_it = ineq.value(x_t)
-            if m_e:
-                gr_t = gr_t - eq.jacobian(x_t).T @ (y + alpha_max * dy)
-                g_et = eq.value(x_t)
-            trial = pert_norm(gr_t, s_t, z_t, g_it, g_et)
-            if trial <= pert_norm(r_d, s, z, g_i, g_e) * (1.0 - 1e-4 * alpha_max):
-                alpha = alpha_max
-                accepted = True
-        if not accepted:
-            stall += 1
-        else:
-            stall = 0
-        x = x + alpha * dx
-        if m_i:
-            s = s + alpha * ds
-            z = np.maximum(z + alpha * dz, 1e-16)
-        if m_e:
-            y = y + alpha * dy
+            alpha = 0.0
         stats.append(
             IterationStat(it, kkt_norm, mu, alpha, (time.perf_counter() - it_t0) * 1e3)
         )
-        if stall >= 8:
+        if not alpha:  # no trial point reduced either measure
+            status = "Infeasible" if res[1] > 1e-4 else "MaxIter"
             break
-
-    if status != "Converged":  # x moved after its last evaluation
-        res = kkt_residual(p, x, z, y)
-        if max(res) <= opts.kkt_tol:
-            status = "Converged"
-        elif stall >= 8 and res[1] > 1e-4:
-            status = "Infeasible"  # stalled short of primal feasibility
-    return SolveResult(x, z, y, status, stats, obj.value(x), res)
+        x, s, z, y = x_t, s_t, z_t, y_t
+    return SolveResult(x, z, y, status, stats, f, res)
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,10 @@ schedule:
   equality constraints, the friction pyramid stays affine in second
   differences and the support-rectangle constraint becomes Q+/- rows.
 
-Both builders emit an NlpProblem holding the symbolic Q+/- functions, a
-DecisionLayout with per-step variable blocks plus the "arrow" block of
-frozen phase-boundary variables, and block sparsity patterns. A compiled
+Both builders emit an NlpProblem holding the symbolic Q+/- functions and
+a DecisionLayout with per-step variable blocks plus the "arrow" block of
+frozen phase-boundary variables; jacobian_pattern and hessian_pattern
+derive its block sparsity patterns on demand. A compiled
 form (sparse matrices with precomputed index structure) is attached
 lazily for the solver; evaluating constraints, Jacobians and convexified
 Lagrangian Hessians is then linear-time in the horizon.
@@ -28,7 +29,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import contact, qpm
-from .contact import ContactPhase, ContactWrenchCop, com_to_cop
+from .contact import ContactWrenchCop, com_to_cop
 from .dynamics import (
     ForceIntegralVars,
     MomentumState,
@@ -387,8 +388,6 @@ class NlpProblem:
     scenario: MomentumScenario
     eq_meta: list
     ineq_meta: list
-    jacobian_pattern: BlockPattern = None
-    hessian_pattern: BlockPattern = None
     _compiled: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -571,12 +570,9 @@ def build_sequential(scenario: MomentumScenario) -> NlpProblem:
             k_fn = maps.fn(maps.kappa_rows(i, t))
             ineq_qpm.append(contact.build_cop_qpm_constraints(ph, r_map, f_fn, k_fn))
             ineq_meta.append((t, i, "cop"))
-    p = NlpProblem(
+    return NlpProblem(
         layout, objective, [], ineq_affine, ineq_qpm, scn, [], ineq_meta
     )
-    p.jacobian_pattern = jacobian_pattern(p)
-    p.hessian_pattern = hessian_pattern(p)
-    return p
 
 
 # ---------------------------------------------------------------------------
@@ -720,12 +716,9 @@ def build_simultaneous(scenario: MomentumScenario) -> NlpProblem:
         if parts:
             objective.append(qpm.linear_combine([(1.0, p) for p in parts]))
 
-    p = NlpProblem(
+    return NlpProblem(
         layout, objective, eq, ineq_affine, [], scn, eq_meta, ineq_meta
     )
-    p.jacobian_pattern = jacobian_pattern(p)
-    p.hessian_pattern = hessian_pattern(p)
-    return p
 
 
 # ---------------------------------------------------------------------------

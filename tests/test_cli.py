@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from kinomo import cli
+from kinomo.contact import NormalForceNonPositive
 from kinomo.scenario import make_standing_scenario, save_scenario, scenario_to_dict
+from kinomo.solver import QPSubproblemInfeasible
 
 import json
 
@@ -87,6 +89,29 @@ class TestMomentum:
         rc = cli.main(["momentum", stand_path, "--backend", "sqp",
                        "--out-dir", str(tmp_path)])
         assert rc in (0, 3)
+
+    def test_infeasible_qp_subproblem_exits_numeric(self, stand_path, tmp_path,
+                                                    capsys, monkeypatch):
+        def infeasible(p, opts):
+            raise QPSubproblemInfeasible("singular QP KKT system")
+
+        monkeypatch.setattr(cli, "solve", infeasible)
+        rc = cli.main(["momentum", stand_path, "--backend", "sqp",
+                       "--out-dir", str(tmp_path)])
+        assert rc == cli.EXIT_NUMERIC
+        out = capsys.readouterr().out.splitlines()
+        assert len(out) == 1 and out[0].startswith("error:")
+
+    def test_nonpositive_normal_force_exits_numeric(self, stand_path, tmp_path,
+                                                    capsys, monkeypatch):
+        def no_force(w, s, r):
+            raise NormalForceNonPositive("normal force 0.0 <= 1e-09")
+
+        monkeypatch.setattr(cli, "com_to_cop", no_force)
+        rc = cli.main(["momentum", stand_path, "--out-dir", str(tmp_path)])
+        assert rc == cli.EXIT_NUMERIC
+        assert capsys.readouterr().out.splitlines()[-1].startswith("error:")
+        assert not (tmp_path / "stand_contacts.csv").exists()
 
     def test_missing_file(self, tmp_path):
         assert cli.main(["momentum", str(tmp_path / "nope.json"),

@@ -1,8 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from kinomo.contact import ContactPhase, ContactSurface
-from kinomo.kinematics import forward_kinematics
+from kinomo.kinematics import effector_positions, forward_kinematics
 from kinomo.planner import (
     PlanOptions,
     PlannerError,
@@ -79,6 +81,16 @@ class TestInitialization:
             assert last.epsilon < T
             assert np.all(np.any(path != 0.0, axis=1))
             assert np.allclose(path[last.epsilon :], last.location_world)
+
+    def test_path_holds_initial_position_before_first_contact(self):
+        base = make_standing_scenario(T=8)
+        l_foot, r_foot = base.phases
+        late = ContactPhase(r_foot.effector_id, 3, r_foot.epsilon, r_foot.surface)
+        scn = dataclasses.replace(base, phases=(l_foot, late))
+        path = initialize_references(scn).c_bar["r_foot"]
+        p0 = effector_positions(scn.model, scn.q0)["r_foot"]
+        assert np.array_equal(path[:3], np.tile(p0, (3, 1)))
+        assert np.allclose(path[3:8], late.location_world)
 
     def test_force_reference_is_never_updated(self):
         scn = make_standing_scenario(T=6)

@@ -256,7 +256,7 @@ class TestSimultaneous:
 class TestPatterns:
     def test_sequential_row_blocks(self):
         p = build_sequential(biped_scenario(5))
-        pat = p.jacobian_pattern
+        pat = jacobian_pattern(p)
         k = 0
         for fn, (t, i, fam) in zip(p.ineq_affine + p.ineq_qpm, p.ineq_meta):
             for _ in range(fn.output_dim):
@@ -267,7 +267,7 @@ class TestPatterns:
 
     def test_stepping_rows_touch_arrow(self):
         p = build_sequential(stepping_scenario())
-        pat = p.jacobian_pattern
+        pat = jacobian_pattern(p)
         # CoP rows of late steps involve frozen boundary variables
         k = 0
         saw_arrow = False
@@ -282,7 +282,7 @@ class TestPatterns:
 
     def test_simultaneous_dynamics_row_blocks(self):
         p = build_simultaneous(biped_scenario(5))
-        pat = p.jacobian_pattern
+        pat = jacobian_pattern(p)
         k = 0
         for fn, (t, i, fam) in zip(p.eq_constraints, p.eq_meta):
             for _ in range(fn.output_dim):
@@ -294,12 +294,12 @@ class TestPatterns:
 
     def test_hessian_bandwidth(self):
         for p in (build_sequential(biped_scenario(5)), build_simultaneous(biped_scenario(5))):
-            for a, b in p.hessian_pattern.hessian_pairs:
+            for a, b in hessian_pattern(p).hessian_pairs:
                 assert abs(a - b) <= 2
 
     def test_hessian_block_count_linear(self):
         counts = [
-            len(build_sequential(biped_scenario(T)).hessian_pattern.hessian_pairs)
+            len(hessian_pattern(build_sequential(biped_scenario(T))).hessian_pairs)
             for T in (10, 20, 30)
         ]
         assert counts[2] - counts[1] == counts[1] - counts[0]
@@ -309,7 +309,7 @@ class TestPatterns:
         for build in (build_sequential, build_simultaneous):
             p = build(biped_scenario(4))
             x = rng.normal(size=p.n)
-            pat = p.jacobian_pattern
+            pat = jacobian_pattern(p)
             k = 0
             for fn in p.eq_constraints + p.ineq_affine + p.ineq_qpm:
                 J = qpm.gradient(fn, x)
