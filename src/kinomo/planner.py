@@ -157,21 +157,6 @@ def _check_dynamics_feasible(scn, sol, outer):
         raise PlannerError(outer, f"momentum plan violates its own dynamics by {err:.2e}")
 
 
-def _com_torques(scn, sol):
-    """kappa trajectories per phase from either formulation's solution."""
-    if "kappas" in sol:
-        return sol["kappas"]
-    from .contact import cop_to_com
-
-    kappas = {}
-    for i, ph in enumerate(scn.phases):
-        kappas[i] = np.zeros((scn.T, 3))
-        for t in range(ph.sigma, ph.epsilon):
-            w = sol["wrenches"][(i, t)]
-            kappas[i][t] = cop_to_com(w, ph.surface, sol["h"][t, :3]).kappa
-    return kappas
-
-
 def momentum_mismatch(h_kin, h_dyn, M):
     """Normalized mismatch: positions in meters, momenta divided by the
     total mass so every component reads as a CoM-velocity-like quantity."""
@@ -241,7 +226,7 @@ def plan(scn, opts=None):
         state.c_bar = c_new
         state.q = traj.q
         state.forces = sol["forces"]
-        state.kappas = _com_torques(scn, sol)
+        state.kappas = sol["kappas"]
         report["passes"] = outer
         if max(delta_h, delta_c) <= opts.tol:
             report["converged"] = True

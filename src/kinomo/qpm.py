@@ -175,13 +175,15 @@ def make_affine(A, a):
 
 
 def affine_from_rows(input_dim, rows):
-    """Sparse affine constructor; ``rows`` is a list of (idx, val, const)."""
+    """Sparse affine constructor; ``rows`` is a list of (idx, val, const).
+    Zero coefficients are dropped, as in make_affine."""
     out = []
     for idx, val, const in rows:
-        idx = np.asarray(idx, dtype=np.intp)
         val = np.asarray(val, dtype=float)
+        keep = val != 0.0
+        idx = np.asarray(idx, dtype=np.intp)[keep]
         order = np.argsort(idx)
-        out.append(QpmRow(idx[order], val[order], float(const)))
+        out.append(QpmRow(idx[order], val[keep][order], float(const)))
     return QpmFunction(input_dim, out)
 
 

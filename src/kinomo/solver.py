@@ -44,22 +44,24 @@ class QPSubproblemInfeasible(RuntimeError):
     pass
 
 
+# Interior-point constants: initial barrier parameter, its reduction
+# factor, the fraction-to-boundary factor and the smallest regularization
+# delta (also the dense SQP's Hessian shift).
+MU0 = 1.0
+MU_REDUCTION = 0.2
+FRACTION_TO_BOUNDARY = 0.995
+REG_FLOOR = 1e-8
+
+
 @dataclass
 class SolverOptions:
     max_iter: int = 200
     kkt_tol: float = 1e-6
-    mu0: float = 1.0
-    mu_reduction: float = 0.2
-    fraction_to_boundary: float = 0.995
-    reg_floor: float = 1e-8
     backend: str = "ipm"  # "ipm" | "sqp_dense"
 
     def __post_init__(self):
-        if not (self.kkt_tol > 0 and self.mu0 > 0 and self.reg_floor > 0):
-            raise ValueError("tolerances must be positive")
-        for f in (self.mu_reduction, self.fraction_to_boundary):
-            if not 0.0 < f < 1.0:
-                raise ValueError("factors must lie in (0, 1)")
+        if not self.kkt_tol > 0:
+            raise ValueError("kkt_tol must be positive")
         if self.backend not in ("ipm", "sqp_dense"):
             raise ValueError(f"unknown backend {self.backend!r}")
 
@@ -356,11 +358,11 @@ def _fortran_views(flat, shapes):
     return views
 
 
-def _fraction_to_boundary(v, dv, tau):
+def _fraction_to_boundary(v, dv):
     neg = dv < 0
     if not np.any(neg):
         return 1.0
-    return float(min(1.0, tau * np.min(-v[neg] / dv[neg])))
+    return float(min(1.0, FRACTION_TO_BOUNDARY * np.min(-v[neg] / dv[neg])))
 
 
 def _barrier_merit(f, s, g_i, g_e, mu, nu):
@@ -408,7 +410,7 @@ def solve_ipm(p: NlpProblem, opts: SolverOptions = None) -> SolveResult:
         return f, grad, r_d, g_i, A_i, g_e, A_e
 
     x = _ballistic_initial_point(p)
-    mu = opts.mu0
+    mu = MU0
     s = np.maximum(ineq.value(x), 1.0) if m_i else empty
     z = mu / s
     y = np.zeros(m_e)
@@ -432,7 +434,7 @@ def solve_ipm(p: NlpProblem, opts: SolverOptions = None) -> SolveResult:
 
         # barrier-perturbed residual controls the mu schedule
         if max(res[0], res[1], np.abs(s * z - mu).max(initial=0.0)) <= 10.0 * mu:
-            mu = max(mu * opts.mu_reduction, 1e-14)
+            mu = max(mu * MU_REDUCTION, 1e-14)
 
         # reduced system: K = H_tilde + A_I^T Sigma A_I (+ delta I)
         sigma = z / s
@@ -447,7 +449,7 @@ def solve_ipm(p: NlpProblem, opts: SolverOptions = None) -> SolveResult:
         if m_e:
             rhs = np.concatenate([rhs, -g_e])
 
-        delta = opts.reg_floor
+        delta = REG_FLOOR
         sol = None
         while sol is None:
             try:
@@ -461,8 +463,7 @@ def solve_ipm(p: NlpProblem, opts: SolverOptions = None) -> SolveResult:
         dx, dy = sol[:n], -sol[n:]
         ds = A_i @ dx + r_i if m_i else empty
         dz = mu / s - z - sigma * ds
-        tau = opts.fraction_to_boundary
-        alpha_max = min(_fraction_to_boundary(s, ds, tau), _fraction_to_boundary(z, dz, tau))
+        alpha_max = min(_fraction_to_boundary(s, ds), _fraction_to_boundary(z, dz))
 
         nu = 1.0 + 2.0 * max(np.abs(z).max(initial=0.0), np.abs(y).max(initial=0.0))
         phi0 = _barrier_merit(f, s, g_i, g_e, mu, nu)
@@ -553,10 +554,7 @@ def _solve_dense_qp(H, c, A_i, b_i, A_e, b_e, tol=1e-10, max_iter=100):
         if m_i:
             ds = A_i @ dd + (g_i - s)
             dz = mu / s - z - sigma * ds
-            alpha = min(
-                _fraction_to_boundary(s, ds, 0.995),
-                _fraction_to_boundary(z, dz, 0.995),
-            )
+            alpha = min(_fraction_to_boundary(s, ds), _fraction_to_boundary(z, dz))
         else:
             ds = dz = np.zeros(0)
             alpha = 1.0
@@ -593,7 +591,7 @@ def solve_sqp_dense(p: NlpProblem, opts: SolverOptions = None) -> SolveResult:
         H = convexified_lagrangian_hessian(
             p, x, (-2.0 * z, -2.0 * y)
         ).toarray()
-        H = H + opts.reg_floor * np.eye(n)
+        H = H + REG_FLOOR * np.eye(n)
         c = obj.gradient(x)
         if p.n_ineq:
             A_i = ineq.jacobian(x).toarray()

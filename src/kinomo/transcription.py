@@ -12,6 +12,11 @@ schedule:
   equality constraints, the friction pyramid stays affine in second
   differences and the support-rectangle constraint becomes Q+/- rows.
 
+Each builder makes its per-step affine maps once: the momentum state h_t
+as nine rows and the world force of every active contact sample (in the
+simultaneous form also the torque about the CoM). One tracking objective
+over those maps serves both forms, and the constraints reuse them.
+
 Both builders emit an NlpProblem holding the symbolic Q+/- functions and
 a DecisionLayout with per-step variable blocks plus the "arrow" block of
 frozen phase-boundary variables; jacobian_pattern and hessian_pattern
@@ -29,7 +34,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import contact, qpm
-from .contact import ContactWrenchCop, com_to_cop
+from .contact import ContactWrenchCop, com_to_cop, cop_to_com
 from .dynamics import (
     ForceIntegralVars,
     MomentumState,
@@ -113,30 +118,11 @@ class DecisionLayout:
         return np.flatnonzero(mask)
 
 
-def _sequential_layout(scn):
-    base = {}
-    k = 0
-    active = []
-    for t in range(scn.T):
-        act = tuple(scn.active_at(t))
-        active.append(act)
-        for i in act:
-            base[(i, t)] = k
-            k += 6
-    arrow = []
-    for i, ph in enumerate(scn.phases):
-        if ph.epsilon < scn.T:
-            for m in range(max(ph.sigma, ph.epsilon - 2), ph.epsilon):
-                arrow.extend(range(base[(i, m)], base[(i, m)] + 6))
-    arrow = np.array(sorted(arrow), dtype=np.intp)
-    var_block = np.empty(k, dtype=np.intp)
-    for (i, t), b in base.items():
-        var_block[b : b + 6] = t
-    var_block[arrow] = -1
-    return DecisionLayout("sequential", scn.T, k, var_block, arrow, tuple(active), base, {})
-
-
-def _simultaneous_layout(scn):
+def _layout(scn, kind):
+    """Six contact indices per active (phase, step), in step order. The
+    simultaneous form adds the nine indices of h_{t+1} after step t; the
+    sequential form marks the last two steps of every phase that ends
+    inside the horizon as the arrow."""
     base = {}
     state = {}
     k = 0
@@ -147,15 +133,23 @@ def _simultaneous_layout(scn):
         for i in act:
             base[(i, t)] = k
             k += 6
-        state[t + 1] = k
-        k += 9
+        if kind == "simultaneous":
+            state[t + 1] = k
+            k += 9
+    arrow = []
+    if kind == "sequential":
+        for i, ph in enumerate(scn.phases):
+            if ph.epsilon < scn.T:
+                for m in range(max(ph.sigma, ph.epsilon - 2), ph.epsilon):
+                    arrow.extend(range(base[(i, m)], base[(i, m)] + 6))
+    arrow = np.array(sorted(arrow), dtype=np.intp)
     var_block = np.empty(k, dtype=np.intp)
     for (i, t), b in base.items():
         var_block[b : b + 6] = t
     for t1, b in state.items():
         var_block[b : b + 9] = t1  # h_{t+1} belongs to block t+1
-    arrow = np.zeros(0, dtype=np.intp)
-    return DecisionLayout("simultaneous", scn.T, k, var_block, arrow, tuple(active), base, state)
+    var_block[arrow] = -1
+    return DecisionLayout(kind, scn.T, k, var_block, arrow, tuple(active), base, state)
 
 
 # ---------------------------------------------------------------------------
@@ -439,16 +433,35 @@ def convexified_lagrangian_hessian(p: NlpProblem, x, duals):
 
 
 # ---------------------------------------------------------------------------
-# sequential builder
+# builders
+
+
+def _tracking_objective(scn, layout, h_fns, f_fns):
+    """One convex summand per step: w_m |h_t - h_ref_t|^2 for t >= 1 plus
+    w_f |f_it - lambda_it|^2 over the contacts active at t < T, given the
+    affine momentum maps h_fns[t] and world-force maps f_fns[(i, t)]."""
+    w = scn.weights
+    objective = []
+    for t in range(scn.T + 1):
+        parts = []
+        if t >= 1:
+            parts.append(qpm.weighted_sum_squares(h_fns[t], scn.h_ref[t], w.momentum))
+        if t < scn.T:
+            for i in layout.active[t]:
+                parts.append(
+                    qpm.weighted_sum_squares(f_fns[(i, t)], scn.force_ref[i][t], w.force)
+                )
+        if parts:
+            objective.append(qpm.linear_combine([(1.0, p) for p in parts]))
+    return objective
 
 
 class _SeqMaps:
-    """Affine index bookkeeping for the sequential formulation."""
+    """The sequential formulation's affine maps of the force integrals."""
 
     def __init__(self, scn, layout):
         self.scn = scn
         self.layout = layout
-        self.n = layout.n_vars
 
     def _add(self, dicts, i, t, coef, psi=False):
         """Add coef * (phi|psi)_{i,t} into three accumulator dicts."""
@@ -461,20 +474,18 @@ class _SeqMaps:
         for k in range(3):
             dicts[k][b + k] = dicts[k].get(b + k, 0.0) + coef
 
-    def force_rows(self, i, t):
-        """World force f_{i,t} = phi_t - 2 phi_{t-1} + phi_{t-2}."""
+    def _fn(self, rows):
+        return qpm.affine_from_rows(self.layout.n_vars, rows)
+
+    def second_difference(self, i, t, psi=False):
+        """World force f_{i,t} = phi_t - 2 phi_{t-1} + phi_{t-2}, or with
+        psi=True the torque about the CoM kappa_{i,t} from psi."""
         d = [{}, {}, {}]
         for tau, c in ((t, 1.0), (t - 1, -2.0), (t - 2, 1.0)):
-            self._add(d, i, tau, c)
-        return [(list(dk.keys()), list(dk.values()), 0.0) for dk in d]
+            self._add(d, i, tau, c, psi)
+        return self._fn([(list(dk.keys()), list(dk.values()), 0.0) for dk in d])
 
-    def kappa_rows(self, i, t):
-        d = [{}, {}, {}]
-        for tau, c in ((t, 1.0), (t - 1, -2.0), (t - 2, 1.0)):
-            self._add(d, i, tau, c, psi=True)
-        return [(list(dk.keys()), list(dk.values()), 0.0) for dk in d]
-
-    def h_rows(self, t):
+    def h(self, t):
         """The closed-form state map h_t as nine sparse affine rows."""
         scn = self.scn
         M, g = scn.consts.M, scn.consts.g
@@ -501,17 +512,10 @@ class _SeqMaps:
                 self._add(dr, i, e1, dt**2 * (t - ph.epsilon))
                 self._add(dk, i, e1, dt, psi=True)
                 self._add(dk, i, e2, -dt, psi=True)
-        rows = []
-        for k in range(3):
-            rows.append((list(dr[k].keys()), [v / M for v in dr[k].values()], r_const[k] / M))
-        for k in range(3):
-            rows.append((list(dl[k].keys()), list(dl[k].values()), l_const[k]))
-        for k in range(3):
-            rows.append((list(dk[k].keys()), list(dk[k].values()), k_const[k]))
-        return rows
-
-    def fn(self, rows):
-        return qpm.affine_from_rows(self.n, rows)
+        rows = [(list(d), [v / M for v in d.values()], c / M) for d, c in zip(dr, r_const)]
+        rows += [(list(d), list(d.values()), c) for d, c in zip(dl, l_const)]
+        rows += [(list(d), list(d.values()), c) for d, c in zip(dk, k_const)]
+        return self._fn(rows)
 
 
 # friction pyramid over local forces: mu fz +/- fx >= 0, mu fz +/- fy >= 0
@@ -534,191 +538,85 @@ def _friction_matrix(surface):
 def build_sequential(scenario: MomentumScenario) -> NlpProblem:
     """Sparse sequential program over the force integrals (phi, psi)."""
     scn = scenario
-    layout = _sequential_layout(scn)
+    layout = _layout(scn, "sequential")
     maps = _SeqMaps(scn, layout)
-    h_fns = {t: maps.fn(maps.h_rows(t)) for t in range(scn.T + 1)}
-    objective = []
-    ineq_affine = []
-    ineq_qpm = []
-    ineq_meta = []
-    w = scn.weights
-    for t in range(scn.T + 1):
-        parts = []
-        if t >= 1:
-            parts.append(qpm.weighted_sum_squares(h_fns[t], scn.h_ref[t], w.momentum))
-        if t < scn.T:
-            for i in layout.active[t]:
-                f_fn = maps.fn(maps.force_rows(i, t))
-                parts.append(
-                    qpm.weighted_sum_squares(f_fn, scn.force_ref[i][t], w.force)
-                )
-        if parts:
-            objective.append(qpm.linear_combine([(1.0, p) for p in parts]))
-    for t in range(scn.T):
-        for i in layout.active[t]:
-            ph = scn.phases[i]
-            f_fn = maps.fn(maps.force_rows(i, t))
-            ineq_affine.append(
-                qpm.affine_after(_friction_matrix(ph.surface), np.zeros(4), f_fn)
-            )
-            ineq_meta.append((t, i, "friction"))
-    for t in range(scn.T):
-        r_map = qpm.select_rows(h_fns[t], [0, 1, 2])
-        for i in layout.active[t]:
-            ph = scn.phases[i]
-            f_fn = maps.fn(maps.force_rows(i, t))
-            k_fn = maps.fn(maps.kappa_rows(i, t))
-            ineq_qpm.append(contact.build_cop_qpm_constraints(ph, r_map, f_fn, k_fn))
-            ineq_meta.append((t, i, "cop"))
-    return NlpProblem(
-        layout, objective, [], ineq_affine, ineq_qpm, scn, [], ineq_meta
-    )
-
-
-# ---------------------------------------------------------------------------
-# simultaneous builder
-
-
-def _sim_h_rows(scn, layout, t, comps):
-    """h_t components as sparse affine rows (constants at t = 0)."""
-    rows = []
-    h0 = scn.h0.as_vector()
-    for k in comps:
-        if t == 0:
-            rows.append(([], [], h0[k]))
-        else:
-            rows.append(([layout.state_base[t] + k], [1.0], 0.0))
-    return rows
+    h_fns = {t: maps.h(t) for t in range(scn.T + 1)}
+    samples = [(i, t) for t in range(scn.T) for i in layout.active[t]]
+    f_fns = {(i, t): maps.second_difference(i, t) for i, t in samples}
+    ineq_affine = [
+        qpm.affine_after(_friction_matrix(scn.phases[i].surface), np.zeros(4), f_fns[(i, t)])
+        for i, t in samples
+    ]
+    ineq_qpm = [
+        contact.build_cop_qpm_constraints(
+            scn.phases[i], qpm.select_rows(h_fns[t], range(3)), f_fns[(i, t)],
+            maps.second_difference(i, t, psi=True),
+        )
+        for i, t in samples
+    ]
+    ineq_meta = [(t, i, "friction") for i, t in samples] + [(t, i, "cop") for i, t in samples]
+    objective = _tracking_objective(scn, layout, h_fns, f_fns)
+    return NlpProblem(layout, objective, [], ineq_affine, ineq_qpm, scn, [], ineq_meta)
 
 
 def build_simultaneous(scenario: MomentumScenario) -> NlpProblem:
     """Simultaneous QCQP over per-step wrenches and momentum states."""
     scn = scenario
-    layout = _simultaneous_layout(scn)
-    n = layout.n_vars
+    layout = _layout(scn, "simultaneous")
     M, g, dt = scn.consts.M, scn.consts.g, scn.delta
 
     def aff(rows):
-        return qpm.affine_from_rows(n, rows)
+        return qpm.affine_from_rows(layout.n_vars, rows)
 
-    eq = []
-    eq_meta = []
-    for t in range(scn.T):
-        # r and l rows are affine
-        rl_rows = []
-        h_t = _sim_h_rows(scn, layout, t, range(9))
-        h_t1 = _sim_h_rows(scn, layout, t + 1, range(9))
+    def const(v):
+        return aff([([], [], c) for c in v])
 
-        def minus(row_a, row_b, extra=None, const=0.0):
-            d = {}
-            for idx, val, c in (row_a,):
-                for j, v in zip(idx, val):
-                    d[j] = d.get(j, 0.0) + v
-                const += c
-            for j, v in zip(row_b[0], row_b[1]):
-                d[j] = d.get(j, 0.0) - v
-            const -= row_b[2]
-            if extra is not None:
-                for j, v, c in extra:
-                    d[j] = d.get(j, 0.0) + v
-                    const += c
-            return (list(d.keys()), list(d.values()), const)
+    h_fns = {0: const(scn.h0.as_vector())}
+    for t1, b in layout.state_base.items():
+        h_fns[t1] = aff([([b + k], [1.0], 0.0) for k in range(9)])
 
-        for k in range(3):
-            # r_{t+1} - r_t - dt/M l_t = 0
-            lrow = h_t[3 + k]
-            extra = [(j, -dt / M * v, 0.0) for j, v in zip(lrow[0], lrow[1])]
-            rl_rows.append(minus(h_t1[k], h_t[k], extra, const=-dt / M * lrow[2]))
-        force_terms = []
-        kappa_terms = []
-        for i in layout.active[t]:
-            ph = scn.phases[i]
-            b = layout.contact_base[(i, t)]
-            R = ph.surface.R
-            f_world = aff(
-                [(list(range(b, b + 3)), list(R[k]), 0.0) for k in range(3)]
-            )
-            force_terms.append((i, f_world))
-            p_minus_r = []
-            for k in range(3):
-                d = {b + 3: R[k, 0], b + 4: R[k, 1]}
-                const = ph.surface.t[k]
-                rrow = h_t[k]
-                for j, v in zip(rrow[0], rrow[1]):
-                    d[j] = d.get(j, 0.0) - v
-                const -= rrow[2]
-                p_minus_r.append((list(d.keys()), list(d.values()), const))
-            cross = qpm.compose_affine(
-                qpm.cross_product_qpm(), qpm.stack([aff(p_minus_r), f_world])
-            )
-            tau_rows = aff([([b + 5], [R[k, 2]], 0.0) for k in range(3)])
-            kappa_terms.append(
-                qpm.linear_combine([(1.0, tau_rows), (1.0, cross)])
-            )
-        l_rows = []
-        for k in range(3):
-            d = {}
-            const = -dt * M * g[k]
-            for j, v in zip(h_t1[3 + k][0], h_t1[3 + k][1]):
-                d[j] = d.get(j, 0.0) + v
-            const += h_t1[3 + k][2]
-            for j, v in zip(h_t[3 + k][0], h_t[3 + k][1]):
-                d[j] = d.get(j, 0.0) - v
-            const -= h_t[3 + k][2]
-            for i, f_world in force_terms:
-                row = f_world.rows[k]
-                for j, v in zip(row.lin_idx, row.lin_val):
-                    d[int(j)] = d.get(int(j), 0.0) - dt * v
-            l_rows.append((list(d.keys()), list(d.values()), const))
-        k_affine = qpm.linear_combine(
-            [(1.0, aff(_sim_h_rows(scn, layout, t + 1, [6, 7, 8]))),
-             (-1.0, aff(_sim_h_rows(scn, layout, t, [6, 7, 8])))]
-        )
-        if kappa_terms:
-            k_fn = qpm.linear_combine(
-                [(1.0, k_affine)] + [(-dt, kt) for kt in kappa_terms]
-            )
-        else:
-            k_fn = k_affine
-        eq.append(qpm.stack([aff(rl_rows), aff(l_rows), k_fn]))
-        eq_meta.append((t, None, "dynamics"))
+    def rlk(t):
+        """(r_t, l_t, k_t), three rows each."""
+        return [qpm.select_rows(h_fns[t], range(j, j + 3)) for j in (0, 3, 6)]
 
+    cross = qpm.cross_product_qpm()
+    f_fns = {}
+    kappa_fns = {}  # tau_hat R_z + (p - r_t) x f, the torque about the CoM
     ineq_affine = []
     ineq_meta = []
     for t in range(scn.T):
+        r_t = rlk(t)[0]
         for i in layout.active[t]:
-            ph = scn.phases[i]
+            s = scn.phases[i].surface
             b = layout.contact_base[(i, t)]
-            selector = aff([([b + k], [1.0], 0.0) for k in range(6)])
+            f = f_fns[(i, t)] = aff([(range(b, b + 3), s.R[k], 0.0) for k in range(3)])
+            p = aff([([b + 3, b + 4], s.R[k, :2], s.t[k]) for k in range(3)])
+            p_minus_r = qpm.linear_combine([(1.0, p), (-1.0, r_t)])
+            kappa_fns[(i, t)] = qpm.linear_combine([
+                (1.0, aff([([b + 5], [s.R[k, 2]], 0.0) for k in range(3)])),
+                (1.0, qpm.compose_affine(cross, qpm.stack([p_minus_r, f]))),
+            ])
+            wrench = aff([([b + k], [1.0], 0.0) for k in range(6)])
             ineq_affine.append(
-                qpm.compose_affine(contact.build_affine_contact_constraints(ph), selector)
+                qpm.compose_affine(contact.build_affine_contact_constraints(scn.phases[i]), wrench)
             )
             ineq_meta.append((t, i, "contact"))
 
-    objective = []
-    w = scn.weights
-    for t in range(scn.T + 1):
-        parts = []
-        if t >= 1:
-            h_fn = aff(_sim_h_rows(scn, layout, t, range(9)))
-            parts.append(qpm.weighted_sum_squares(h_fn, scn.h_ref[t], w.momentum))
-        if t < scn.T:
-            for i in layout.active[t]:
-                ph = scn.phases[i]
-                b = layout.contact_base[(i, t)]
-                R = ph.surface.R
-                f_world = aff(
-                    [(list(range(b, b + 3)), list(R[k]), 0.0) for k in range(3)]
-                )
-                parts.append(
-                    qpm.weighted_sum_squares(f_world, scn.force_ref[i][t], w.force)
-                )
-        if parts:
-            objective.append(qpm.linear_combine([(1.0, p) for p in parts]))
-
-    return NlpProblem(
-        layout, objective, eq, ineq_affine, [], scn, eq_meta, ineq_meta
-    )
+    eq = []
+    for t in range(scn.T):
+        (r0, l0, k0), (r1, l1, k1) = rlk(t), rlk(t + 1)
+        act = layout.active[t]
+        eq.append(qpm.stack([
+            qpm.linear_combine([(1.0, r1), (-1.0, r0), (-dt / M, l0)]),
+            qpm.linear_combine(
+                [(1.0, l1), (-1.0, l0), (-dt, const(M * g))]
+                + [(-dt, f_fns[(i, t)]) for i in act]
+            ),
+            qpm.linear_combine([(1.0, k1), (-1.0, k0)] + [(-dt, kappa_fns[(i, t)]) for i in act]),
+        ]))
+    eq_meta = [(t, None, "dynamics") for t in range(scn.T)]
+    objective = _tracking_objective(scn, layout, h_fns, f_fns)
+    return NlpProblem(layout, objective, eq, ineq_affine, [], scn, eq_meta, ineq_meta)
 
 
 # ---------------------------------------------------------------------------
@@ -751,13 +649,13 @@ def extract_sequential(p: NlpProblem, x):
         forces[i] = np.zeros((scn.T, 3))
         kappas[i] = np.zeros((scn.T, 3))
         for t in range(ph.sigma, ph.epsilon):
-            f, kappa = forces_from_integrals(v, i, t)
-            forces[i][t] = f
-            kappas[i][t] = kappa
+            forces[i][t], kappas[i][t] = forces_from_integrals(v, i, t)
     return {"h": h, "forces": forces, "kappas": kappas, "integrals": v}
 
 
 def extract_simultaneous(p: NlpProblem, x):
+    """Momentum states, world forces, torques about the CoM and the CoP
+    wrenches at x."""
     scn = p.scenario
     layout = p.layout
     h = np.empty((scn.T + 1, 9))
@@ -766,15 +664,18 @@ def extract_simultaneous(p: NlpProblem, x):
         b = layout.state_base[t]
         h[t] = x[b : b + 9]
     forces = {}
+    kappas = {}
     wrenches = {}
     for i, ph in enumerate(scn.phases):
         forces[i] = np.zeros((scn.T, 3))
+        kappas[i] = np.zeros((scn.T, 3))
         for t in range(ph.sigma, ph.epsilon):
             b = layout.contact_base[(i, t)]
             w = ContactWrenchCop(x[b : b + 3], x[b + 3 : b + 5], float(x[b + 5]))
             wrenches[(i, t)] = w
-            forces[i][t] = ph.surface.R @ w.f_hat
-    return {"h": h, "forces": forces, "wrenches": wrenches}
+            com = cop_to_com(w, ph.surface, h[t, :3])
+            forces[i][t], kappas[i][t] = com.f, com.kappa
+    return {"h": h, "forces": forces, "kappas": kappas, "wrenches": wrenches}
 
 
 def map_sequential_point(p_seq: NlpProblem, p_sim: NlpProblem, x_seq):

@@ -114,6 +114,9 @@ class TestValidation:
         d = self.base()
         d["solver"]["backend"] = "magic"
         self.check_path(d, "solver")
+        d = self.base()
+        d["solver"]["mu0"] = 1.0
+        self.check_path(d, "solver")
 
     def test_parse_error(self, tmp_path):
         p = tmp_path / "broken.json"

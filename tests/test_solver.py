@@ -62,7 +62,7 @@ class TestOptions:
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError):
             SolverOptions(kkt_tol=0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             SolverOptions(mu_reduction=1.5)
         with pytest.raises(ValueError):
             SolverOptions(backend="newton")

@@ -224,6 +224,17 @@ class TestSimultaneous:
             res = p_sim.compiled_eq().value(x_sim)
             assert np.abs(res).max() < 1e-9
 
+    def test_extracted_torques_agree_at_lifted_point(self):
+        rng = np.random.default_rng(9)
+        scn = stepping_scenario()
+        p_seq = build_sequential(scn)
+        p_sim = build_simultaneous(scn)
+        x_seq = positive_stance_point(p_seq, rng)
+        seq = extract_sequential(p_seq, x_seq)
+        sim = extract_simultaneous(p_sim, map_sequential_point(p_seq, p_sim, x_seq))
+        for i in range(len(scn.phases)):
+            assert np.allclose(sim["kappas"][i], seq["kappas"][i], rtol=0.0, atol=1e-9)
+
     def test_cross_formulation_objective_agreement(self):
         rng = np.random.default_rng(3)
         scn = biped_scenario(7)
@@ -334,6 +345,15 @@ class TestCompiled:
                 assert np.allclose(comp.value(x), ref, atol=1e-10)
                 Jref = np.vstack([qpm.gradient(fn, x) for fn in fns])
                 assert np.allclose(comp.jacobian(x).toarray(), Jref, atol=1e-10)
+
+    def test_no_stored_zero_in_jacobians(self):
+        rng = np.random.default_rng(10)
+        for build in (build_sequential, build_simultaneous):
+            p = build(stepping_scenario())
+            x = rng.normal(size=p.n)
+            fns = [p.compiled_ineq()] + ([p.compiled_eq()] if p.n_eq else [])
+            for fn in fns:
+                assert np.all(fn.jacobian(x).data != 0)
 
     def test_objective_matches_symbolic(self):
         rng = np.random.default_rng(7)
