@@ -161,16 +161,14 @@ def cmd_plan(args):
             for k in range(report["passes"])
         ],
     )
-    state = report["state"]
-    ms = scn.momentum_scenario(state.h_bar, state.lambda_bar)
-    sol = {"h": h, "forces": forces, "kappas": state.kappas}
+    sol = {"h": h, "forces": forces, "kappas": report["state"].kappas}
     _write_csv(
         base + "_cop.csv",
         ["t", "effector", "px_hat", "py_hat", "px_max", "py_max", "feasible"],
         [
             [r[0], r[1], r[5], r[6],
              *_phase_for(scn, r[0], r[1]).surface.p_max, r[8]]
-            for r in _contact_rows(ms, sol, "sequential")
+            for r in _contact_rows(scn, sol, "sequential")
         ],
     )
     print(

@@ -15,6 +15,14 @@ import numpy as np
 
 from .linalg import BlockTridiagCholesky, NotPositiveDefinite
 
+# Central finite-difference step of momentum_jacobian's configuration
+# block, and the Gauss-Newton stopping rule of the kinematic sub-problem:
+# a step that moves no joint by more than STEP_TOL, or lowers the cost by
+# no more than COST_TOL.
+FD_STEP = 1e-6
+STEP_TOL = 1e-6
+COST_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class Link:
@@ -202,7 +210,7 @@ def momentum_state(model, q, qdot):
     return np.concatenate([fk[3], l, k], axis=-1)
 
 
-def momentum_jacobian(model, q, qdot, fd_step=1e-6):
+def momentum_jacobian(model, q, qdot):
     """(d h/d q, d h/d qdot), (..., 9, n) each; velocities enter linearly so
     that block is exact, the configuration block uses central finite
     differences with all 2n probes of every entry in one batch."""
@@ -211,10 +219,10 @@ def momentum_jacobian(model, q, qdot, fd_step=1e-6):
     n = model.dof
     H = centroidal_momentum_matrix(model, q)
     dq_dot = np.concatenate([np.zeros(H.shape[:-2] + (3, n)), H], axis=-2)
-    step = fd_step * np.eye(n)
+    step = FD_STEP * np.eye(n)
     probes = np.concatenate([q[..., None, :] + step, q[..., None, :] - step], axis=-2)
     h = momentum_state(model, probes, qdot[..., None, :])
-    dq = np.swapaxes(h[..., :n, :] - h[..., n:, :], -1, -2) / (2 * fd_step)
+    dq = np.swapaxes(h[..., :n, :] - h[..., n:, :], -1, -2) / (2 * FD_STEP)
     return dq, dq_dot
 
 
@@ -429,11 +437,10 @@ def solve_kinematic_subproblem(
     weights: KinematicWeights,
     q0,
     max_iter=30,
-    step_tol=1e-6,
-    cost_tol=1e-9,
 ):
     """Minimize posture/momentum/effector tracking over q_{1:T} by
-    Gauss-Newton with a block tridiagonal normal-equation factorization."""
+    Gauss-Newton with a block tridiagonal normal-equation factorization.
+    ``converged`` is True only when the STEP_TOL/COST_TOL rule fired."""
     n = model.dof
     q = np.tile(np.asarray(q0, dtype=float), (T + 1, 1))
     post = refs.posture_ref
@@ -441,7 +448,7 @@ def solve_kinematic_subproblem(
         post = np.tile(post, (T + 1, 1))
     refs = KinematicRefs(refs.h_ref, refs.effector_ref, post)
     cost = _trajectory_cost(model, q, delta, refs, weights)
-    converged = True
+    converged = False
     damping = 0.0
     for _ in range(max_iter):
         grad, diag, off = _normal_equations(*_residuals(model, q, delta, refs, weights))
@@ -466,12 +473,12 @@ def solve_kinematic_subproblem(
                 break
             alpha *= 0.5
         if not improved:
-            converged = False
             break
         moved = alpha * np.abs(step).max()
         decreased = cost - new_cost
         q, cost = q_new, new_cost
         damping *= 0.25
-        if moved <= step_tol or decreased <= cost_tol:
+        if moved <= STEP_TOL or decreased <= COST_TOL:
+            converged = True
             break
     return JointTrajectory(q, delta, converged=converged), cost

@@ -181,6 +181,7 @@ def plan(scn, opts=None):
         "delta_h": [],
         "delta_c": [],
         "momentum_status": [],
+        "kinematic_converged": [],
         "com_y_range_init": float(np.ptp(forward_kinematics(scn.model, state.q)[3][:, 1])),
     }
     traj = None
@@ -199,6 +200,7 @@ def plan(scn, opts=None):
             )
         except Exception as e:  # propagate with the pass index attached
             raise PlannerError(outer, f"kinematic sub-problem failed: {e}")
+        report["kinematic_converged"].append(traj.converged)
         h_kin = momentum_state(scn.model, traj.q, traj.qdot)
         c_new = effector_positions(scn.model, traj.q)
 

@@ -356,40 +356,6 @@ def select_rows(v, indices):
     return QpmFunction(v.input_dim, [v.rows[i] for i in indices])
 
 
-def weighted_sum_squares(affine, target, weights):
-    """Scalar Q+ function sum_i w_i (affine_i(x) - target_i)^2."""
-    if not affine.is_affine():
-        raise ValueError("residual map must be affine")
-    target = np.atleast_1d(np.asarray(target, dtype=float))
-    weights = np.broadcast_to(np.asarray(weights, dtype=float), target.shape)
-    if target.shape[0] != affine.output_dim:
-        raise DimensionMismatch("target size must match residual rows")
-    sup = [r.lin_idx for r in affine.rows if r.lin_idx.size]
-    lin = {}
-    const = 0.0
-    term = None
-    if sup:
-        J = np.unique(np.concatenate(sup))
-        pos = {int(g): i for i, g in enumerate(J)}
-        mat = np.zeros((J.size, J.size))
-        for r, t, w in zip(affine.rows, target, weights):
-            beta = r.const - t
-            const += w * beta * beta
-            av = np.zeros(J.size)
-            for j, v in zip(r.lin_idx, r.lin_val):
-                av[pos[int(j)]] = v
-            mat += w * np.outer(av, av)
-            for i, g in enumerate(J):
-                if av[i]:
-                    g = int(g)
-                    lin[g] = lin.get(g, 0.0) + 2.0 * w * beta * av[i]
-        if np.abs(mat).max(initial=0.0) > 0.0:
-            term = QuadTerm(J, mat)
-    else:
-        const = float(np.sum(weights * (np.array([r.const for r in affine.rows]) - target) ** 2))
-    return QpmFunction(affine.input_dim, [_make_row(lin, const, term, None)])
-
-
 # ---------------------------------------------------------------------------
 # evaluation
 

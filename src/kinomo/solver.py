@@ -399,13 +399,16 @@ def solve_ipm(p: NlpProblem, opts: SolverOptions = None) -> SolveResult:
     def evaluate(x, z, y):
         """(f, grad f, r_d, g_I, A_I, g_E, A_E) at x, with the stationarity
         residual r_d = grad f - A_I^T z - A_E^T y."""
-        f, grad = obj.value(x), obj.gradient(x)
+        grad = obj.gradient(x)
+        f = obj.value(x, grad)
         r_d, g_i, A_i, g_e, A_e = grad, empty, None, empty, None
         if m_i:
-            g_i, A_i = ineq.value(x), ineq.jacobian(x)
+            A_i = ineq.jacobian(x)
+            g_i = ineq.value(x, A_i)
             r_d = r_d - A_i.T @ z
         if m_e:
-            g_e, A_e = eq.value(x), eq.jacobian(x)
+            A_e = eq.jacobian(x)
+            g_e = eq.value(x, A_e)
             r_d = r_d - A_e.T @ y
         return f, grad, r_d, g_i, A_i, g_e, A_e
 
@@ -614,19 +617,21 @@ def solve_sqp_dense(p: NlpProblem, opts: SolverOptions = None) -> SolveResult:
             np.abs(z_qp).max(initial=0.0), np.abs(y_qp).max(initial=0.0)
         )
 
-        def merit(xv):
-            val = obj.value(xv)
-            if p.n_ineq:
-                val += nu * np.maximum(-ineq.value(xv), 0.0).sum()
-            if p.n_eq:
-                val += nu * np.abs(eq.value(xv)).sum()
-            return val
+        def penalty(xv):
+            g_i = ineq.value(xv) if p.n_ineq else np.zeros(0)
+            g_e = eq.value(xv) if p.n_eq else np.zeros(0)
+            return nu * (np.maximum(-g_i, 0.0).sum() + np.abs(g_e).sum())
 
-        phi0 = merit(x)
+        # the merit change along d, with the quadratic objective's part in
+        # closed form: a difference of objective values would cancel down
+        # to their rounding error, which decides the test near a solution
+        gd, dHd = float(c @ d), float(d @ (obj.H @ d))
+        pen0 = penalty(x)
         alpha = 1.0
         accepted = False
         for _ in range(30):
-            if merit(x + alpha * d) <= phi0 - 1e-6 * alpha * float(d @ d):
+            change = alpha * gd + 0.5 * alpha**2 * dHd + penalty(x + alpha * d) - pen0
+            if change <= -1e-6 * alpha * float(d @ d):
                 accepted = True
                 break
             alpha *= 0.5

@@ -14,8 +14,9 @@ schedule:
 
 Each builder makes its per-step affine maps once: the momentum state h_t
 as nine rows and the world force of every active contact sample (in the
-simultaneous form also the torque about the CoM). One tracking objective
-over those maps serves both forms, and the constraints reuse them.
+simultaneous form also the torque about the CoM), and the constraints
+reuse them. The tracking objective of both forms is one weighted
+least-squares over those maps stacked: sum_k w_k (r_k(x) - y_k)^2.
 
 Both builders emit an NlpProblem holding the symbolic Q+/- functions and
 a DecisionLayout with per-step variable blocks plus the "arrow" block of
@@ -204,7 +205,9 @@ def hessian_pattern(p):
             if -1 in blocks:
                 arrow.add(a)
 
-    for fn in list(p.objective) + _all_constraints(p):
+    for row in p.objective[0].rows:
+        add_support(row.lin_idx)
+    for fn in _all_constraints(p):
         for row in fn.rows:
             for term in (row.plus, row.minus):
                 if term is not None:
@@ -282,11 +285,11 @@ class CompiledVectorFunction:
             (np.ones(nnz), self.indices * 0 + np.arange(nnz), indptr), shape=(m, nnz)
         )
 
-    def value(self, x):
-        mx = self._M @ x
-        quad = 0.5 * (self._rowsum @ (x[self.indices] * mx))
-        lin = self._rowsum @ (self.base * x[self.indices])
-        return self.b + lin + quad
+    def value(self, x, jac=None):
+        """Row values at x. Given jac = jacobian(x), its data stands in for
+        the product M x: s(x) = b + 0.5 rowsum(x[idx] (base + J.data))."""
+        data = self.base + self._M @ x if jac is None else jac.data
+        return self.b + 0.5 * (self._rowsum @ (x[self.indices] * (self.base + data)))
 
     def jacobian(self, x):
         data = self.base + self._M @ x
@@ -330,36 +333,28 @@ class CompiledVectorFunction:
 
 
 class CompiledObjective:
-    """Sum of convex scalar summands compiled to 0.5 x'Hx + q'x + c."""
+    """The tracking objective J(x) = sum_k w_k (r_k(x) - y_k)^2 over the
+    stacked affine map r(x) = A x + a, compiled to 0.5 x'Hx + q'x + c with
+    H = 2 A'WA, q = 2 A'W(a - y) and c = (a - y)'W(a - y). A and W are
+    fixed by the schedule and the weights; the references y enter q and c
+    only."""
 
-    def __init__(self, fns, n):
-        self.n = n
-        Hi, Hj, Hv = [], [], []
-        q = np.zeros(n)
-        c = 0.0
-        for fn in fns:
-            for r in fn.rows:
-                if r.minus is not None:
-                    raise ValueError("objective summand is not certified convex")
-                c += r.const
-                q[r.lin_idx] += r.lin_val
-                if r.plus is not None:
-                    k = r.plus.idx.size
-                    Hi.append(np.repeat(r.plus.idx, k))
-                    Hj.append(np.tile(r.plus.idx, k))
-                    Hv.append(2.0 * r.plus.mat.ravel())
-        if Hi:
-            self.H = sp.coo_matrix(
-                (np.concatenate(Hv), (np.concatenate(Hi), np.concatenate(Hj))),
-                shape=(n, n),
-            ).tocsr()
-        else:
-            self.H = sp.csr_matrix((n, n))
-        self.q = q
-        self.c = c
+    def __init__(self, objective, n):
+        fn, y, w = objective
+        r = CompiledVectorFunction([fn], n)
+        A = sp.csr_matrix((r.base, r.indices, r.indptr), shape=(r.m, n))
+        # H = 2 B'B with B = W^(1/2) A, symmetric to the last bit
+        B = sp.diags(np.sqrt(w)) @ A
+        self.H = sp.csr_matrix(2.0 * (B.T @ B))
+        self.H.eliminate_zeros()
+        e = r.b - y
+        self.q = 2.0 * (A.T @ (w * e))
+        self.c = float(e @ (w * e))
 
-    def value(self, x):
-        return float(0.5 * x @ (self.H @ x) + self.q @ x + self.c)
+    def value(self, x, grad=None):
+        """J(x); given grad = gradient(x), J = c + 0.5 x'(grad + q)."""
+        g = self.H @ x + self.q if grad is None else grad
+        return float(self.c + 0.5 * x @ (g + self.q))
 
     def gradient(self, x):
         return self.H @ x + self.q
@@ -375,7 +370,7 @@ class NlpProblem:
     """
 
     layout: DecisionLayout
-    objective: list  # convex scalar summands, one per step
+    objective: tuple  # (affine map r, targets y, weights w): sum w (r(x) - y)^2
     eq_constraints: list
     ineq_affine: list
     ineq_qpm: list
@@ -437,23 +432,17 @@ def convexified_lagrangian_hessian(p: NlpProblem, x, duals):
 
 
 def _tracking_objective(scn, layout, h_fns, f_fns):
-    """One convex summand per step: w_m |h_t - h_ref_t|^2 for t >= 1 plus
-    w_f |f_it - lambda_it|^2 over the contacts active at t < T, given the
-    affine momentum maps h_fns[t] and world-force maps f_fns[(i, t)]."""
-    w = scn.weights
-    objective = []
-    for t in range(scn.T + 1):
-        parts = []
-        if t >= 1:
-            parts.append(qpm.weighted_sum_squares(h_fns[t], scn.h_ref[t], w.momentum))
-        if t < scn.T:
-            for i in layout.active[t]:
-                parts.append(
-                    qpm.weighted_sum_squares(f_fns[(i, t)], scn.force_ref[i][t], w.force)
-                )
-        if parts:
-            objective.append(qpm.linear_combine([(1.0, p) for p in parts]))
-    return objective
+    """(r, y, w) of the tracking objective sum_k w_k (r_k(x) - y_k)^2: the
+    momentum maps h_fns[t] for t >= 1 against h_ref weighted by w_m, then
+    the world-force maps f_fns[(i, t)] of the active samples in step order
+    against force_ref weighted by w_f."""
+    samples = [(i, t) for t in range(scn.T) for i in layout.active[t]]
+    r = qpm.stack([h_fns[t] for t in range(1, scn.T + 1)] + [f_fns[s] for s in samples])
+    y = np.concatenate([scn.h_ref[1:].ravel()] + [scn.force_ref[i][t] for i, t in samples])
+    w = np.concatenate([
+        np.tile(scn.weights.momentum, scn.T), np.full(3 * len(samples), scn.weights.force)
+    ])
+    return r, y, w
 
 
 class _SeqMaps:

@@ -213,6 +213,17 @@ class TestSubproblem:
         assert np.abs(traj.q - Q_STAND).max() < 1e-3
         assert cost < 1e-6
 
+    def test_iteration_cap_is_not_convergence(self):
+        # one Gauss-Newton step towards a moved foot target cannot meet the
+        # stopping rule, so the capped solve must not report convergence
+        T = 6
+        refs = standing_refs(T)
+        refs.effector_ref["r_foot"][3:] += np.array([0.06, 0.0, 0.0])
+        traj, _ = solve_kinematic_subproblem(
+            MODEL, refs, T, 0.1, KinematicWeights(), Q_STAND, max_iter=1
+        )
+        assert not traj.converged
+
     def test_tracks_effector_target(self):
         T = 8
         refs = standing_refs(T)

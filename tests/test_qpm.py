@@ -217,21 +217,6 @@ class TestEvaluationOps:
             assert np.allclose(qpm.gradient(r, x), fd_gradient(r, x), atol=1e-6)
 
 
-class TestWeightedSumSquares:
-    def test_value_and_convexity(self):
-        A = rng.normal(size=(4, 3))
-        a = rng.normal(size=4)
-        target = rng.normal(size=4)
-        w = np.array([1.0, 2.0, 0.5, 3.0])
-        f = qpm.weighted_sum_squares(qpm.make_affine(A, a), target, w)
-        assert f.rows[0].minus is None  # certified Q+
-        for _ in range(50):
-            x = rng.normal(size=3)
-            ref = float(np.sum(w * (A @ x + a - target) ** 2))
-            assert np.isclose(f(x)[0], ref, atol=1e-10)
-        assert qpm.min_quad_eigenvalue(f) >= -qpm.PSD_TOL
-
-
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.floats(-10, 10), min_size=6, max_size=6))
 def test_ops_commute_with_evaluation(vals):

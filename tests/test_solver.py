@@ -186,9 +186,9 @@ class TestLineSearch:
         for name in calls:
             method = getattr(transcription.CompiledVectorFunction, name)
 
-            def counted(self, x, _name=name, _method=method):
+            def counted(self, x, *args, _name=name, _method=method):
                 calls[_name] += 1
-                return _method(self, x)
+                return _method(self, x, *args)
 
             monkeypatch.setattr(transcription.CompiledVectorFunction, name, counted)
         p = build_sequential(stepping_scenario())

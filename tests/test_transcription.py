@@ -354,22 +354,25 @@ class TestCompiled:
             fns = [p.compiled_ineq()] + ([p.compiled_eq()] if p.n_eq else [])
             for fn in fns:
                 assert np.all(fn.jacobian(x).data != 0)
+            assert np.all(p.compiled_objective().H.data != 0)
 
     def test_objective_matches_symbolic(self):
         rng = np.random.default_rng(7)
-        p = build_sequential(biped_scenario(6))
-        obj = p.compiled_objective()
-        for _ in range(3):
-            x = rng.normal(size=p.n) * 2
-            ref = sum(float(qpm.evaluate(fn, x)[0]) for fn in p.objective)
-            assert obj.value(x) == pytest.approx(ref, rel=1e-12, abs=1e-9)
-            eps = 1e-6
-            g = obj.gradient(x)
-            for j in rng.choice(p.n, size=5, replace=False):
-                e = np.zeros(p.n)
-                e[j] = eps
-                fd = (obj.value(x + e) - obj.value(x - e)) / (2 * eps)
-                assert g[j] == pytest.approx(fd, abs=1e-4)
+        for build in (build_sequential, build_simultaneous):
+            p = build(biped_scenario(6))
+            obj = p.compiled_objective()
+            r, y, w = p.objective
+            for _ in range(3):
+                x = rng.normal(size=p.n) * 2
+                ref = float(np.sum(w * (qpm.evaluate(r, x) - y) ** 2))
+                assert obj.value(x) == pytest.approx(ref, rel=1e-12, abs=1e-9)
+                eps = 1e-6
+                g = obj.gradient(x)
+                for j in rng.choice(p.n, size=5, replace=False):
+                    e = np.zeros(p.n)
+                    e[j] = eps
+                    fd = (obj.value(x + e) - obj.value(x - e)) / (2 * eps)
+                    assert g[j] == pytest.approx(fd, abs=1e-4)
 
     def test_jacobian_matches_fd(self):
         rng = np.random.default_rng(8)
@@ -384,14 +387,11 @@ class TestCompiled:
             fd = (comp.value(x + e) - comp.value(x - e)) / (2 * eps)
             assert np.allclose(J[:, j], fd, atol=1e-5)
 
-    def test_objective_summands_certified_convex(self):
+    def test_objective_hessian_psd(self):
         for build in (build_sequential, build_simultaneous):
             p = build(biped_scenario(5))
-            for fn in p.objective:
-                for r in fn.rows:
-                    assert r.minus is None
-                    if r.plus is not None:
-                        assert np.linalg.eigvalsh(r.plus.mat)[0] >= -1e-10
+            H = p.compiled_objective().H.toarray()
+            assert np.linalg.eigvalsh(H)[0] >= -1e-10
 
 
 class TestConvexifiedHessian:
