@@ -20,8 +20,6 @@ from . import qpm
 # below this the 2x2 projector inverse blows up.
 NORMAL_FORCE_EPS = 1e-9
 
-_ROT_TOL = 1e-10
-
 # 2x2 rotation by +90 degrees; inverse of the premultiplied CoP projector
 # up to the 1/(R_z^T f) scale.
 _J90 = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -157,6 +155,12 @@ def com_to_cop(w: ContactWrenchCom, s: ContactSurface, r, eps=NORMAL_FORCE_EPS):
     return ContactWrenchCop(f_local, p_hat, float(tau_full[2]))
 
 
+def friction_pyramid(mu):
+    """The friction pyramid mu f_z -/+ f_x >= 0, mu f_z -/+ f_y >= 0 as
+    four rows over a local force (f_x, f_y, f_z)."""
+    return np.array([[-1.0, 0.0, mu], [1.0, 0.0, mu], [0.0, -1.0, mu], [0.0, 1.0, mu]])
+
+
 def build_affine_contact_constraints(phase: ContactPhase):
     """Affine inequality rows g(x) >= 0 over x = (f_hat, p_hat, tau_hat).
 
@@ -164,38 +168,15 @@ def build_affine_contact_constraints(phase: ContactPhase):
     CoP and the friction pyramid; ten scalar rows in total.
     """
     s = phase.surface
-    mu = s.mu
     cx, cy = phase.c_hat
     pmx, pmy = s.p_max
     # x = (f_hat_x, f_hat_y, f_hat_z, p_hat_x, p_hat_y, tau_hat)
-    A = np.array(
-        [
-            [0, 0, 0, 0, 0, -1.0],  # tau_max - tau >= 0
-            [0, 0, 0, 0, 0, 1.0],   # tau + tau_max >= 0
-            [0, 0, 0, -1.0, 0, 0],  # pm_x - (p_x - c_x) >= 0
-            [0, 0, 0, 1.0, 0, 0],   # (p_x - c_x) + pm_x >= 0
-            [0, 0, 0, 0, -1.0, 0],
-            [0, 0, 0, 0, 1.0, 0],
-            [-1.0, 0, mu, 0, 0, 0],  # mu f_z - f_x >= 0
-            [1.0, 0, mu, 0, 0, 0],   # f_x + mu f_z >= 0
-            [0, -1.0, mu, 0, 0, 0],
-            [0, 1.0, mu, 0, 0, 0],
-        ]
-    )
-    a = np.array(
-        [
-            s.tau_max,
-            s.tau_max,
-            pmx + cx,
-            pmx - cx,
-            pmy + cy,
-            pmy - cy,
-            0.0,
-            0.0,
-            0.0,
-            0.0,
-        ]
-    )
+    A = np.zeros((10, 6))
+    A[0:2, 5] = [-1.0, 1.0]  # tau_max -/+ tau >= 0
+    A[2:4, 3] = [-1.0, 1.0]  # pm_x -/+ (p_x - c_x) >= 0
+    A[4:6, 4] = [-1.0, 1.0]
+    A[6:, :3] = friction_pyramid(s.mu)
+    a = np.array([s.tau_max, s.tau_max, pmx + cx, pmx - cx, pmy + cy, pmy - cy, 0, 0, 0, 0])
     return qpm.make_affine(A, a)
 
 
@@ -209,36 +190,28 @@ def build_cop_qpm_constraints(phase: ContactPhase, r_map, f_map, kappa_map):
         (p_max +/- c_hat) R_z^T f +/- [[0,1],[-1,0]] m >= 0,
         m = R_xy^T kappa + R_xy^T ((r - t) x f),
 
-    and carry the cross-product Q/P matrices through affine composition
-    only (no eigendecomposition at build time).
+    one affine map of (f, kappa, (r - t) x f); the cross product carries
+    its Q/P matrices through affine composition only (no
+    eigendecomposition at build time).
     """
     for name, fn in (("r_map", r_map), ("f_map", f_map), ("kappa_map", kappa_map)):
         if not fn.is_affine():
             raise ValueError(f"{name} must be affine")
     s = phase.surface
-    n = f_map.input_dim
-    # (r - t, f) feeding the cross product
-    shift = qpm.make_affine(np.zeros((3, n)), -s.t)
-    rt = qpm.linear_combine([(1.0, r_map), (1.0, shift)])
+    rt = qpm.affine_after(np.eye(3), -s.t, r_map)
     cross = qpm.compose_affine(qpm.cross_product_qpm(), qpm.stack([rt, f_map]))
-    m = qpm.linear_combine(
-        [
-            (1.0, qpm.affine_after(s.R_xy.T, np.zeros(2), kappa_map)),
-            (1.0, qpm.affine_after(s.R_xy.T, np.zeros(2), cross)),
-        ]
-    )
-    fz = qpm.affine_after(s.R_z.reshape(1, 3), np.zeros(1), f_map)
-    m_x = qpm.select_rows(m, [0])
-    m_y = qpm.select_rows(m, [1])
     pmx, pmy = s.p_max
     cx, cy = phase.c_hat
-    rows = [
-        qpm.linear_combine([(pmx + cx, fz), (1.0, m_y)]),   # upper x
-        qpm.linear_combine([(pmy + cy, fz), (-1.0, m_x)]),  # upper y
-        qpm.linear_combine([(pmx - cx, fz), (-1.0, m_y)]),  # lower x
-        qpm.linear_combine([(pmy - cy, fz), (1.0, m_x)]),   # lower y
-    ]
-    return qpm.stack(rows)
+    rx, ry = s.R_xy.T
+    C = np.array(
+        [
+            np.concatenate([(pmx + cx) * s.R_z, ry, ry]),   # upper x
+            np.concatenate([(pmy + cy) * s.R_z, -rx, -rx]),  # upper y
+            np.concatenate([(pmx - cx) * s.R_z, -ry, -ry]),  # lower x
+            np.concatenate([(pmy - cy) * s.R_z, rx, rx]),   # lower y
+        ]
+    )
+    return qpm.affine_after(C, np.zeros(4), qpm.stack([f_map, kappa_map, cross]))
 
 
 def cop_wrench_feasibility(phase: ContactPhase, w: ContactWrenchCop, tol=0.0):

@@ -6,7 +6,8 @@ then solves the momentum sub-problem against that profile. The exchanged
 references (h_bar, c_bar) are exactly the sub-problem outputs; the force
 reference lambda_bar keeps its initial even-gravity split throughout.
 The loop stops when neither reference moved more than ``tol`` between
-consecutive passes.
+consecutive passes, the momentum reference measured as momentum_mismatch
+measures it (positions in m, momenta over the total mass in m/s).
 """
 
 from __future__ import annotations
@@ -27,6 +28,10 @@ from .solver import solve
 from .transcription import build_sequential, build_simultaneous, extract_sequential, extract_simultaneous
 
 
+# Height (m) of the sine arc of a swing reference path at mid-swing.
+SWING_LIFT = 0.03
+
+
 class PlannerError(RuntimeError):
     def __init__(self, outer_pass, message):
         super().__init__(f"pass {outer_pass}: {message}")
@@ -36,7 +41,9 @@ class PlannerError(RuntimeError):
 @dataclass
 class PlanOptions:
     max_outer: int = 10
-    tol: float = 1e-4  # reference-delta convergence threshold
+    # reference-delta convergence threshold in m and m/s: path and CoM
+    # moves in m, momentum moves divided by the total mass
+    tol: float = 1e-4
     formulation: str = "sequential"  # "sequential" | "simultaneous"
     kinematic_weights: KinematicWeights = field(
         default_factory=lambda: KinematicWeights(
@@ -44,7 +51,6 @@ class PlanOptions:
         )
     )
     kinematic_max_iter: int = 30
-    swing_lift: float = 0.03
 
     def __post_init__(self):
         if self.formulation not in ("sequential", "simultaneous"):
@@ -70,7 +76,7 @@ def _support_centroid(scn, t):
     return np.mean(pts, axis=0)
 
 
-def _effector_path(scn, name, p0, lift):
+def _effector_path(scn, name, p0):
     """Scheduled contact locations with interpolated swing segments. The
     initial position p0 is held until the first contact, the last stance
     after the last one."""
@@ -89,14 +95,13 @@ def _effector_path(scn, name, p0, lift):
         for j, t in enumerate(range(lo, hi)):
             s = (j + 1) / (hi - lo + 1)
             path[t] = (1 - s) * a.location_world + s * b.location_world
-            path[t, 2] += lift * np.sin(np.pi * s)
+            path[t, 2] += SWING_LIFT * np.sin(np.pi * s)
     return path
 
 
-def initialize_references(scn, opts=None):
+def initialize_references(scn):
     """Zero-momentum references: CoM over the support centroid at its
     initial height, gravity split evenly across the active contacts."""
-    opts = opts or PlanOptions()
     _, _, _, x_com = forward_kinematics(scn.model, scn.q0)
     M, g = scn.consts.M, scn.consts.g
     h_bar = np.zeros((scn.T + 1, 9))
@@ -111,10 +116,7 @@ def initialize_references(scn, opts=None):
             fr[t] = -M * g / n_active[t]
         lambda_bar[i] = fr
     p0 = effector_positions(scn.model, scn.q0)
-    c_bar = {
-        name: _effector_path(scn, name, p0[name], opts.swing_lift)
-        for name in scn.model.effectors
-    }
+    c_bar = {name: _effector_path(scn, name, p0[name]) for name in scn.model.effectors}
     q = np.tile(scn.q0, (scn.T + 1, 1))
     return PlanState(h_bar, lambda_bar, c_bar, q)
 
@@ -172,7 +174,7 @@ def plan(scn, opts=None):
     from .kinematics import solve_kinematic_subproblem
 
     opts = opts or PlanOptions()
-    state = initialize_references(scn, opts)
+    state = initialize_references(scn)
     M = scn.consts.M
     report = {
         "passes": 0,
@@ -214,7 +216,7 @@ def plan(scn, opts=None):
             _check_dynamics_feasible(scn, sol, outer)
         h_dyn = sol["h"]
 
-        delta_h = float(np.abs(h_dyn - state.h_bar).max())
+        delta_h = momentum_mismatch(state.h_bar, h_dyn, M)
         delta_c = max(
             float(np.abs(c_new[name] - state.c_bar[name]).max())
             for name in state.c_bar

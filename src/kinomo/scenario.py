@@ -86,7 +86,6 @@ class Scenario:
     gravity: np.ndarray
     weights: TrackingWeights = field(default_factory=TrackingWeights)
     solver: SolverOptions = field(default_factory=SolverOptions)
-    seed: int = 0
 
     @property
     def consts(self):
@@ -254,8 +253,7 @@ def scenario_from_dict(data, name="scenario"):
     except (TypeError, ValueError) as e:
         raise SchemaViolation("$.solver", str(e))
     return Scenario(
-        data.get("name", name), model, q0, phases, T, delta, gravity,
-        weights, solver, int(data.get("seed", 0)),
+        data.get("name", name), model, q0, phases, T, delta, gravity, weights, solver
     )
 
 
@@ -332,7 +330,6 @@ def scenario_to_dict(scn):
             "kkt_tol": scn.solver.kkt_tol,
             "backend": scn.solver.backend,
         },
-        "seed": scn.seed,
     }
 
 
@@ -447,5 +444,5 @@ def rescale_horizon(scn, T):
             phases.append(ContactPhase(ph.effector_id, sigma, epsilon, ph.surface, ph.c_hat))
     return Scenario(
         scn.name, scn.model, scn.q0, tuple(phases), T, scn.delta,
-        scn.gravity, scn.weights, scn.solver, scn.seed,
+        scn.gravity, scn.weights, scn.solver,
     )

@@ -105,20 +105,37 @@ def _kkt_norms(r_d, g_i, z, g_e):
     )
 
 
+def _compiled_parts(p: NlpProblem):
+    """The compiled objective, inequalities and equalities of p, None for
+    an absent constraint family."""
+    ineq = p.compiled_ineq() if p.n_ineq else None
+    eq = p.compiled_eq() if p.n_eq else None
+    return p.compiled_objective(), ineq, eq
+
+
+def _evaluate(obj, ineq, eq, x, z, y):
+    """(f, grad f, r_d, g_I, A_I, g_E, A_E) at x, with the stationarity
+    residual r_d = grad f - A_I^T z - A_E^T y; an absent family (None)
+    gives empty values and no Jacobian."""
+    grad = obj.gradient(x)
+    f = obj.value(x, grad)
+    r_d, g_i, A_i, g_e, A_e = grad, np.zeros(0), None, np.zeros(0), None
+    if ineq is not None:
+        A_i = ineq.jacobian(x)
+        g_i = ineq.value(x, A_i)
+        r_d = r_d - A_i.T @ z
+    if eq is not None:
+        A_e = eq.jacobian(x)
+        g_e = eq.value(x, A_e)
+        r_d = r_d - A_e.T @ y
+    return f, grad, r_d, g_i, A_i, g_e, A_e
+
+
 def kkt_residual(p: NlpProblem, x, z, y):
     """Infinity norms of the four KKT blocks under the sign convention
     L = J - z g_I - y g_E: (stationarity, primal, dual, complementarity)."""
     z, y = np.asarray(z), np.asarray(y)
-    r_d = p.compiled_objective().gradient(x)
-    g_i = g_e = np.zeros(0)
-    if p.n_ineq:
-        ineq = p.compiled_ineq()
-        g_i = ineq.value(x)
-        r_d = r_d - ineq.jacobian(x).T @ z
-    if p.n_eq:
-        eq = p.compiled_eq()
-        g_e = eq.value(x)
-        r_d = r_d - eq.jacobian(x).T @ y
+    _, _, r_d, g_i, _, g_e, _ = _evaluate(*_compiled_parts(p), x, z, y)
     return _kkt_norms(r_d, g_i, z, g_e)
 
 
@@ -389,35 +406,16 @@ def solve_ipm(p: NlpProblem, opts: SolverOptions = None) -> SolveResult:
     """
     opts = opts or SolverOptions()
     n = p.n
-    obj = p.compiled_objective()
     m_i = p.n_ineq
     m_e = p.n_eq
-    ineq = p.compiled_ineq() if m_i else None
-    eq = p.compiled_eq() if m_e else None
+    obj, ineq, eq = _compiled_parts(p)
     empty = np.zeros(0)
-
-    def evaluate(x, z, y):
-        """(f, grad f, r_d, g_I, A_I, g_E, A_E) at x, with the stationarity
-        residual r_d = grad f - A_I^T z - A_E^T y."""
-        grad = obj.gradient(x)
-        f = obj.value(x, grad)
-        r_d, g_i, A_i, g_e, A_e = grad, empty, None, empty, None
-        if m_i:
-            A_i = ineq.jacobian(x)
-            g_i = ineq.value(x, A_i)
-            r_d = r_d - A_i.T @ z
-        if m_e:
-            A_e = eq.jacobian(x)
-            g_e = eq.value(x, A_e)
-            r_d = r_d - A_e.T @ y
-        return f, grad, r_d, g_i, A_i, g_e, A_e
-
     x = _ballistic_initial_point(p)
     mu = MU0
     s = np.maximum(ineq.value(x), 1.0) if m_i else empty
     z = mu / s
     y = np.zeros(m_e)
-    ev = evaluate(x, z, y)
+    ev = _evaluate(obj, ineq, eq, x, z, y)
     kkt = KKTSystem(p, ineq, eq)
 
     stats = []
@@ -477,7 +475,7 @@ def solve_ipm(p: NlpProblem, opts: SolverOptions = None) -> SolveResult:
         for _ in range(40):
             x_t, s_t = x + alpha * dx, s + alpha * ds
             z_t, y_t = np.maximum(z + alpha * dz, 1e-16), y + alpha * dy
-            ev = evaluate(x_t, z_t, y_t)
+            ev = _evaluate(obj, ineq, eq, x_t, z_t, y_t)
             f_t, _, r_dt, g_it, _, g_et, _ = ev
             if (
                 _barrier_merit(f_t, s_t, g_it, g_et, mu, nu)
@@ -574,9 +572,7 @@ def solve_sqp_dense(p: NlpProblem, opts: SolverOptions = None) -> SolveResult:
     """Line-search SQP with convexified-Hessian QP subproblems, all dense."""
     opts = opts or SolverOptions()
     n = p.n
-    obj = p.compiled_objective()
-    ineq = p.compiled_ineq() if p.n_ineq else None
-    eq = p.compiled_eq() if p.n_eq else None
+    obj, ineq, eq = _compiled_parts(p)
     x = _ballistic_initial_point(p)
     z = np.zeros(p.n_ineq)
     y = np.zeros(p.n_eq)

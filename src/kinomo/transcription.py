@@ -20,11 +20,11 @@ least-squares over those maps stacked: sum_k w_k (r_k(x) - y_k)^2.
 
 Both builders emit an NlpProblem holding the symbolic Q+/- functions and
 a DecisionLayout with per-step variable blocks plus the "arrow" block of
-frozen phase-boundary variables; jacobian_pattern and hessian_pattern
-derive its block sparsity patterns on demand. A compiled
-form (sparse matrices with precomputed index structure) is attached
-lazily for the solver; evaluating constraints, Jacobians and convexified
-Lagrangian Hessians is then linear-time in the horizon.
+frozen phase-boundary variables. A compiled form (sparse matrices with
+precomputed index structure) is attached lazily for the solver; its
+patterns carry the block structure (a row's step blocks are the
+var_block labels of its columns), and evaluating constraints, Jacobians
+and convexified Lagrangian Hessians is linear-time in the horizon.
 """
 
 from __future__ import annotations
@@ -151,68 +151,6 @@ def _layout(scn, kind):
         var_block[b : b + 9] = t1  # h_{t+1} belongs to block t+1
     var_block[arrow] = -1
     return DecisionLayout(kind, scn.T, k, var_block, arrow, tuple(active), base, state)
-
-
-# ---------------------------------------------------------------------------
-# block sparsity patterns
-
-
-@dataclass(frozen=True)
-class BlockPattern:
-    """Step-block structure: per constraint row (Jacobian) the touched
-    step blocks plus an arrow flag, and for the Hessian the set of
-    coupled block pairs plus blocks coupled to the arrow."""
-
-    rows: tuple  # per row: (tuple of step blocks, arrow: bool)
-    hessian_pairs: frozenset  # (t, t') with t <= t'
-    hessian_arrow: frozenset  # step blocks coupled to the arrow block
-
-
-def _row_blocks(row, var_block):
-    sup = row.support()
-    if sup.size == 0:
-        return (), False
-    blocks = var_block[sup]
-    return tuple(sorted(set(int(b) for b in blocks if b >= 0))), bool(np.any(blocks < 0))
-
-
-def _all_constraints(p):
-    return list(p.eq_constraints) + list(p.ineq_affine) + list(p.ineq_qpm)
-
-
-def jacobian_pattern(p):
-    """Touched step blocks per constraint row, equalities first."""
-    rows = []
-    for fn in _all_constraints(p):
-        for row in fn.rows:
-            rows.append(_row_blocks(row, p.layout.var_block))
-    return BlockPattern(tuple(rows), frozenset(), frozenset())
-
-
-def hessian_pattern(p):
-    """Block pairs that can appear in any (convexified) Lagrangian Hessian."""
-    pairs = set()
-    arrow = set()
-    var_block = p.layout.var_block
-
-    def add_support(sup):
-        blocks = sorted(set(int(b) for b in var_block[sup]))
-        steps = [b for b in blocks if b >= 0]
-        for a in steps:
-            for b in steps:
-                if a <= b:
-                    pairs.add((a, b))
-            if -1 in blocks:
-                arrow.add(a)
-
-    for row in p.objective[0].rows:
-        add_support(row.lin_idx)
-    for fn in _all_constraints(p):
-        for row in fn.rows:
-            for term in (row.plus, row.minus):
-                if term is not None:
-                    add_support(term.idx)
-    return BlockPattern((), frozenset(pairs), frozenset(arrow))
 
 
 # ---------------------------------------------------------------------------
@@ -507,23 +445,6 @@ class _SeqMaps:
         return self._fn(rows)
 
 
-# friction pyramid over local forces: mu fz +/- fx >= 0, mu fz +/- fy >= 0
-_PYRAMID = np.array(
-    [
-        [-1.0, 0.0, 0.0],
-        [1.0, 0.0, 0.0],
-        [0.0, -1.0, 0.0],
-        [0.0, 1.0, 0.0],
-    ]
-)
-
-
-def _friction_matrix(surface):
-    C = _PYRAMID.copy()
-    C[:, 2] = surface.mu
-    return C @ surface.R.T  # rows act on the world force
-
-
 def build_sequential(scenario: MomentumScenario) -> NlpProblem:
     """Sparse sequential program over the force integrals (phi, psi)."""
     scn = scenario
@@ -532,10 +453,12 @@ def build_sequential(scenario: MomentumScenario) -> NlpProblem:
     h_fns = {t: maps.h(t) for t in range(scn.T + 1)}
     samples = [(i, t) for t in range(scn.T) for i in layout.active[t]]
     f_fns = {(i, t): maps.second_difference(i, t) for i, t in samples}
-    ineq_affine = [
-        qpm.affine_after(_friction_matrix(scn.phases[i].surface), np.zeros(4), f_fns[(i, t)])
-        for i, t in samples
-    ]
+    ineq_affine = []
+    for i, t in samples:
+        s = scn.phases[i].surface
+        # the pyramid acts on the local force R^T f
+        C = contact.friction_pyramid(s.mu) @ s.R.T
+        ineq_affine.append(qpm.affine_after(C, np.zeros(4), f_fns[(i, t)]))
     ineq_qpm = [
         contact.build_cop_qpm_constraints(
             scn.phases[i], qpm.select_rows(h_fns[t], range(3)), f_fns[(i, t)],

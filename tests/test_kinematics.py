@@ -185,7 +185,7 @@ class TestBatched:
         # one-step instance, as computed before the kinematics were batched
         scn = make_stepping_scenario(T=21)
         opts = PlanOptions()
-        state = initialize_references(scn, opts)
+        state = initialize_references(scn)
         refs = KinematicRefs(state.h_bar, state.c_bar, scn.q0.copy())
         _, cost = solve_kinematic_subproblem(
             scn.model, refs, scn.T, scn.delta, opts.kinematic_weights, scn.q0, max_iter=10

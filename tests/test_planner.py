@@ -61,7 +61,7 @@ class TestInitialization:
 
     def test_swing_path_interpolates(self):
         scn = make_stepping_scenario(T=28, switch=7)
-        state = initialize_references(scn, PlanOptions(swing_lift=0.03))
+        state = initialize_references(scn)
         path = state.c_bar["r_foot"]
         assert np.allclose(path[:7], [0.0, -0.09, 0.0])
         assert np.allclose(path[14:28], [0.1, -0.09, 0.0])

@@ -4,6 +4,7 @@ import pytest
 from kinomo import contact, dynamics, qpm, transcription
 from kinomo.contact import ContactPhase, ContactSurface, ContactWrenchCom, com_to_cop
 from kinomo.dynamics import MomentumState, RobotConstants
+from kinomo.solver import KKTSystem
 from kinomo.transcription import (
     MomentumScenario,
     TrackingWeights,
@@ -12,8 +13,6 @@ from kinomo.transcription import (
     convexified_lagrangian_hessian,
     extract_sequential,
     extract_simultaneous,
-    hessian_pattern,
-    jacobian_pattern,
     map_sequential_point,
 )
 
@@ -264,53 +263,81 @@ class TestSimultaneous:
             k += 10
 
 
+def row_blocks(p, comp):
+    """Per row of a compiled constraint function: the step blocks of its
+    columns and whether it touches the arrow block."""
+    out = []
+    for r in range(comp.m):
+        blocks = p.layout.var_block[comp.indices[comp.indptr[r] : comp.indptr[r + 1]]]
+        out.append((set(blocks[blocks >= 0].tolist()), bool(np.any(blocks < 0))))
+    return out
+
+
+def hessian_block_pairs(p):
+    """Step-block pairs (a, b), a <= b, coupled by an entry of the compiled
+    objective Hessian or by a stored Q or P entry; the arrow is block -1."""
+    H = p.compiled_objective().H.tocoo()
+    ii, jj = [H.row], [H.col]
+    for comp in (p.compiled_ineq(), p.compiled_eq()):
+        for _, i, j, _ in comp.curvature_entries():
+            ii.append(i)
+            jj.append(j)
+    a = p.layout.var_block[np.concatenate(ii)]
+    b = p.layout.var_block[np.concatenate(jj)]
+    return set(zip(np.minimum(a, b).tolist(), np.maximum(a, b).tolist()))
+
+
 class TestPatterns:
-    def test_sequential_row_blocks(self):
+    def test_sequential_row_step_blocks(self):
         p = build_sequential(biped_scenario(5))
-        pat = jacobian_pattern(p)
+        rows = row_blocks(p, p.compiled_ineq())
+        assert len(rows) == p.n_ineq
         k = 0
         for fn, (t, i, fam) in zip(p.ineq_affine + p.ineq_qpm, p.ineq_meta):
             for _ in range(fn.output_dim):
-                blocks, arrow = pat.rows[k]
-                assert set(blocks) <= {t, t - 1, t - 2}
+                blocks, arrow = rows[k]
+                assert blocks <= {t, t - 1, t - 2}
                 assert not arrow
                 k += 1
 
     def test_stepping_rows_touch_arrow(self):
         p = build_sequential(stepping_scenario())
-        pat = jacobian_pattern(p)
+        rows = row_blocks(p, p.compiled_ineq())
         # CoP rows of late steps involve frozen boundary variables
         k = 0
         saw_arrow = False
         for fn, (t, i, fam) in zip(p.ineq_affine + p.ineq_qpm, p.ineq_meta):
             for _ in range(fn.output_dim):
-                blocks, arrow = pat.rows[k]
-                assert set(blocks) <= {t, t - 1, t - 2}
+                blocks, arrow = rows[k]
+                assert blocks <= {t, t - 1, t - 2}
                 if arrow:
                     saw_arrow = True
                 k += 1
         assert saw_arrow
 
-    def test_simultaneous_dynamics_row_blocks(self):
+    def test_simultaneous_dynamics_row_step_blocks(self):
         p = build_simultaneous(biped_scenario(5))
-        pat = jacobian_pattern(p)
+        rows = row_blocks(p, p.compiled_eq())
+        assert len(rows) == p.n_eq
         k = 0
         for fn, (t, i, fam) in zip(p.eq_constraints, p.eq_meta):
             for _ in range(fn.output_dim):
-                blocks, arrow = pat.rows[k]
-                assert set(blocks) <= {t, t + 1}
+                blocks, arrow = rows[k]
+                assert blocks <= {t, t + 1}
                 assert t + 1 in blocks
                 assert not arrow
                 k += 1
 
     def test_hessian_bandwidth(self):
         for p in (build_sequential(biped_scenario(5)), build_simultaneous(biped_scenario(5))):
-            for a, b in hessian_pattern(p).hessian_pairs:
-                assert abs(a - b) <= 2
+            pairs = hessian_block_pairs(p)
+            assert pairs
+            for a, b in pairs:
+                assert a >= 0 and abs(a - b) <= 2
 
     def test_hessian_block_count_linear(self):
         counts = [
-            len(hessian_pattern(build_sequential(biped_scenario(T))).hessian_pairs)
+            len(hessian_block_pairs(build_sequential(biped_scenario(T))))
             for T in (10, 20, 30)
         ]
         assert counts[2] - counts[1] == counts[1] - counts[0]
@@ -320,16 +347,37 @@ class TestPatterns:
         for build in (build_sequential, build_simultaneous):
             p = build(biped_scenario(4))
             x = rng.normal(size=p.n)
-            pat = jacobian_pattern(p)
-            k = 0
-            for fn in p.eq_constraints + p.ineq_affine + p.ineq_qpm:
-                J = qpm.gradient(fn, x)
-                for r in range(fn.output_dim):
-                    cols = np.flatnonzero(np.abs(J[r]) > 1e-14)
-                    blocks, arrow = pat.rows[k]
-                    seen = set(int(b) for b in p.layout.var_block[cols])
-                    assert seen <= (set(blocks) | ({-1} if arrow else set()))
-                    k += 1
+            for comp, fns in (
+                (p.compiled_eq(), p.eq_constraints),
+                (p.compiled_ineq(), p.ineq_affine + p.ineq_qpm),
+            ):
+                rows = row_blocks(p, comp)
+                k = 0
+                for fn in fns:
+                    J = qpm.gradient(fn, x)
+                    for r in range(fn.output_dim):
+                        cols = np.flatnonzero(np.abs(J[r]) > 1e-14)
+                        blocks, arrow = rows[k]
+                        seen = set(int(b) for b in p.layout.var_block[cols])
+                        assert seen <= (blocks | ({-1} if arrow else set()))
+                        k += 1
+                assert k == comp.m
+
+    @pytest.mark.parametrize(
+        "scenario, horizons", [(stepping_scenario, (20, 40, 80)), (biped_scenario, (10, 30, 60))]
+    )
+    def test_kkt_band_and_arrow_constant_in_T(self, scenario, horizons):
+        """The Newton matrix's band and arrow do not grow with the horizon."""
+        arrow = 12 if scenario is stepping_scenario else 0
+        for T in horizons:
+            p = build_sequential(scenario(T))
+            kkt = KKTSystem(p, p.compiled_ineq(), None)
+            ab, W, C = kkt._blocks
+            assert ab.shape[0] == 35
+            assert kkt.arrow_order.size == W.shape[1] == C.shape[0] == arrow
+            p = build_simultaneous(scenario(T))
+            kkt = KKTSystem(p, p.compiled_ineq(), p.compiled_eq())
+            assert kkt.kl == kkt.ku == 47
 
 
 class TestCompiled:
