@@ -97,11 +97,7 @@ def cmd_validate(args):
 
 
 def cmd_momentum(args):
-    try:
-        scn = scenario.load_scenario(args.scenario)
-    except (scenario.ParseError, scenario.SchemaViolation) as e:
-        print(f"error: {e}")
-        return EXIT_SCHEMA
+    scn = scenario.load_scenario(args.scenario)
     p = planner.momentum_problem(scn, planner.initialize_references(scn), args.formulation)
     res = solve(p, _solver_options(scn, args))
     print(
@@ -133,11 +129,7 @@ def cmd_momentum(args):
 
 
 def cmd_plan(args):
-    try:
-        scn = scenario.load_scenario(args.scenario)
-    except (scenario.ParseError, scenario.SchemaViolation) as e:
-        print(f"error: {e}")
-        return EXIT_SCHEMA
+    scn = scenario.load_scenario(args.scenario)
     try:
         traj, h, forces, report = planner.plan(
             scn, planner.PlanOptions(formulation=args.formulation)
@@ -201,11 +193,7 @@ def _bench_cell(scn, T, formulation, repeats):
 
 
 def cmd_bench(args):
-    try:
-        scn = scenario.load_scenario(args.scenario)
-    except (scenario.ParseError, scenario.SchemaViolation) as e:
-        print(f"error: {e}")
-        return EXIT_SCHEMA
+    scn = scenario.load_scenario(args.scenario)
     t_list = [int(v) for v in args.T_list.split(",")]
     rows = [_bench_cell(scn, T, args.formulation, args.repeats) for T in t_list]
     # the file keeps the option's spelling: seq | sim
@@ -255,6 +243,9 @@ def main(argv=None):
         args.formulation = FORMULATIONS[args.formulation]
     try:
         return args.fn(args)
+    except (scenario.ParseError, scenario.SchemaViolation) as e:
+        print(f"error: {e}")
+        return EXIT_SCHEMA
     except (QPSubproblemInfeasible, NormalForceNonPositive) as e:
         print(f"error: {type(e).__name__}: {e}")
         return EXIT_NUMERIC

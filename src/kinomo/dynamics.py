@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .contact import ContactPhase, ContactWrenchCom, ContactWrenchCop, cop_to_com
+from .contact import ContactWrenchCom, ContactWrenchCop, cop_to_com
 
 
 @dataclass(frozen=True)

@@ -22,9 +22,6 @@ import numpy as np
 # congruence transforms accumulates slightly negative eigenvalues).
 PSD_TOL = 1e-10
 
-# Frobenius threshold below which a matching (Q, P) pair is dropped.
-SIMPLIFY_TOL = 1e-12
-
 
 class DimensionMismatch(ValueError):
     pass
@@ -70,23 +67,17 @@ def _merge_terms(terms):
 
 
 def _simplify(plus, minus):
-    """Drop a (Q, P) pair whose difference vanishes (affine in disguise)."""
-    for t in (plus, minus):
-        if t is not None and np.abs(t.mat).max(initial=0.0) == 0.0:
-            if t is plus:
-                plus = None
-            else:
-                minus = None
-    if plus is None or minus is None:
-        return plus, minus
-    idx = np.unique(np.concatenate([plus.idx, minus.idx]))
-    pos = {int(g): i for i, g in enumerate(idx)}
-    diff = np.zeros((idx.size, idx.size))
-    for t, sign in ((plus, 1.0), (minus, -1.0)):
-        loc = np.array([pos[int(g)] for g in t.idx], dtype=np.intp)
-        diff[np.ix_(loc, loc)] += sign * t.mat
-    scale = max(1.0, np.linalg.norm(plus.mat))
-    if np.linalg.norm(diff) <= SIMPLIFY_TOL * scale:
+    """Drop an all-zero part, and a (Q, P) pair that is exactly equal (the
+    row is affine in disguise, e.g. a cross product with a constant
+    factor)."""
+    if plus is not None and not plus.mat.any():
+        plus = None
+    if minus is not None and not minus.mat.any():
+        minus = None
+    if (
+        plus is not None and minus is not None
+        and np.array_equal(plus.idx, minus.idx) and np.array_equal(plus.mat, minus.mat)
+    ):
         return None, None
     return plus, minus
 
@@ -167,16 +158,13 @@ def make_affine(A, a):
     a = np.atleast_1d(np.asarray(a, dtype=float))
     if A.shape[0] != a.shape[0]:
         raise DimensionMismatch(f"A has {A.shape[0]} rows but a has {a.shape[0]}")
-    rows = []
-    for i in range(A.shape[0]):
-        nz = np.nonzero(A[i])[0]
-        rows.append(QpmRow(nz.astype(np.intp), A[i, nz].copy(), float(a[i])))
-    return QpmFunction(A.shape[1], rows)
+    cols = np.arange(A.shape[1])
+    return affine_from_rows(A.shape[1], [(cols, row, c) for row, c in zip(A, a)])
 
 
 def affine_from_rows(input_dim, rows):
     """Sparse affine constructor; ``rows`` is a list of (idx, val, const).
-    Zero coefficients are dropped, as in make_affine."""
+    Zero coefficients are dropped."""
     out = []
     for idx, val, const in rows:
         val = np.asarray(val, dtype=float)

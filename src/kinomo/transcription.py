@@ -157,71 +157,70 @@ def _layout(scn, kind):
 # compiled evaluation (sparse, linear-time in T)
 
 
+def _cat(parts, dtype=float):
+    return np.concatenate(parts).astype(dtype, copy=False) if parts else np.zeros(0, dtype)
+
+
 class CompiledVectorFunction:
     """Stacked Q+/- rows compiled to sparse form.
 
-    value(x) and jacobian(x) reuse one fixed CSR pattern; the Jacobian
-    data is affine in x (J = A + reshape(M x)). hessian_combo assembles
-    sum_i psd_part(c_i (Q_i - P_i)) without ever merging Q - P.
+    Each row's curvature is stored once: one set of (row, i, j, value)
+    arrays for the Q parts and one for the P parts, each holding only the
+    entries on and below the diagonal, exact zeros dropped. value(x) and
+    jacobian(x) reuse one fixed CSR pattern; the Jacobian data is affine
+    in x (J = A + reshape(M x)), where M, built from those sets, holds
+    2 (Q - P)_ij at (i, j) and, off the diagonal, at its mirror (j, i),
+    and stores no entry where Q and P cancel. hessian_combo assembles
+    sum_i psd_part(c_i (Q_i - P_i)) from the same sets without ever
+    merging Q - P.
     """
 
     def __init__(self, fns, n):
         rows = [r for fn in fns for r in fn.rows]
         m = len(rows)
         self.m, self.n = m, n
-        indptr = np.zeros(m + 1, dtype=np.intp)
-        indices = []
-        base = []
-        Mr, Mc, Mv = [], [], []
-        qrow, qi, qj, qv = [], [], [], []
-        prow, pi, pj, pv = [], [], [], []
         self.b = np.array([r.const for r in rows])
-        for i, r in enumerate(rows):
-            sup = r.support()
-            indptr[i + 1] = indptr[i] + sup.size
-            indices.append(sup)
-            lin = np.zeros(sup.size)
-            if r.lin_idx.size:
-                lin[np.searchsorted(sup, r.lin_idx)] = r.lin_val
-            base.append(lin)
-            for term, sign, rws, ii, jj, vv in (
-                (r.plus, 1.0, qrow, qi, qj, qv),
-                (r.minus, -1.0, prow, pi, pj, pv),
-            ):
-                if term is None:
-                    continue
-                k = term.idx.size
-                # int32 indices: these arrays hold an entry per (row, Q/P
-                # entry), the bulk of a compiled problem's memory
-                idx = term.idx.astype(np.int32)
-                pos = (indptr[i] + np.searchsorted(sup, term.idx)).astype(np.int32)
-                Mr.append(np.repeat(pos, k))
-                Mc.append(np.tile(idx, k))
-                Mv.append(2.0 * sign * term.mat.ravel())
-                rws.append(np.full(k * k, i, dtype=np.int32))
-                ii.append(np.repeat(idx, k))
-                jj.append(np.tile(idx, k))
-                vv.append(term.mat.ravel())
-        self.indptr = indptr
-        self.indices = np.concatenate(indices) if indices else np.zeros(0, dtype=np.intp)
-        self.base = np.concatenate(base) if base else np.zeros(0)
+        sups = [r.support() for r in rows]
+        self.indptr = np.cumsum([0] + [s.size for s in sups], dtype=np.intp)
+        self.indices = _cat(sups, np.intp)
         nnz = self.indices.size
+        # row-major keys of the CSR pattern, ascending: the entry (row, col)
+        # sits where its key falls among them
+        keys = np.repeat(np.arange(m, dtype=np.int64), np.diff(self.indptr)) * n + self.indices
 
-        def cat(parts, dtype=float):
-            return np.concatenate(parts) if parts else np.zeros(0, dtype=dtype)
+        def pos(row, col):
+            return np.searchsorted(keys, row.astype(np.int64) * n + col)
 
+        lin_rows = np.repeat(np.arange(m), [r.lin_idx.size for r in rows])
+        lin_pos = pos(lin_rows, _cat([r.lin_idx for r in rows], np.intp))
+        self.base = np.zeros(nnz)
+        self.base[lin_pos] = _cat([r.lin_val for r in rows])
+
+        curv = (([], [], [], []), ([], [], [], []))  # Q, P: row, i, j, value
+        for k, r in enumerate(rows):
+            for lists, term in zip(curv, (r.plus, r.minus)):
+                if term is not None:
+                    a, b = np.nonzero(np.tril(term.mat))
+                    entries = (np.full(a.size, k), term.idx[a], term.idx[b], term.mat[a, b])
+                    for lst, e in zip(lists, entries):
+                        lst.append(e)
+        # int32 indices: these arrays hold an entry per stored Q/P entry,
+        # the bulk of a compiled problem's memory
+        self._curv = [
+            tuple(_cat(lst, dt) for lst, dt in zip(lists, (np.int32, np.int32, np.int32, float)))
+            for lists in curv
+        ]
+        Mr, Mc, Mv = [], [], []
+        for (rw, i, j, v), scale in zip(self._curv, (2.0, -2.0)):
+            off = i != j
+            Mr += [pos(rw, i), pos(rw[off], j[off])]
+            Mc += [j, i[off]]
+            Mv += [scale * v, scale * v[off]]
         self._M = sp.csr_matrix(
-            (cat(Mv), (cat(Mr, np.int32), cat(Mc, np.int32))), shape=(nnz, n)
+            (np.concatenate(Mv), (np.concatenate(Mr), np.concatenate(Mc))), shape=(nnz, n)
         )
-        self._qrow, self._qi, self._qj, self._qv = (
-            cat(qrow, np.int32), cat(qi, np.int32), cat(qj, np.int32), cat(qv),
-        )
-        self._prow, self._pi, self._pj, self._pv = (
-            cat(prow, np.int32), cat(pi, np.int32), cat(pj, np.int32), cat(pv),
-        )
-        self._rowsum = sp.csr_matrix(
-            (np.ones(nnz), self.indices * 0 + np.arange(nnz), indptr), shape=(m, nnz)
-        )
+        self._M.eliminate_zeros()
+        self._rowsum = sp.csr_matrix((np.ones(nnz), np.arange(nnz), self.indptr), shape=(m, nnz))
 
     def value(self, x, jac=None):
         """Row values at x. Given jac = jacobian(x), its data stands in for
@@ -234,17 +233,10 @@ class CompiledVectorFunction:
         return sp.csr_matrix((data, self.indices, self.indptr), shape=(self.m, self.n))
 
     def curvature_entries(self):
-        """The stored Q and P entries on and below the diagonal, each as
-        (row, i, j, value) arrays: the fixed data that hessian_combo
+        """The stored Q and P entries, each as (row, i, j, value) arrays
+        with i >= j and value != 0: the fixed data that hessian_combo
         scales by the row coefficients."""
-        out = []
-        for rows, ii, jj, vv in (
-            (self._qrow, self._qi, self._qj, self._qv),
-            (self._prow, self._pi, self._pj, self._pv),
-        ):
-            low = ii >= jj
-            out.append((rows[low], ii[low], jj[low], vv[low]))
-        return out
+        return self._curv
 
     def hessian_combo(self, coeffs, convexify=True):
         """sum_i c_i * (Q_i - P_i), convexified to its PSD part per row:
@@ -253,18 +245,17 @@ class CompiledVectorFunction:
         if coeffs.shape != (self.m,):
             raise qpm.DimensionMismatch(f"expected {self.m} coefficients")
         if convexify:
-            dq = np.maximum(coeffs, 0.0)[self._qrow] * self._qv
-            dp = np.maximum(-coeffs, 0.0)[self._prow] * self._pv
+            cq, cp = np.maximum(coeffs, 0.0), np.maximum(-coeffs, 0.0)
         else:
-            dq = coeffs[self._qrow] * self._qv
-            dp = -coeffs[self._prow] * self._pv
+            cq, cp = coeffs, -coeffs
+        (qr, qi, qj, qv), (pr, pi, pj, pv) = self._curv
+        i, j = np.concatenate([qi, pi]), np.concatenate([qj, pj])
+        v = np.concatenate([cq[qr] * qv, cp[pr] * pv])
+        off = i != j  # the lower triangle, mirrored
         return sp.coo_matrix(
             (
-                np.concatenate([dq, dp]),
-                (
-                    np.concatenate([self._qi, self._pi]),
-                    np.concatenate([self._qj, self._pj]),
-                ),
+                np.concatenate([v, v[off]]),
+                (np.concatenate([i, j[off]]), np.concatenate([j, i[off]])),
             ),
             shape=(self.n, self.n),
         ).tocsr()

@@ -113,9 +113,11 @@ class TestMomentum:
         assert capsys.readouterr().out.splitlines()[-1].startswith("error:")
         assert not (tmp_path / "stand_contacts.csv").exists()
 
-    def test_missing_file(self, tmp_path):
-        assert cli.main(["momentum", str(tmp_path / "nope.json"),
+    @pytest.mark.parametrize("command", ["momentum", "plan", "bench"])
+    def test_missing_file(self, command, tmp_path, capsys):
+        assert cli.main([command, str(tmp_path / "nope.json"),
                          "--out-dir", str(tmp_path)]) == 2
+        assert capsys.readouterr().out.startswith("error:")
 
 
 class TestPlan:

@@ -402,6 +402,9 @@ class TestCompiled:
             fns = [p.compiled_ineq()] + ([p.compiled_eq()] if p.n_eq else [])
             for fn in fns:
                 assert np.all(fn.jacobian(x).data != 0)
+                assert np.all(fn._M.data != 0)
+                for _, i, j, v in fn.curvature_entries():
+                    assert np.all(v != 0) and np.all(i >= j)
             assert np.all(p.compiled_objective().H.data != 0)
 
     def test_objective_matches_symbolic(self):
@@ -482,6 +485,33 @@ class TestConvexifiedHessian:
             for _ in range(10):
                 z = rng.normal(size=p.n)
                 assert z @ (gap @ z) >= -1e-9 * (z @ z)
+
+
+    @pytest.mark.parametrize("convexify", [True, False])
+    def test_combo_matches_symbolic_parts(self, convexify):
+        """hessian_combo against the dense Q_i and P_i of the symbolic rows,
+        summed independently of the compiled store."""
+        rng = np.random.default_rng(11)
+        for build in (build_sequential, build_simultaneous):
+            p = build(stepping_scenario())
+            if build is build_sequential:
+                comp, fns = p.compiled_ineq(), list(p.ineq_affine) + list(p.ineq_qpm)
+            else:
+                comp, fns = p.compiled_eq(), p.eq_constraints
+            c = rng.normal(size=comp.m)
+            ref = np.zeros((p.n, p.n))
+            k = 0
+            for fn in fns:
+                for i in range(fn.output_dim):
+                    Q, P = qpm.hessian_parts(fn, i)
+                    if convexify:
+                        ref += max(c[k], 0.0) * Q + max(-c[k], 0.0) * P
+                    else:
+                        ref += c[k] * (Q - P)
+                    k += 1
+            assert np.abs(ref).max() > 0
+            H = comp.hessian_combo(c, convexify=convexify).toarray()
+            assert np.allclose(H, ref, rtol=0, atol=1e-12)
 
 
 class TestScenarioValidation:
