@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import qpm
 
@@ -180,38 +181,38 @@ def build_affine_contact_constraints(phase: ContactPhase):
     return qpm.make_affine(A, a)
 
 
-def build_cop_qpm_constraints(phase: ContactPhase, r_map, f_map, kappa_map):
+def build_cop_qpm_constraints(phases, r_map, f_map, kappa_map):
     """Support-rectangle constraints as Q+/- rows over the CoM representation.
 
-    r_map, f_map and kappa_map are affine functions of a shared decision
-    vector giving the CoM position, world contact force and CoM torque.
-    The four rows, multiplied through by the (positive) normal force, are
+    phases lists the phase of each contact sample; r_map, f_map and
+    kappa_map are affine functions of a shared decision vector with three
+    rows per sample, giving the CoM position, the world contact force and
+    the torque about the CoM. The four rows of a sample, multiplied
+    through by the (positive) normal force, are
 
         (p_max +/- c_hat) R_z^T f +/- [[0,1],[-1,0]] m >= 0,
         m = R_xy^T kappa + R_xy^T ((r - t) x f),
 
-    one affine map of (f, kappa, (r - t) x f); the cross product carries
-    its Q/P matrices through affine composition only (no
-    eigendecomposition at build time).
+    one affine map of (f, kappa, (r - t) x f) for every sample at once; the
+    cross product carries its Q/P entries through affine composition only
+    (no eigendecomposition at build time).
     """
     for name, fn in (("r_map", r_map), ("f_map", f_map), ("kappa_map", kappa_map)):
         if not fn.is_affine():
             raise ValueError(f"{name} must be affine")
-    s = phase.surface
-    rt = qpm.affine_after(np.eye(3), -s.t, r_map)
-    cross = qpm.compose_affine(qpm.cross_product_qpm(), qpm.stack([rt, f_map]))
-    pmx, pmy = s.p_max
-    cx, cy = phase.c_hat
-    rx, ry = s.R_xy.T
-    C = np.array(
-        [
-            np.concatenate([(pmx + cx) * s.R_z, ry, ry]),   # upper x
-            np.concatenate([(pmy + cy) * s.R_z, -rx, -rx]),  # upper y
-            np.concatenate([(pmx - cx) * s.R_z, -ry, -ry]),  # lower x
-            np.concatenate([(pmy - cy) * s.R_z, rx, rx]),   # lower y
-        ]
-    )
-    return qpm.affine_after(C, np.zeros(4), qpm.stack([f_map, kappa_map, cross]))
+    R = np.array([ph.surface.R for ph in phases])
+    t = np.array([ph.surface.t for ph in phases])
+    pmx, pmy = np.array([ph.surface.p_max for ph in phases]).T
+    cx, cy = np.array([ph.c_hat for ph in phases]).T
+    rt = qpm.affine_after(sp.identity(t.size), -t.ravel(), r_map)
+    cross = qpm.cross(rt, f_map)
+    rx, ry, rz = R[:, :, 0], R[:, :, 1], R[:, :, 2]
+    # rows: upper x, upper y, lower x, lower y
+    normal = np.stack([(pmx + cx)[:, None] * rz, (pmy + cy)[:, None] * rz,
+                       (pmx - cx)[:, None] * rz, (pmy - cy)[:, None] * rz], axis=1)
+    moment = qpm.block_diag(np.stack([ry, -rx, -ry, rx], axis=1))
+    C = sp.hstack([qpm.block_diag(normal), moment, moment])
+    return qpm.affine_after(C, 0.0, qpm.stack([f_map, kappa_map, cross]))
 
 
 def cop_wrench_feasibility(phase: ContactPhase, w: ContactWrenchCop, tol=0.0):

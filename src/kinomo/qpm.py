@@ -1,151 +1,111 @@
 """Calculus of affine and difference-of-PSD quadratic vector functions.
 
-Every function handled here maps R^n -> R^m where row i evaluates to
+Every function handled here maps R^n -> R^m where row r evaluates to
 
-    s_i(x) = x^T Q_i x - x^T P_i x + q_i^T x + c_i
+    s_r(x) = x^T Q_r x - x^T P_r x + A_r x + b_r
 
-with Q_i, P_i positive semidefinite and stored separately on small index
-supports. Affine functions are the special case Q_i = P_i = 0. The class
-is closed under addition, scalar multiplication and composition with
-affine maps, and all constructors below preserve the separation of the
-two PSD parts (the indefinite difference Q_i - P_i is never stored).
+with Q_r, P_r positive semidefinite and stored separately (the indefinite
+difference Q_r - P_r is never stored). A function holds all its rows in
+one set of arrays: the linear part as a CSR matrix A and a vector b, and
+each of the Q and P parts as (row, i, j, value) arrays of the nonzero
+entries on and below the diagonal, sorted by (row, i, j), with int32
+indices. Affine functions are the special case of empty Q and P.
+
+The class is closed under stacking, affine maps of the output
+(affine_after, linear_combine, select_rows) and composition with an
+affine inner map (compose_affine). Each operation acts on all rows at
+once and keeps the two PSD parts apart, so a constraint family over every
+step and contact sample is one expression.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
+import scipy.sparse as sp
 
 # Tolerance for PSD validity checks (round-off from repeated affine
 # congruence transforms accumulates slightly negative eigenvalues).
 PSD_TOL = 1e-10
+
+_NO_ENTRIES = (np.zeros(0, np.int32),) * 3 + (np.zeros(0),)
 
 
 class DimensionMismatch(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class QuadTerm:
-    """PSD quadratic form ``x[idx]^T mat x[idx]`` on a small index support."""
-
-    idx: np.ndarray  # sorted unique global indices, shape (k,)
-    mat: np.ndarray  # (k, k) symmetric PSD
-
-    def value(self, x):
-        xs = x[self.idx]
-        return float(xs @ self.mat @ xs)
-
-    def add_gradient(self, x, out, scale=1.0):
-        out[self.idx] += (2.0 * scale) * (self.mat @ x[self.idx])
-
-    def dense(self, n):
-        m = np.zeros((n, n))
-        m[np.ix_(self.idx, self.idx)] = self.mat
-        return m
-
-    def scaled(self, beta):
-        return QuadTerm(self.idx, beta * self.mat)
+def _summed(part, n):
+    """Sorted (row, i, j) keys of a quadratic part and their values:
+    duplicates summed in the order given, exact zeros dropped."""
+    row, i, j, v = part
+    key = (np.asarray(row, np.int64) * n + i) * n + j
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    first = np.ones(key.size, dtype=bool)
+    first[1:] = key[1:] != key[:-1]
+    seg = np.empty(key.size, dtype=np.intp)
+    seg[order] = np.cumsum(first) - 1
+    # bincount adds in index order, so each sum runs in the order given
+    val = np.bincount(seg, weights=v, minlength=int(first.sum())).astype(float, copy=False)
+    keep = val != 0.0
+    return key[first][keep], val[keep]
 
 
-def _merge_terms(terms):
-    """Sum a list of QuadTerms (PSD is preserved under addition)."""
-    terms = [t for t in terms if t is not None]
-    if not terms:
-        return None
-    if len(terms) == 1:
-        return terms[0]
-    idx = np.unique(np.concatenate([t.idx for t in terms]))
-    pos = {int(g): i for i, g in enumerate(idx)}
-    mat = np.zeros((idx.size, idx.size))
-    for t in terms:
-        loc = np.array([pos[int(g)] for g in t.idx], dtype=np.intp)
-        mat[np.ix_(loc, loc)] += t.mat
-    return QuadTerm(idx, mat)
+def _equal_rows(kq, vq, kp, vp, n, m):
+    """Rows whose Q and P entries are exactly equal: the row is affine in
+    disguise (e.g. a cross product with a constant factor)."""
+    same = np.zeros(m, dtype=bool)
+    if kq.size and kp.size:
+        pos = np.searchsorted(kp, kq).clip(max=kp.size - 1)
+        hit = (kp[pos] == kq) & (vp[pos] == vq)
+        rq, rp = kq // (n * n), kp // (n * n)
+        nq = np.bincount(rq, minlength=m)
+        same = (nq == np.bincount(rp, minlength=m)) & (np.bincount(rq[hit], minlength=m) == nq)
+    return same
 
 
-def _simplify(plus, minus):
-    """Drop an all-zero part, and a (Q, P) pair that is exactly equal (the
-    row is affine in disguise, e.g. a cross product with a constant
-    factor)."""
-    if plus is not None and not plus.mat.any():
-        plus = None
-    if minus is not None and not minus.mat.any():
-        minus = None
-    if (
-        plus is not None and minus is not None
-        and np.array_equal(plus.idx, minus.idx) and np.array_equal(plus.mat, minus.mat)
-    ):
-        return None, None
-    return plus, minus
-
-
-@dataclass(frozen=True)
-class QpmRow:
-    lin_idx: np.ndarray
-    lin_val: np.ndarray
-    const: float
-    plus: Optional[QuadTerm] = None
-    minus: Optional[QuadTerm] = None
-
-    def value(self, x):
-        v = self.const + float(self.lin_val @ x[self.lin_idx])
-        if self.plus is not None:
-            v += self.plus.value(x)
-        if self.minus is not None:
-            v -= self.minus.value(x)
-        return v
-
-    def add_gradient(self, x, out, scale=1.0):
-        out[self.lin_idx] += scale * self.lin_val
-        if self.plus is not None:
-            self.plus.add_gradient(x, out, scale)
-        if self.minus is not None:
-            self.minus.add_gradient(x, out, -scale)
-
-    def support(self):
-        parts = [self.lin_idx]
-        if self.plus is not None:
-            parts.append(self.plus.idx)
-        if self.minus is not None:
-            parts.append(self.minus.idx)
-        return np.unique(np.concatenate(parts)) if parts else self.lin_idx
-
-    def is_affine(self):
-        return self.plus is None and self.minus is None
-
-
-def _make_row(lin, const, plus=None, minus=None):
-    if lin:
-        items = sorted(lin.items())
-        idx = np.array([k for k, _ in items], dtype=np.intp)
-        val = np.array([v for _, v in items])
-        keep = val != 0.0
-        idx, val = idx[keep], val[keep]
-    else:
-        idx = np.zeros(0, dtype=np.intp)
-        val = np.zeros(0)
-    return QpmRow(idx, val, float(const), plus, minus)
+def _ranges(start, count):
+    """The concatenated index ranges [start_k, start_k + count_k)."""
+    return np.repeat(start - np.cumsum(count) + count, count) + np.arange(count.sum())
 
 
 class QpmFunction:
-    """Vector-valued function with per-row separated PSD quadratic parts."""
+    """Vector function x -> A x + b + (x'Q_r x - x'P_r x)_r on R^n.
 
-    def __init__(self, input_dim, rows):
-        self.input_dim = int(input_dim)
-        self.rows = tuple(rows)
+    A is made CSR (m x n) with duplicates summed and zeros dropped; Q and
+    P are (row, i, j, value) entry arrays with i >= j, duplicates summed
+    in the order given. Both parts of a row whose Q and P entries are
+    exactly equal are dropped.
+    """
+
+    def __init__(self, input_dim, A, b, Q=_NO_ENTRIES, P=_NO_ENTRIES):
+        n = self.input_dim = int(input_dim)
+        self.b = np.atleast_1d(np.asarray(b, dtype=float))
+        m = self.b.size
+        self.A = A = sp.csr_matrix(A, dtype=float)
+        if A.shape != (m, n):
+            raise DimensionMismatch(f"A is {A.shape}, expected ({m}, {n})")
+        A.sum_duplicates()
+        A.eliminate_zeros()
+        (kq, vq), (kp, vp) = _summed(Q, n), _summed(P, n)
+        same = _equal_rows(kq, vq, kp, vp, n, m)
+
+        def entries(key, val):
+            keep = ~same[key // (n * n)]
+            r, ij = np.divmod(key[keep], n * n)
+            return (r.astype(np.int32), *(a.astype(np.int32) for a in np.divmod(ij, n)), val[keep])
+
+        self.Q, self.P = entries(kq, vq), entries(kp, vp)
 
     @property
     def output_dim(self):
-        return len(self.rows)
+        return self.b.size
 
     def __call__(self, x):
         return evaluate(self, x)
 
     def is_affine(self):
-        return all(r.is_affine() for r in self.rows)
+        return not (self.Q[0].size or self.P[0].size)
 
 
 # ---------------------------------------------------------------------------
@@ -158,21 +118,16 @@ def make_affine(A, a):
     a = np.atleast_1d(np.asarray(a, dtype=float))
     if A.shape[0] != a.shape[0]:
         raise DimensionMismatch(f"A has {A.shape[0]} rows but a has {a.shape[0]}")
-    cols = np.arange(A.shape[1])
-    return affine_from_rows(A.shape[1], [(cols, row, c) for row, c in zip(A, a)])
+    return QpmFunction(A.shape[1], A, a)
 
 
-def affine_from_rows(input_dim, rows):
-    """Sparse affine constructor; ``rows`` is a list of (idx, val, const).
-    Zero coefficients are dropped."""
-    out = []
-    for idx, val, const in rows:
-        val = np.asarray(val, dtype=float)
-        keep = val != 0.0
-        idx = np.asarray(idx, dtype=np.intp)[keep]
-        order = np.argsort(idx)
-        out.append(QpmRow(idx[order], val[keep][order], float(const)))
-    return QpmFunction(input_dim, out)
+def block_diag(blocks):
+    """CSR block-diagonal matrix of a (k, r, c) stack of dense blocks."""
+    k, r, c = blocks.shape
+    s, i, j = np.indices(blocks.shape)
+    return sp.csr_matrix(
+        (blocks.ravel(), ((s * r + i).ravel(), (s * c + j).ravel())), shape=(k * r, k * c)
+    )
 
 
 # The cross product a x b on z = (a, b) in R^6: each row is z_p z_q - z_u z_v,
@@ -184,61 +139,139 @@ _CROSS_PAIRS = (
 )
 
 
-def _pair_outer(p, q, sign, idx):
-    # 1/4 (e_p + sign*e_q)(e_p + sign*e_q)^T restricted to the support idx
-    pos = {int(g): i for i, g in enumerate(idx)}
-    v = np.zeros(idx.size)
-    v[pos[p]] = 1.0
-    v[pos[q]] = sign
-    return 0.25 * np.outer(v, v)
+def _cross_pairs(k):
+    """The cross products of k pairs (a_l, b_l) on z = (a_0..a_{k-1},
+    b_0..b_{k-1}) in R^{6k}: row 3l + c is component c of a_l x b_l, with
+    Q = 1/4 (e_p + e_q)(e_p + e_q)' + 1/4 (e_u - e_v)(e_u - e_v)' and P
+    the sign-swapped pair."""
+    row, i, j, q = [], [], [], []
+    for c, pairs in enumerate(_CROSS_PAIRS):
+        for (a, b), sign in zip(pairs, (1.0, -1.0)):
+            # b indexes the second factor, so (b, a) is below the diagonal
+            row += [c, c, c]
+            i += [a, b, b]
+            j += [a, b, a]
+            q += [0.25, 0.25, 0.25 * sign]
+    row, i, j, q = map(np.array, (row, i, j, q))
+    p = np.where(i == j, q, -q)
+    lb = np.arange(k)[:, None]
+    row = (3 * lb + row).ravel()
+
+    def spread(idx):  # an index of the one-pair template, for pair l
+        return np.where(idx < 3, 3 * lb + idx, 3 * k + 3 * lb + idx - 3).ravel()
+
+    i, j = spread(i), spread(j)
+    return QpmFunction(6 * k, sp.csr_matrix((3 * k, 6 * k)), np.zeros(3 * k),
+                       (row, i, j, np.tile(q, k)), (row, i, j, np.tile(p, k)))
 
 
 def cross_product_qpm():
     """s(a, b) = a x b as a Q+/- function on R^6, constants built offline."""
-    rows = []
-    for (p, q), (u, v) in _CROSS_PAIRS:
-        idx = np.array(sorted((p, q, u, v)), dtype=np.intp)
-        qmat = _pair_outer(p, q, 1.0, idx) + _pair_outer(u, v, -1.0, idx)
-        pmat = _pair_outer(p, q, -1.0, idx) + _pair_outer(u, v, 1.0, idx)
-        rows.append(
-            QpmRow(
-                np.zeros(0, dtype=np.intp),
-                np.zeros(0),
-                0.0,
-                QuadTerm(idx, qmat),
-                QuadTerm(idx, pmat),
-            )
-        )
-    return QpmFunction(6, rows)
+    return _cross_pairs(1)
 
 
 # ---------------------------------------------------------------------------
 # closure operations
 
 
-def _congruence(term, s):
-    """Push a quadratic term through the affine inner map s.
+def _carry(part, other, m, o, r, scale, keep):
+    """Entries for output rows o: input row r's entries of ``part`` where
+    ``keep``, else of ``other``, scaled by ``scale``, in the order given;
+    m is the number of input rows."""
+    both = [np.concatenate([a, b]) for a, b in zip(part, other)]
+    ptr_a = np.searchsorted(part[0], np.arange(m + 1))
+    ptr_b = np.searchsorted(other[0], np.arange(m + 1)) + part[0].size
+    start = np.where(keep, ptr_a[r], ptr_b[r])
+    count = np.where(keep, ptr_a[r + 1], ptr_b[r + 1]) - start
+    idx = _ranges(start, count)
+    return np.repeat(o, count), both[1][idx], both[2][idx], np.repeat(scale, count) * both[3][idx]
 
-    Returns (new_term_or_None, linear_dict, const) with
-    (s(x))[idx]^T M (s(x))[idx] = x^T M' x + lin^T x + const.
-    """
-    inner = [s.rows[int(j)] for j in term.idx]
-    b = np.array([r.const for r in inner])
-    sup = [r.lin_idx for r in inner if r.lin_idx.size]
-    if not sup:
-        return None, {}, float(b @ term.mat @ b)
-    J = np.unique(np.concatenate(sup))
-    pos = {int(g): i for i, g in enumerate(J)}
-    B = np.zeros((len(inner), J.size))
-    for k, r in enumerate(inner):
-        for j, v in zip(r.lin_idx, r.lin_val):
-            B[k, pos[int(j)]] = v
-    M2 = B.T @ term.mat @ B
-    M2 = 0.5 * (M2 + M2.T)
-    lin_vec = 2.0 * (B.T @ (term.mat @ b))
-    lin = {int(g): lin_vec[i] for i, g in enumerate(J) if lin_vec[i] != 0.0}
-    new_term = QuadTerm(J, M2) if np.abs(M2).max(initial=0.0) > 0.0 else None
-    return new_term, lin, float(b @ term.mat @ b)
+
+def affine_after(C, a, v):
+    """u(v(x)) for an affine outer map u(y) = C y + a: A' = C A and
+    b' = C b + a. Each entry (o, r, beta) of C carries row r's Q into row
+    o's Q and its P into P, scaled by |beta|; a negative beta swaps them."""
+    C = sp.csr_matrix(C, dtype=float)
+    C.sum_duplicates()
+    C.eliminate_zeros()
+    if C.shape[1] != v.output_dim:
+        raise DimensionMismatch("outer map width must match v output dim")
+    o = np.repeat(np.arange(C.shape[0]), np.diff(C.indptr))
+    r, beta = C.indices, C.data
+    pos = beta > 0
+    m = v.output_dim
+    Q = _carry(v.Q, v.P, m, o, r, np.abs(beta), pos)
+    P = _carry(v.P, v.Q, m, o, r, np.abs(beta), pos)
+    return QpmFunction(v.input_dim, C @ v.A, C @ v.b + a, Q, P)
+
+
+def linear_combine(terms):
+    """Sum beta_k * v_k over functions sharing input and output dims."""
+    terms = list(terms)
+    if not terms:
+        raise ValueError("empty combination")
+    m = terms[0][1].output_dim
+    if any(v.output_dim != m for _, v in terms):
+        raise DimensionMismatch("all terms must share input/output dims")
+    C = sp.hstack([beta * sp.identity(m) for beta, _ in terms])
+    return affine_after(C, 0.0, stack([v for _, v in terms]))
+
+
+def select_rows(v, rows):
+    """The rows of v in the order given; a row may repeat."""
+    select = sp.identity(v.output_dim, format="csr")[np.asarray(rows, dtype=np.intp)]
+    return affine_after(select, 0.0, v)
+
+
+def stack(fns):
+    """Concatenate the rows of functions sharing an input dimension."""
+    fns = list(fns)
+    n = fns[0].input_dim
+    if any(f.input_dim != n for f in fns):
+        raise DimensionMismatch("stacked functions must share input dim")
+    off = np.cumsum([0] + [f.output_dim for f in fns])
+
+    def cat(part):
+        entries = [getattr(f, part) for f in fns]
+        rows = np.concatenate([e[0] + k for e, k in zip(entries, off)])
+        return (rows,) + tuple(np.concatenate([e[c] for e in entries]) for c in (1, 2, 3))
+
+    A = sp.vstack([f.A for f in fns], format="csr")
+    return QpmFunction(n, A, np.concatenate([f.b for f in fns]), cat("Q"), cat("P"))
+
+
+def _through(part, S, c):
+    """A quadratic part of the outer rows pushed through y = S x + c:
+    (Sx + c)' Q_r (Sx + c) = x' S'Q_r S x + 2 c'Q_r S x + c'Q_r c.
+
+    Returns the entries of S'Q_r S (k >= l), the (row, k, value) entries
+    of 2 S'Q_r c and c'Q_r c per row."""
+    row, i, j, val = part
+    off = i != j
+    # every (a, b) with Q_ab != 0: the stored entries and, off the
+    # diagonal, their mirrors
+    pr, pa, pb, pv = (
+        np.concatenate([a, b[off]]) for a, b in ((row, row), (i, j), (j, i), (val, val))
+    )
+    length = np.diff(S.indptr)
+    la, lb = length[pa], length[pb]
+    count = la * lb
+    pid = np.repeat(np.arange(pa.size), count)
+    t = _ranges(np.zeros_like(count), count)
+    ka = S.indptr[pa][pid] + t // lb[pid]
+    kb = S.indptr[pb][pid] + t % lb[pid]
+    k, l = S.indices[ka], S.indices[kb]
+    low = k >= l
+    quad = (pr[pid][low], k[low], l[low], (pv[pid] * S.data[ka] * S.data[kb])[low])
+    # u = Q_r c, one value per (row, a), then S'u and c'u
+    hit = c[pb] != 0.0
+    ukey, uinv = np.unique(pr[hit].astype(np.int64) * c.size + pa[hit], return_inverse=True)
+    u = np.bincount(uinv, weights=pv[hit] * c[pb[hit]], minlength=ukey.size)
+    urow, ua = np.divmod(ukey, c.size)
+    reps = length[ua]
+    idx = _ranges(S.indptr[ua], reps)
+    lin = (np.repeat(urow, reps), S.indices[idx], 2.0 * (S.data[idx] * np.repeat(u, reps)))
+    return quad, lin, u * c[ua], urow
 
 
 def compose_affine(v, s):
@@ -249,140 +282,82 @@ def compose_affine(v, s):
         raise DimensionMismatch(
             f"outer expects {v.input_dim} inputs, inner produces {s.output_dim}"
         )
-    rows_out = []
-    for row in v.rows:
-        lin = {}
-        const = row.const
-        for j, w in zip(row.lin_idx, row.lin_val):
-            sr = s.rows[int(j)]
-            const += w * sr.const
-            for g, val in zip(sr.lin_idx, sr.lin_val):
-                g = int(g)
-                lin[g] = lin.get(g, 0.0) + w * val
-        plus = minus = None
-        for term, sign in ((row.plus, 1.0), (row.minus, -1.0)):
-            if term is None:
-                continue
-            new_term, lin_c, const_c = _congruence(term, s)
-            const += sign * const_c
-            for g, val in lin_c.items():
-                lin[g] = lin.get(g, 0.0) + sign * val
-            if sign > 0:
-                plus = new_term
-            else:
-                minus = new_term
-        plus, minus = _simplify(plus, minus)
-        rows_out.append(_make_row(lin, const, plus, minus))
-    return QpmFunction(s.input_dim, rows_out)
+    m, n = v.output_dim, s.input_dim
+    A = v.A @ s.A
+    b = v.b + v.A @ s.b
+    quads = []
+    for part, sign in ((v.Q, 1.0), (v.P, -1.0)):
+        quad, (lr, lk, lv), const, crow = _through(part, s.A, s.b)
+        quads.append(quad)
+        A = A + sign * sp.csr_matrix((lv, (lr, lk)), shape=(m, n))
+        b = b + sign * np.bincount(crow, weights=const, minlength=m)
+    return QpmFunction(n, A, b, *quads)
 
 
-def _combine_rows(weighted_rows, extra_const=0.0):
-    lin = {}
-    const = extra_const
-    plus_terms = []
-    minus_terms = []
-    for beta, row in weighted_rows:
-        if beta == 0.0:
-            continue
-        const += beta * row.const
-        for g, val in zip(row.lin_idx, row.lin_val):
-            g = int(g)
-            lin[g] = lin.get(g, 0.0) + beta * val
-        # a negative coefficient swaps the roles of the two PSD parts
-        p, m = (row.plus, row.minus) if beta > 0 else (row.minus, row.plus)
-        ab = abs(beta)
-        if p is not None:
-            plus_terms.append(p.scaled(ab))
-        if m is not None:
-            minus_terms.append(m.scaled(ab))
-    plus, minus = _simplify(_merge_terms(plus_terms), _merge_terms(minus_terms))
-    return _make_row(lin, const, plus, minus)
-
-
-def linear_combine(terms):
-    """Sum beta_k * v_k over functions sharing input and output dims."""
-    terms = list(terms)
-    if not terms:
-        raise ValueError("empty combination")
-    n = terms[0][1].input_dim
-    m = terms[0][1].output_dim
-    for _, v in terms:
-        if v.input_dim != n or v.output_dim != m:
-            raise DimensionMismatch("all terms must share input/output dims")
-    rows = [
-        _combine_rows([(beta, v.rows[i]) for beta, v in terms]) for i in range(m)
-    ]
-    return QpmFunction(n, rows)
-
-
-def affine_after(A, a, v):
-    """u(v(x)) for an affine outer map u(y) = A y + a."""
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    if A.shape[1] != v.output_dim:
-        raise DimensionMismatch("outer map width must match v output dim")
-    rows = []
-    for i in range(A.shape[0]):
-        weighted = [(A[i, j], v.rows[j]) for j in range(v.output_dim) if A[i, j]]
-        rows.append(_combine_rows(weighted, extra_const=float(a[i])))
-    return QpmFunction(v.input_dim, rows)
-
-
-def stack(fns):
-    """Concatenate the rows of functions sharing an input dimension."""
-    fns = list(fns)
-    n = fns[0].input_dim
-    rows = []
-    for f in fns:
-        if f.input_dim != n:
-            raise DimensionMismatch("stacked functions must share input dim")
-        rows.extend(f.rows)
-    return QpmFunction(n, rows)
-
-
-def select_rows(v, indices):
-    return QpmFunction(v.input_dim, [v.rows[i] for i in indices])
+def cross(a, b):
+    """The cross products a_l x b_l of the consecutive 3-row blocks of two
+    affine functions, as 3 rows each."""
+    if a.output_dim != b.output_dim or a.output_dim % 3:
+        raise DimensionMismatch("cross needs two functions of 3k rows")
+    return compose_affine(_cross_pairs(a.output_dim // 3), stack([a, b]))
 
 
 # ---------------------------------------------------------------------------
 # evaluation
 
 
-def evaluate(v, x):
+def _check_input(v, x):
     x = np.asarray(x, dtype=float)
     if x.shape[0] != v.input_dim:
         raise DimensionMismatch(f"expected input of size {v.input_dim}")
-    return np.array([r.value(x) for r in v.rows])
+    return x
+
+
+def evaluate(v, x):
+    x = _check_input(v, x)
+    out = v.A @ x + v.b
+    for (row, i, j, val), sign in ((v.Q, 1.0), (v.P, -1.0)):
+        w = np.where(i == j, 1.0, 2.0) * val * x[i] * x[j]
+        out += sign * np.bincount(row, weights=w, minlength=v.output_dim)
+    return out
 
 
 def gradient(v, x):
-    """Dense m x n gradient; row i is 2(Q_i - P_i)x + q_i."""
-    x = np.asarray(x, dtype=float)
-    if x.shape[0] != v.input_dim:
-        raise DimensionMismatch(f"expected input of size {v.input_dim}")
-    G = np.zeros((v.output_dim, v.input_dim))
-    for i, r in enumerate(v.rows):
-        r.add_gradient(x, G[i])
+    """Dense m x n gradient; row r is 2(Q_r - P_r)x + A_r."""
+    x = _check_input(v, x)
+    G = v.A.toarray()
+    for (row, i, j, val), sign in ((v.Q, 2.0), (v.P, -2.0)):
+        np.add.at(G, (row, i), sign * val * x[j])
+        off = i != j
+        np.add.at(G, (row[off], j[off]), sign * val[off] * x[i[off]])
     return G
 
 
-def hessian_parts(v, i):
-    """Dense (Q_i, P_i) for row i; the merged difference is never formed."""
-    if not 0 <= i < v.output_dim:
-        raise IndexError(f"row {i} out of range for {v.output_dim} rows")
-    r = v.rows[i]
-    n = v.input_dim
-    Q = r.plus.dense(n) if r.plus is not None else np.zeros((n, n))
-    P = r.minus.dense(n) if r.minus is not None else np.zeros((n, n))
-    return Q, P
+def _dense(part, r, n):
+    row, i, j, val = part
+    k = row == r
+    D = np.zeros((n, n))
+    D[i[k], j[k]] = val[k]
+    D[j[k], i[k]] = val[k]
+    return D
+
+
+def hessian_parts(v, r):
+    """Dense (Q_r, P_r) for row r; the merged difference is never formed."""
+    if not 0 <= r < v.output_dim:
+        raise IndexError(f"row {r} out of range for {v.output_dim} rows")
+    return _dense(v.Q, r, v.input_dim), _dense(v.P, r, v.input_dim)
 
 
 def min_quad_eigenvalue(v):
-    """Smallest eigenvalue over all stored Q_i, P_i (inf if purely affine)."""
+    """Smallest eigenvalue over all stored Q_r, P_r (inf if purely affine)."""
     worst = np.inf
-    for r in v.rows:
-        for term in (r.plus, r.minus):
-            if term is not None and term.idx.size:
-                worst = min(worst, float(np.linalg.eigvalsh(term.mat)[0]))
+    for row, i, j, val in (v.Q, v.P):
+        for r in np.unique(row):
+            k = row == r
+            sup, loc = np.unique(np.concatenate([i[k], j[k]]), return_inverse=True)
+            D = np.zeros((sup.size, sup.size))
+            a, b = np.split(loc, 2)
+            D[a, b] = D[b, a] = val[k]
+            worst = min(worst, float(np.linalg.eigvalsh(D)[0]))
     return worst
-

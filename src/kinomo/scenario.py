@@ -241,13 +241,14 @@ def scenario_from_dict(data, name="scenario"):
             raise SchemaViolation("$.phases", f"no active contact at step {t}")
     gravity = _vector(data, "gravity", "$", 3) if "gravity" in data else np.array([0.0, 0.0, -9.81])
 
-    weights = TrackingWeights()
-    if "weights" in data:
-        wd = _get(data, "weights", "$", dict)
-        if "momentum" in wd:
-            weights.momentum = _vector(wd, "momentum", "$.weights", 9)
-        if "force" in wd:
-            weights.force = float(wd["force"])
+    wd = _get(data, "weights", "$", dict) if "weights" in data else {}
+    given = {"momentum": _vector(wd, "momentum", "$.weights", 9)} if "momentum" in wd else {}
+    if "force" in wd:
+        given["force"] = wd["force"]
+    try:
+        weights = TrackingWeights(**given)
+    except (TypeError, ValueError) as e:
+        raise SchemaViolation("$.weights", str(e))
     try:
         solver = SolverOptions(**data.get("solver", {}))
     except (TypeError, ValueError) as e:

@@ -403,6 +403,7 @@ def solve_ipm(p: NlpProblem, opts: SolverOptions = None) -> SolveResult:
     filter entry. Each trial point is evaluated once, and the accepted
     one's evaluations serve the next iteration. When no trial is accepted
     the solve ends: Infeasible above a primal residual of 1e-4, else MaxIter.
+    A non-finite objective or KKT norm ends it as NumericFailure.
     """
     opts = opts or SolverOptions()
     n = p.n
@@ -424,6 +425,10 @@ def solve_ipm(p: NlpProblem, opts: SolverOptions = None) -> SolveResult:
         it_t0 = time.perf_counter()
         f, grad, r_d, g_i, A_i, g_e, A_e = ev
         res = _kkt_norms(r_d, g_i, z, g_e)
+        # all four norms: max(res) hides a NaN that is not in first place
+        if not np.isfinite([f, *res]).all():
+            status = "NumericFailure"
+            break
         kkt_norm = max(res)
         if kkt_norm <= opts.kkt_tol:
             status = "Converged"
@@ -581,6 +586,8 @@ def solve_sqp_dense(p: NlpProblem, opts: SolverOptions = None) -> SolveResult:
     for it in range(opts.max_iter):
         t0 = time.perf_counter()
         res = kkt_residual(p, x, z, y)
+        if not np.isfinite([obj.value(x), *res]).all():
+            break  # reported below
         kkt_norm = max(res)
         if kkt_norm <= opts.kkt_tol:
             status = "Converged"
@@ -649,9 +656,12 @@ def solve_sqp_dense(p: NlpProblem, opts: SolverOptions = None) -> SolveResult:
             IterationStat(it, kkt_norm, 0.0, alpha, (time.perf_counter() - t0) * 1e3)
         )
     res = kkt_residual(p, x, z, y)
-    if max(res) <= opts.kkt_tol:
+    f = obj.value(x)
+    if not np.isfinite([f, *res]).all():
+        status = "NumericFailure"
+    elif max(res) <= opts.kkt_tol:
         status = "Converged"
-    return SolveResult(x, z, y, status, stats, obj.value(x), res)
+    return SolveResult(x, z, y, status, stats, f, res)
 
 
 def solve(p: NlpProblem, opts: SolverOptions = None) -> SolveResult:

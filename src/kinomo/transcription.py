@@ -12,19 +12,21 @@ schedule:
   equality constraints, the friction pyramid stays affine in second
   differences and the support-rectangle constraint becomes Q+/- rows.
 
-Each builder makes its per-step affine maps once: the momentum state h_t
-as nine rows and the world force of every active contact sample (in the
-simultaneous form also the torque about the CoM), and the constraints
-reuse them. The tracking objective of both forms is one weighted
-least-squares over those maps stacked: sum_k w_k (r_k(x) - y_k)^2.
+Each builder states each family once, as one qpm expression over all
+steps and contact samples (no qpm call per step or sample): h_0..h_T as
+one function of 9(T+1) rows, the world forces and CoM torques with three
+rows per sample, and from them the constraint rows. The tracking
+objective of both forms is one weighted least-squares over the rows of
+h_1..h_T and the forces: sum_k w_k (r_k(x) - y_k)^2.
 
-Both builders emit an NlpProblem holding the symbolic Q+/- functions and
-a DecisionLayout with per-step variable blocks plus the "arrow" block of
-frozen phase-boundary variables. A compiled form (sparse matrices with
-precomputed index structure) is attached lazily for the solver; its
-patterns carry the block structure (a row's step blocks are the
-var_block labels of its columns), and evaluating constraints, Jacobians
-and convexified Lagrangian Hessians is linear-time in the horizon.
+Both builders emit an NlpProblem: one inequality and one equality Q+/-
+function with a (step, phase, family) entry per row, and a DecisionLayout
+with per-step variable blocks plus the "arrow" block of frozen
+phase-boundary variables. A compiled form sharing the functions' Q/P
+arrays is attached lazily for the solver; its patterns carry the block
+structure (a row's step blocks are the var_block labels of its columns),
+and evaluating constraints, Jacobians and convexified Lagrangian Hessians
+is linear-time in the horizon.
 """
 
 from __future__ import annotations
@@ -56,7 +58,8 @@ class TrackingWeights:
         self.momentum = np.broadcast_to(
             np.asarray(self.momentum, dtype=float), (9,)
         ).copy()
-        if np.any(self.momentum < 0) or np.any(np.asarray(self.force) < 0):
+        self.force = float(self.force)
+        if not (np.all(self.momentum >= 0) and self.force >= 0):
             raise ValueError("weights must be non-negative")
 
 
@@ -157,59 +160,37 @@ def _layout(scn, kind):
 # compiled evaluation (sparse, linear-time in T)
 
 
-def _cat(parts, dtype=float):
-    return np.concatenate(parts).astype(dtype, copy=False) if parts else np.zeros(0, dtype)
-
-
 class CompiledVectorFunction:
-    """Stacked Q+/- rows compiled to sparse form.
+    """A Q+/- function compiled for the solver.
 
-    Each row's curvature is stored once: one set of (row, i, j, value)
-    arrays for the Q parts and one for the P parts, each holding only the
-    entries on and below the diagonal, exact zeros dropped. value(x) and
-    jacobian(x) reuse one fixed CSR pattern; the Jacobian data is affine
-    in x (J = A + reshape(M x)), where M, built from those sets, holds
+    value(x) and jacobian(x) reuse one fixed CSR pattern: per row, the
+    columns of A and the indices of the row's Q and P entries. The
+    Jacobian data is affine in x (J = A + reshape(M x)), where M holds
     2 (Q - P)_ij at (i, j) and, off the diagonal, at its mirror (j, i),
-    and stores no entry where Q and P cancel. hessian_combo assembles
-    sum_i psd_part(c_i (Q_i - P_i)) from the same sets without ever
-    merging Q - P.
+    and stores no entry where Q and P cancel. The function's Q and P
+    entry arrays are shared as they are; hessian_combo assembles
+    sum_i psd_part(c_i (Q_i - P_i)) from them without ever merging Q - P.
     """
 
-    def __init__(self, fns, n):
-        rows = [r for fn in fns for r in fn.rows]
-        m = len(rows)
-        self.m, self.n = m, n
-        self.b = np.array([r.const for r in rows])
-        sups = [r.support() for r in rows]
-        self.indptr = np.cumsum([0] + [s.size for s in sups], dtype=np.intp)
-        self.indices = _cat(sups, np.intp)
-        nnz = self.indices.size
+    def __init__(self, fn):
+        m, n = self.m, self.n = fn.output_dim, fn.input_dim
+        self.b = fn.b
+        A = fn.A.tocoo()
+        self._curv = (fn.Q, fn.P)
+        (qr, qi, qj, _), (pr, pi, pj, _) = self._curv
+        rows = np.concatenate([A.row, qr, qr, pr, pr]).astype(np.int64)
         # row-major keys of the CSR pattern, ascending: the entry (row, col)
         # sits where its key falls among them
-        keys = np.repeat(np.arange(m, dtype=np.int64), np.diff(self.indptr)) * n + self.indices
+        keys = np.unique(rows * n + np.concatenate([A.col, qi, qj, pi, pj]))
+        self.indices = (keys % n).astype(np.intp)
+        self.indptr = np.searchsorted(keys, np.arange(m + 1, dtype=np.int64) * n)
+        nnz = keys.size
 
         def pos(row, col):
             return np.searchsorted(keys, row.astype(np.int64) * n + col)
 
-        lin_rows = np.repeat(np.arange(m), [r.lin_idx.size for r in rows])
-        lin_pos = pos(lin_rows, _cat([r.lin_idx for r in rows], np.intp))
         self.base = np.zeros(nnz)
-        self.base[lin_pos] = _cat([r.lin_val for r in rows])
-
-        curv = (([], [], [], []), ([], [], [], []))  # Q, P: row, i, j, value
-        for k, r in enumerate(rows):
-            for lists, term in zip(curv, (r.plus, r.minus)):
-                if term is not None:
-                    a, b = np.nonzero(np.tril(term.mat))
-                    entries = (np.full(a.size, k), term.idx[a], term.idx[b], term.mat[a, b])
-                    for lst, e in zip(lists, entries):
-                        lst.append(e)
-        # int32 indices: these arrays hold an entry per stored Q/P entry,
-        # the bulk of a compiled problem's memory
-        self._curv = [
-            tuple(_cat(lst, dt) for lst, dt in zip(lists, (np.int32, np.int32, np.int32, float)))
-            for lists in curv
-        ]
+        self.base[pos(A.row, A.col)] = A.data
         Mr, Mc, Mv = [], [], []
         for (rw, i, j, v), scale in zip(self._curv, (2.0, -2.0)):
             off = i != j
@@ -268,15 +249,14 @@ class CompiledObjective:
     fixed by the schedule and the weights; the references y enter q and c
     only."""
 
-    def __init__(self, objective, n):
+    def __init__(self, objective):
         fn, y, w = objective
-        r = CompiledVectorFunction([fn], n)
-        A = sp.csr_matrix((r.base, r.indices, r.indptr), shape=(r.m, n))
+        A = fn.A
         # H = 2 B'B with B = W^(1/2) A, symmetric to the last bit
         B = sp.diags(np.sqrt(w)) @ A
         self.H = sp.csr_matrix(2.0 * (B.T @ B))
         self.H.eliminate_zeros()
-        e = r.b - y
+        e = fn.b - y
         self.q = 2.0 * (A.T @ (w * e))
         self.c = float(e @ (w * e))
 
@@ -293,19 +273,18 @@ class CompiledObjective:
 class NlpProblem:
     """A built momentum sub-problem in either formulation.
 
-    Constraint conventions: eq_constraints rows are g(x) = 0,
-    ineq_affine and ineq_qpm rows are g(x) >= 0. Meta lists carry
-    (step, phase index, family) per constraint function.
+    ``ineq`` rows are g(x) >= 0 and ``eq`` rows g(x) = 0, each one Q+/-
+    function over every step (0 rows where the form has no such family);
+    ineq_meta and eq_meta give each row's (step, phase index, family).
     """
 
     layout: DecisionLayout
     objective: tuple  # (affine map r, targets y, weights w): sum w (r(x) - y)^2
-    eq_constraints: list
-    ineq_affine: list
-    ineq_qpm: list
+    ineq: qpm.QpmFunction
+    eq: qpm.QpmFunction
     scenario: MomentumScenario
-    eq_meta: list
     ineq_meta: list
+    eq_meta: list
     _compiled: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -314,29 +293,25 @@ class NlpProblem:
 
     @property
     def n_eq(self):
-        return sum(fn.output_dim for fn in self.eq_constraints)
+        return self.eq.output_dim
 
     @property
     def n_ineq(self):
-        return sum(fn.output_dim for fn in self.ineq_affine) + sum(
-            fn.output_dim for fn in self.ineq_qpm
-        )
+        return self.ineq.output_dim
 
     def compiled_objective(self):
         if "obj" not in self._compiled:
-            self._compiled["obj"] = CompiledObjective(self.objective, self.n)
+            self._compiled["obj"] = CompiledObjective(self.objective)
         return self._compiled["obj"]
 
     def compiled_ineq(self):
         if "ineq" not in self._compiled:
-            self._compiled["ineq"] = CompiledVectorFunction(
-                list(self.ineq_affine) + list(self.ineq_qpm), self.n
-            )
+            self._compiled["ineq"] = CompiledVectorFunction(self.ineq)
         return self._compiled["ineq"]
 
     def compiled_eq(self):
         if "eq" not in self._compiled:
-            self._compiled["eq"] = CompiledVectorFunction(self.eq_constraints, self.n)
+            self._compiled["eq"] = CompiledVectorFunction(self.eq)
         return self._compiled["eq"]
 
 
@@ -360,166 +335,160 @@ def convexified_lagrangian_hessian(p: NlpProblem, x, duals):
 # builders
 
 
-def _tracking_objective(scn, layout, h_fns, f_fns):
-    """(r, y, w) of the tracking objective sum_k w_k (r_k(x) - y_k)^2: the
-    momentum maps h_fns[t] for t >= 1 against h_ref weighted by w_m, then
-    the world-force maps f_fns[(i, t)] of the active samples in step order
-    against force_ref weighted by w_f."""
+def _sparse(shape, entries):
+    """CSR matrix from (rows, cols, vals) triples of broadcastable arrays."""
+    rows, cols, vals = (
+        np.concatenate(parts)
+        for parts in zip(*([a.ravel() for a in np.broadcast_arrays(*e)] for e in entries))
+    )
+    return sp.csr_matrix((vals, (rows, cols)), shape=shape)
+
+
+def _affine(n, b, entries):
+    """The affine function x -> A x + b, A = _sparse((b.size, n), entries)."""
+    return qpm.QpmFunction(n, _sparse((b.size, n), entries), b)
+
+
+def _samples(scn, layout):
+    """The active contact samples (i, t) in step order, their phases, steps,
+    first variable indices, and the rows of r_t among the rows of h."""
     samples = [(i, t) for t in range(scn.T) for i in layout.active[t]]
-    r = qpm.stack([h_fns[t] for t in range(1, scn.T + 1)] + [f_fns[s] for s in samples])
-    y = np.concatenate([scn.h_ref[1:].ravel()] + [scn.force_ref[i][t] for i, t in samples])
+    ph, st = np.array(samples, dtype=np.intp).reshape(-1, 2).T
+    cb = np.array([layout.contact_base[s] for s in samples], dtype=np.intp)
+    return samples, ph, st, cb, (9 * st[:, None] + np.arange(3)).ravel()
+
+
+def _tracking_objective(scn, ph, st, h, f):
+    """(r, y, w) of the tracking objective sum_k w_k (r_k(x) - y_k)^2: the
+    rows of h_1..h_T against h_ref weighted by w_m, then the world forces
+    f of the samples against force_ref weighted by w_f."""
+    r = qpm.stack([qpm.select_rows(h, np.arange(9, 9 * (scn.T + 1))), f])
+    force_ref = np.array([scn.force_ref[i] for i in range(len(scn.phases))]).reshape(-1, scn.T, 3)
+    y = np.concatenate([scn.h_ref[1:].ravel(), force_ref[ph, st].ravel()])
     w = np.concatenate([
-        np.tile(scn.weights.momentum, scn.T), np.full(3 * len(samples), scn.weights.force)
+        np.tile(scn.weights.momentum, scn.T), np.full(f.output_dim, scn.weights.force)
     ])
     return r, y, w
 
 
-class _SeqMaps:
-    """The sequential formulation's affine maps of the force integrals."""
+def _sequential_h(scn, n, base):
+    """The closed-form state maps h_0..h_T of the force integrals as one
+    function of 9(T+1) rows; base[i, t] is the first phi index of phase i
+    at step t."""
+    M, g, dt, h0 = scn.consts.M, scn.consts.g, scn.delta, scn.h0
+    t = np.arange(scn.T + 1)
+    tt = t[:, None]
+    r_const = M * h0.r + dt * tt * h0.l + dt**2 * (tt * (tt - 1) / 2.0) * M * g
+    l_const = h0.l + dt * tt * M * g
+    b = np.hstack([r_const / M, l_const, np.tile(h0.k, (t.size, 1))]).ravel()
+    k3 = np.arange(3)
+    entries = []
+    for i, ph in enumerate(scn.phases):
+        # before the phase ends, h_t reads steps t-1 and t-2; after it, the
+        # last two steps of the phase, the position extrapolated linearly
+        inside = t < ph.epsilon
+        m1 = np.where(inside, t - 1, ph.epsilon - 1)
+        m2 = np.where(inside, t - 2, ph.epsilon - 2)
+        after = t - ph.epsilon
+        # (first row of the component, step, coefficient, phi (0) or psi (3))
+        for c, step, coef, psi in (
+            (0, m2, np.where(inside, dt**2, dt**2 * (1.0 - after)) / M, 0),
+            (0, m1, np.where(inside, 0.0, dt**2 * after) / M, 0),
+            (3, m1, dt, 0), (3, m2, -dt, 0), (6, m1, dt, 3), (6, m2, -dt, 3),
+        ):
+            coef = np.broadcast_to(coef, t.shape)
+            use = (step >= ph.sigma) & (coef != 0.0)
+            entries.append((
+                9 * t[use, None] + c + k3, base[i, step[use], None] + psi + k3, coef[use, None]
+            ))
+    return _affine(n, b, entries)
 
-    def __init__(self, scn, layout):
-        self.scn = scn
-        self.layout = layout
 
-    def _add(self, dicts, i, t, coef, psi=False):
-        """Add coef * (phi|psi)_{i,t} into three accumulator dicts."""
-        ph = self.scn.phases[i]
-        if t < ph.sigma or coef == 0.0:
-            return
-        if t >= ph.epsilon:
-            raise IndexError("index beyond phase end")
-        b = self.layout.contact_base[(i, t)] + (3 if psi else 0)
-        for k in range(3):
-            dicts[k][b + k] = dicts[k].get(b + k, 0.0) + coef
-
-    def _fn(self, rows):
-        return qpm.affine_from_rows(self.layout.n_vars, rows)
-
-    def second_difference(self, i, t, psi=False):
-        """World force f_{i,t} = phi_t - 2 phi_{t-1} + phi_{t-2}, or with
-        psi=True the torque about the CoM kappa_{i,t} from psi."""
-        d = [{}, {}, {}]
-        for tau, c in ((t, 1.0), (t - 1, -2.0), (t - 2, 1.0)):
-            self._add(d, i, tau, c, psi)
-        return self._fn([(list(dk.keys()), list(dk.values()), 0.0) for dk in d])
-
-    def h(self, t):
-        """The closed-form state map h_t as nine sparse affine rows."""
-        scn = self.scn
-        M, g = scn.consts.M, scn.consts.g
-        dt = scn.delta
-        r_const = M * scn.h0.r + dt * t * scn.h0.l + dt**2 * (t * (t - 1) / 2.0) * M * g
-        l_const = scn.h0.l + dt * t * M * g
-        k_const = scn.h0.k
-        dr = [{}, {}, {}]
-        dl = [{}, {}, {}]
-        dk = [{}, {}, {}]
-        for i, ph in enumerate(scn.phases):
-            if t < ph.epsilon:
-                m1, m2 = t - 1, t - 2
-                self._add(dl, i, m1, dt)
-                self._add(dl, i, m2, -dt)
-                self._add(dr, i, m2, dt**2)
-                self._add(dk, i, m1, dt, psi=True)
-                self._add(dk, i, m2, -dt, psi=True)
-            else:
-                e1, e2 = ph.epsilon - 1, ph.epsilon - 2
-                self._add(dl, i, e1, dt)
-                self._add(dl, i, e2, -dt)
-                self._add(dr, i, e2, dt**2 * (1.0 - (t - ph.epsilon)))
-                self._add(dr, i, e1, dt**2 * (t - ph.epsilon))
-                self._add(dk, i, e1, dt, psi=True)
-                self._add(dk, i, e2, -dt, psi=True)
-        rows = [(list(d), [v / M for v in d.values()], c / M) for d, c in zip(dr, r_const)]
-        rows += [(list(d), list(d.values()), c) for d, c in zip(dl, l_const)]
-        rows += [(list(d), list(d.values()), c) for d, c in zip(dk, k_const)]
-        return self._fn(rows)
+def _second_difference(n, base, ph, st, psi):
+    """The world forces f_{i,t} = phi_t - 2 phi_{t-1} + phi_{t-2} of the
+    samples, or with psi=3 their torques about the CoM from psi, as three
+    rows per sample."""
+    tau = st[:, None] - np.arange(3)
+    first = base[ph[:, None], tau.clip(0)]  # -1 before the phase starts
+    s, d = np.nonzero((tau >= 0) & (first >= 0))
+    k3 = np.arange(3)
+    cols = first[s, d][:, None] + psi + k3
+    coef = np.array([1.0, -2.0, 1.0])
+    return _affine(n, np.zeros(3 * ph.size), [(3 * s[:, None] + k3, cols, coef[d, None])])
 
 
 def build_sequential(scenario: MomentumScenario) -> NlpProblem:
     """Sparse sequential program over the force integrals (phi, psi)."""
     scn = scenario
     layout = _layout(scn, "sequential")
-    maps = _SeqMaps(scn, layout)
-    h_fns = {t: maps.h(t) for t in range(scn.T + 1)}
-    samples = [(i, t) for t in range(scn.T) for i in layout.active[t]]
-    f_fns = {(i, t): maps.second_difference(i, t) for i, t in samples}
-    ineq_affine = []
-    for i, t in samples:
-        s = scn.phases[i].surface
-        # the pyramid acts on the local force R^T f
-        C = contact.friction_pyramid(s.mu) @ s.R.T
-        ineq_affine.append(qpm.affine_after(C, np.zeros(4), f_fns[(i, t)]))
-    ineq_qpm = [
-        contact.build_cop_qpm_constraints(
-            scn.phases[i], qpm.select_rows(h_fns[t], range(3)), f_fns[(i, t)],
-            maps.second_difference(i, t, psi=True),
-        )
-        for i, t in samples
-    ]
-    ineq_meta = [(t, i, "friction") for i, t in samples] + [(t, i, "cop") for i, t in samples]
-    objective = _tracking_objective(scn, layout, h_fns, f_fns)
-    return NlpProblem(layout, objective, [], ineq_affine, ineq_qpm, scn, [], ineq_meta)
+    n = layout.n_vars
+    samples, ph, st, cb, com = _samples(scn, layout)
+    base = np.full((len(scn.phases), scn.T), -1)
+    base[ph, st] = cb
+    h = _sequential_h(scn, n, base)
+    f = _second_difference(n, base, ph, st, 0)
+    kappa = _second_difference(n, base, ph, st, 3)
+    # the pyramid acts on the local force R^T f
+    pyramid = np.array([contact.friction_pyramid(p.surface.mu) @ p.surface.R.T for p in scn.phases])
+    friction = qpm.affine_after(qpm.block_diag(pyramid[ph]), 0.0, f)
+    cop = contact.build_cop_qpm_constraints(
+        [scn.phases[i] for i in ph], qpm.select_rows(h, com), f, kappa
+    )
+    ineq_meta = [(t, i, fam) for fam in ("friction", "cop") for i, t in samples for _ in range(4)]
+    return NlpProblem(
+        layout, _tracking_objective(scn, ph, st, h, f), qpm.stack([friction, cop]),
+        qpm.make_affine(np.zeros((0, n)), np.zeros(0)), scn, ineq_meta, [],
+    )
 
 
 def build_simultaneous(scenario: MomentumScenario) -> NlpProblem:
     """Simultaneous QCQP over per-step wrenches and momentum states."""
     scn = scenario
     layout = _layout(scn, "simultaneous")
-    M, g, dt = scn.consts.M, scn.consts.g, scn.delta
+    n = layout.n_vars
+    T, M, g, dt = scn.T, scn.consts.M, scn.consts.g, scn.delta
+    samples, ph, st, cb, com = _samples(scn, layout)
+    S = ph.size
+    k3, k9 = np.arange(3), np.arange(9)
+    rows3 = 3 * np.arange(S)[:, None, None] + k3[:, None]  # (S, 3, 1): row 3s + k
+    R = np.array([p.surface.R for p in scn.phases])[ph]
+    origin = np.array([p.surface.t for p in scn.phases])[ph]
 
-    def aff(rows):
-        return qpm.affine_from_rows(layout.n_vars, rows)
+    sb = np.array([layout.state_base[t] for t in range(1, T + 1)])
+    h = _affine(n, np.concatenate([scn.h0.as_vector(), np.zeros(9 * T)]),
+                [(np.arange(9, 9 * (T + 1)), (sb[:, None] + k9).ravel(), 1.0)])
+    f = _affine(n, np.zeros(3 * S), [(rows3, cb[:, None, None] + k3, R)])
+    p = _affine(n, origin.ravel(), [(rows3, cb[:, None, None] + 3 + k3[:2], R[:, :, :2])])
+    tau = _affine(n, np.zeros(3 * S), [(rows3, cb[:, None, None] + 5, R[:, :, 2:])])
+    # the torque about the CoM, tau_hat R_z + (p - r_t) x f
+    lever = qpm.linear_combine([(1.0, p), (-1.0, qpm.select_rows(h, com))])
+    kappa = qpm.linear_combine([(1.0, tau), (1.0, qpm.cross(lever, f))])
 
-    def const(v):
-        return aff([([], [], c) for c in v])
+    wrench = _affine(n, np.zeros(6 * S),
+                     [(np.arange(6 * S), (cb[:, None] + np.arange(6)).ravel(), 1.0)])
+    blocks = [contact.build_affine_contact_constraints(p) for p in scn.phases]
+    C = qpm.block_diag(np.array([blk.A.toarray() for blk in blocks])[ph])
+    contact_rows = qpm.affine_after(C, np.array([blk.b for blk in blocks])[ph].ravel(), wrench)
 
-    h_fns = {0: const(scn.h0.as_vector())}
-    for t1, b in layout.state_base.items():
-        h_fns[t1] = aff([([b + k], [1.0], 0.0) for k in range(9)])
+    # h_{t+1} - h_t - dt (l_t / M, M g + sum_i f_{i,t}, sum_i kappa_{i,t}) = 0
+    # over y = (h, f, kappa)
+    t9 = 9 * np.arange(T)[:, None] + k9
+    s3 = 3 * np.arange(S)[:, None] + k3
+    f0 = 9 * (T + 1)
+    C = _sparse((9 * T, f0 + 6 * S), [
+        (t9, t9 + 9, 1.0), (t9, t9, -1.0),
+        (t9[:, :3], t9[:, 3:6], -dt / M),
+        (9 * st[:, None] + 3 + k3, f0 + s3, -dt),
+        (9 * st[:, None] + 6 + k3, f0 + 3 * S + s3, -dt),
+    ])
+    a = np.tile(np.concatenate([np.zeros(3), -dt * (M * g), np.zeros(3)]), T)
+    dynamics = qpm.affine_after(C, a, qpm.stack([h, f, kappa]))
 
-    def rlk(t):
-        """(r_t, l_t, k_t), three rows each."""
-        return [qpm.select_rows(h_fns[t], range(j, j + 3)) for j in (0, 3, 6)]
-
-    cross = qpm.cross_product_qpm()
-    f_fns = {}
-    kappa_fns = {}  # tau_hat R_z + (p - r_t) x f, the torque about the CoM
-    ineq_affine = []
-    ineq_meta = []
-    for t in range(scn.T):
-        r_t = rlk(t)[0]
-        for i in layout.active[t]:
-            s = scn.phases[i].surface
-            b = layout.contact_base[(i, t)]
-            f = f_fns[(i, t)] = aff([(range(b, b + 3), s.R[k], 0.0) for k in range(3)])
-            p = aff([([b + 3, b + 4], s.R[k, :2], s.t[k]) for k in range(3)])
-            p_minus_r = qpm.linear_combine([(1.0, p), (-1.0, r_t)])
-            kappa_fns[(i, t)] = qpm.linear_combine([
-                (1.0, aff([([b + 5], [s.R[k, 2]], 0.0) for k in range(3)])),
-                (1.0, qpm.compose_affine(cross, qpm.stack([p_minus_r, f]))),
-            ])
-            wrench = aff([([b + k], [1.0], 0.0) for k in range(6)])
-            ineq_affine.append(
-                qpm.compose_affine(contact.build_affine_contact_constraints(scn.phases[i]), wrench)
-            )
-            ineq_meta.append((t, i, "contact"))
-
-    eq = []
-    for t in range(scn.T):
-        (r0, l0, k0), (r1, l1, k1) = rlk(t), rlk(t + 1)
-        act = layout.active[t]
-        eq.append(qpm.stack([
-            qpm.linear_combine([(1.0, r1), (-1.0, r0), (-dt / M, l0)]),
-            qpm.linear_combine(
-                [(1.0, l1), (-1.0, l0), (-dt, const(M * g))]
-                + [(-dt, f_fns[(i, t)]) for i in act]
-            ),
-            qpm.linear_combine([(1.0, k1), (-1.0, k0)] + [(-dt, kappa_fns[(i, t)]) for i in act]),
-        ]))
-    eq_meta = [(t, None, "dynamics") for t in range(scn.T)]
-    objective = _tracking_objective(scn, layout, h_fns, f_fns)
-    return NlpProblem(layout, objective, eq, ineq_affine, [], scn, eq_meta, ineq_meta)
+    return NlpProblem(
+        layout, _tracking_objective(scn, ph, st, h, f), contact_rows, dynamics, scn,
+        [(t, i, "contact") for i, t in samples for _ in range(10)],
+        [(t, None, "dynamics") for t in range(T) for _ in range(9)],
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,15 @@ class TestValidate:
         assert cli.main(["validate", str(p)]) == 2
         assert "phases[0].epsilon" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("field, value", [("force", -1.0), ("momentum", [-1.0] * 9)])
+    def test_negative_weight_rejected(self, tmp_path, capsys, field, value):
+        d = scenario_to_dict(make_standing_scenario(T=10))
+        d["weights"][field] = value
+        p = tmp_path / "bad_weights.json"
+        p.write_text(json.dumps(d))
+        assert cli.main(["validate", str(p)]) == 2
+        assert "$.weights" in capsys.readouterr().out
+
 
 class TestMomentum:
     def test_sequential(self, stand_path, tmp_path, capsys):

@@ -194,14 +194,14 @@ def identity_maps(n=9):
 class TestCopQpmConstraints:
     def test_static_balance_feasible(self):
         phase = make_phase()
-        rows = contact.build_cop_qpm_constraints(phase, *identity_maps())
+        rows = contact.build_cop_qpm_constraints([phase], *identity_maps())
         x = np.concatenate([[0, 0, 0.9], [0, 0, 100.0], [0, 0, 0]])
         assert np.all(rows(x) >= -1e-12)
 
     def test_violation_detected(self):
         phase = make_phase()
         s = phase.surface
-        rows = contact.build_cop_qpm_constraints(phase, *identity_maps())
+        rows = contact.build_cop_qpm_constraints([phase], *identity_maps())
         # CoP pushed outside the support in +x via a CoM torque
         w = contact.ContactWrenchCop(np.array([0, 0, 10.0]), np.array([0.2, 0.0]), 0.0)
         com = contact.cop_to_com(w, s, np.array([0, 0, 1.0]))
@@ -215,7 +215,7 @@ class TestCopQpmConstraints:
             r = np.random.default_rng(seed)
             surf = random_surface(r)
             phase = contact.ContactPhase("f", 0, 5, surf, r.uniform(-0.02, 0.02, size=2))
-            rows = contact.build_cop_qpm_constraints(phase, *identity_maps())
+            rows = contact.build_cop_qpm_constraints([phase], *identity_maps())
             assert qpm.min_quad_eigenvalue(rows) >= -qpm.PSD_TOL
             for _ in range(25):
                 f_hat = r.normal(size=3)
@@ -241,11 +241,11 @@ class TestCopQpmConstraints:
         r = np.random.default_rng(3)
         surf = flat_surface()
         phase = make_phase(surface=surf, c_hat=(0.01, 0.0))
-        rows = contact.build_cop_qpm_constraints(phase, *identity_maps())
+        rows = contact.build_cop_qpm_constraints([phase], *identity_maps())
         W = random_rotation(r)
         surf2 = contact.ContactSurface(W @ surf.R, W @ surf.t, surf.mu, surf.p_max, surf.tau_max)
         phase2 = contact.ContactPhase("foot", 0, 10, surf2, phase.c_hat)
-        rows2 = contact.build_cop_qpm_constraints(phase2, *identity_maps())
+        rows2 = contact.build_cop_qpm_constraints([phase2], *identity_maps())
         for _ in range(50):
             rr, f, k = r.normal(size=3), r.normal(size=3), r.normal(size=3)
             x1 = np.concatenate([rr, f, k])
@@ -259,4 +259,4 @@ class TestCopQpmConstraints:
         )
         r_map, f_map, k_map = identity_maps()
         with pytest.raises(ValueError):
-            contact.build_cop_qpm_constraints(phase, r_map, cross, k_map)
+            contact.build_cop_qpm_constraints([phase], r_map, cross, k_map)

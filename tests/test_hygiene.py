@@ -1,5 +1,6 @@
 """Source hygiene: every name a kinomo module imports is read somewhere in
-that module. Re-imports kept on purpose carry ``# noqa: F401``."""
+that module (re-imports kept on purpose carry ``# noqa: F401``), and so is
+every private module-level function, class and constant it defines."""
 
 import ast
 from pathlib import Path
@@ -7,6 +8,13 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "kinomo"
+
+
+def names_read(tree):
+    return {
+        node.id for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
 
 
 def unused_imports(path):
@@ -23,13 +31,36 @@ def unused_imports(path):
             for alias in node.names:
                 name = alias.asname or alias.name.split(".")[0]
                 imported[name] = node.lineno
-    read = {
-        node.id for node in ast.walk(tree)
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
-    }
+    read = names_read(tree)
     return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in read)
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_import(path):
     assert unused_imports(path) == []
+
+
+def unread_privates(path):
+    """Private (single-underscore) module-level names never read in the
+    module that defines them."""
+    tree = ast.parse(path.read_text())
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        defined[name.id] = node.lineno
+    read = names_read(tree)
+    return sorted(
+        f"{name} (line {line})" for name, line in defined.items()
+        if name.startswith("_") and not name.startswith("__") and name not in read
+    )
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_private_names_read(path):
+    assert unread_privates(path) == []

@@ -21,6 +21,11 @@ def fd_gradient(fn, x, h=1e-5):
     return G
 
 
+def scalar_square():
+    """y -> y^2: one row, Q = [[1]] and no linear part."""
+    return qpm.QpmFunction(1, np.zeros((1, 1)), [0.0], Q=([0], [0], [0], [1.0]))
+
+
 class TestMakeAffine:
     def test_identity(self):
         f = qpm.make_affine(np.eye(3), np.zeros(3))
@@ -104,18 +109,7 @@ class TestComposeAffine:
 
     def test_scalar_square_through_affine(self):
         # v(y) = y^2, s(x) = 2x + 1, v(s(1)) = 9
-        v = qpm.QpmFunction(
-            1,
-            [
-                qpm.QpmRow(
-                    np.zeros(0, dtype=np.intp),
-                    np.zeros(0),
-                    0.0,
-                    qpm.QuadTerm(np.array([0], dtype=np.intp), np.array([[1.0]])),
-                    None,
-                )
-            ],
-        )
+        v = scalar_square()
         s = qpm.make_affine(np.array([[2.0]]), np.array([1.0]))
         r = qpm.compose_affine(v, s)
         assert np.isclose(r(np.array([1.0]))[0], 9.0)
@@ -188,18 +182,7 @@ class TestEvaluationOps:
         assert np.allclose(qpm.gradient(s, z), fd_gradient(s, z), atol=1e-6)
 
     def test_scalar_square(self):
-        f = qpm.QpmFunction(
-            1,
-            [
-                qpm.QpmRow(
-                    np.zeros(0, dtype=np.intp),
-                    np.zeros(0),
-                    0.0,
-                    qpm.QuadTerm(np.array([0], dtype=np.intp), np.array([[1.0]])),
-                    None,
-                )
-            ],
-        )
+        f = scalar_square()
         x = np.array([3.0])
         assert np.isclose(f(x)[0], 9.0)
         assert np.isclose(qpm.gradient(f, x)[0, 0], 6.0)

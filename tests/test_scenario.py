@@ -118,6 +118,12 @@ class TestValidation:
         d["solver"]["mu0"] = 1.0
         self.check_path(d, "solver")
 
+    @pytest.mark.parametrize("field, value", [("force", -1.0), ("momentum", [1.0] * 8 + [-1.0])])
+    def test_negative_weight(self, field, value):
+        d = self.base()
+        d["weights"][field] = value
+        self.check_path(d, "$.weights")
+
     def test_parse_error(self, tmp_path):
         p = tmp_path / "broken.json"
         p.write_text("{not json")

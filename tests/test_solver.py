@@ -7,7 +7,7 @@ import scipy.sparse as sp
 
 from test_transcription import biped_scenario, foot_surface, stepping_scenario
 
-from kinomo import transcription
+from kinomo import qpm, transcription
 from kinomo.contact import (
     ContactPhase,
     ContactWrenchCom,
@@ -16,7 +16,12 @@ from kinomo.contact import (
 )
 from kinomo.dynamics import MomentumState, RobotConstants
 from kinomo.planner import initialize_references
-from kinomo.scenario import load_scenario, rescale_horizon, scenario_from_dict
+from kinomo.scenario import (
+    load_scenario,
+    make_standing_scenario,
+    rescale_horizon,
+    scenario_from_dict,
+)
 from kinomo.solver import (
     KKTSystem,
     SolverOptions,
@@ -48,9 +53,10 @@ def one_contact_scenario(T=3, delta=0.1):
 
 def convex_variant(p):
     """Same problem with the nonconvex CoP rows dropped (affine subclass)."""
-    metas = [m for m in p.ineq_meta if m[2] == "friction"]
+    rows = [k for k, m in enumerate(p.ineq_meta) if m[2] == "friction"]
     return NlpProblem(
-        p.layout, p.objective, [], list(p.ineq_affine), [], p.scenario, [], metas
+        p.layout, p.objective, qpm.select_rows(p.ineq, rows), p.eq, p.scenario,
+        [p.ineq_meta[k] for k in rows], [],
     )
 
 
@@ -176,6 +182,18 @@ class TestIpm:
         assert len(res.stats) == max_iter
         assert res.kkt[1] > 1e-4
         assert res.status == "MaxIter"
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("backend", ["ipm", "sqp_dense"])
+    @pytest.mark.parametrize("build", [build_sequential, build_simultaneous])
+    def test_nan_reference_is_numeric_failure(self, build, backend):
+        scn = make_standing_scenario(T=6)
+        state = initialize_references(scn)
+        ms = scn.momentum_scenario(state.h_bar, state.lambda_bar)
+        ms.h_ref[3, 0] = np.nan
+        res = solve(build(ms), SolverOptions(backend=backend))
+        assert res.status == "NumericFailure"
 
 
 class TestLineSearch:

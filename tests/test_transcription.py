@@ -148,7 +148,8 @@ class TestSequentialMaps:
         x = static_stance_point(p) + rng.normal(size=p.n)
         sol = extract_sequential(p, x)
         vals = p.compiled_ineq().value(x)
-        for fn_idx, (t, i, fam) in enumerate(p.ineq_meta):
+        for k in range(0, p.n_ineq, 4):
+            t, i, fam = p.ineq_meta[k]
             if fam != "cop":
                 continue
             ph = scn.phases[i]
@@ -168,12 +169,7 @@ class TestSequentialMaps:
                     (pmy - cy) * fz + m[0],
                 ]
             )
-            base = sum(f.output_dim for f in p.ineq_affine)
-            off = base + sum(
-                p.ineq_qpm[k].output_dim
-                for k in range(fn_idx - len(p.ineq_affine))
-            )
-            got = vals[off : off + 4]
+            got = vals[k : k + 4]
             assert np.allclose(got, expected, atol=1e-8), (t, i)
 
     def test_violated_cop_detected(self):
@@ -252,15 +248,47 @@ class TestSimultaneous:
         x = rng.normal(size=p.n)
         vals = p.compiled_ineq().value(x)
         sol = extract_simultaneous(p, x)
-        k = 0
-        for (t, i, fam) in p.ineq_meta:
+        for k in range(0, p.n_ineq, 10):
+            t, i, fam = p.ineq_meta[k]
+            assert fam == "contact"
             ph = scn.phases[i]
             w = sol["wrenches"][(i, t)]
             direct = contact.build_affine_contact_constraints(ph)(
                 np.concatenate([w.f_hat, w.p_hat, [w.tau_hat]])
             )
             assert np.allclose(vals[k : k + 10], direct, atol=1e-12)
-            k += 10
+
+    def test_dynamics_rows_match_direct(self):
+        """Each step's nine dynamics rows at random x against the momentum
+        update written out with np.cross."""
+        rng = np.random.default_rng(12)
+        scn = stepping_scenario()
+        p = build_simultaneous(scn)
+        M, g, dt = scn.consts.M, scn.consts.g, scn.delta
+        for _ in range(3):
+            x = rng.normal(size=p.n) * 3
+            h = np.vstack([scn.h0.as_vector()] + [
+                x[p.layout.state_base[t] : p.layout.state_base[t] + 9] for t in range(1, scn.T + 1)
+            ])
+            direct = []
+            for t in range(scn.T):
+                r, l, k = h[t, :3], h[t, 3:6], h[t, 6:]
+                f_sum, kappa_sum = np.zeros(3), np.zeros(3)
+                for i in p.layout.active[t]:
+                    s = scn.phases[i].surface
+                    b = p.layout.contact_base[(i, t)]
+                    f = s.R @ x[b : b + 3]
+                    cop = s.R[:, :2] @ x[b + 3 : b + 5] + s.t
+                    f_sum += f
+                    kappa_sum += x[b + 5] * s.R[:, 2] + np.cross(cop - r, f)
+                direct += [
+                    h[t + 1, :3] - r - dt / M * l,
+                    h[t + 1, 3:6] - l - dt * (M * g + f_sum),
+                    h[t + 1, 6:] - k - dt * kappa_sum,
+                ]
+            direct = np.concatenate(direct)
+            assert np.allclose(p.compiled_eq().value(x), direct, rtol=0, atol=1e-10)
+            assert np.allclose(qpm.evaluate(p.eq, x), direct, rtol=0, atol=1e-10)
 
 
 def row_blocks(p, comp):
@@ -291,42 +319,30 @@ class TestPatterns:
     def test_sequential_row_step_blocks(self):
         p = build_sequential(biped_scenario(5))
         rows = row_blocks(p, p.compiled_ineq())
-        assert len(rows) == p.n_ineq
-        k = 0
-        for fn, (t, i, fam) in zip(p.ineq_affine + p.ineq_qpm, p.ineq_meta):
-            for _ in range(fn.output_dim):
-                blocks, arrow = rows[k]
-                assert blocks <= {t, t - 1, t - 2}
-                assert not arrow
-                k += 1
+        assert len(rows) == p.n_ineq == len(p.ineq_meta)
+        for (blocks, arrow), (t, i, fam) in zip(rows, p.ineq_meta):
+            assert blocks <= {t, t - 1, t - 2}
+            assert not arrow
 
     def test_stepping_rows_touch_arrow(self):
         p = build_sequential(stepping_scenario())
         rows = row_blocks(p, p.compiled_ineq())
         # CoP rows of late steps involve frozen boundary variables
-        k = 0
         saw_arrow = False
-        for fn, (t, i, fam) in zip(p.ineq_affine + p.ineq_qpm, p.ineq_meta):
-            for _ in range(fn.output_dim):
-                blocks, arrow = rows[k]
-                assert blocks <= {t, t - 1, t - 2}
-                if arrow:
-                    saw_arrow = True
-                k += 1
+        for (blocks, arrow), (t, i, fam) in zip(rows, p.ineq_meta):
+            assert blocks <= {t, t - 1, t - 2}
+            if arrow:
+                saw_arrow = True
         assert saw_arrow
 
     def test_simultaneous_dynamics_row_step_blocks(self):
         p = build_simultaneous(biped_scenario(5))
         rows = row_blocks(p, p.compiled_eq())
-        assert len(rows) == p.n_eq
-        k = 0
-        for fn, (t, i, fam) in zip(p.eq_constraints, p.eq_meta):
-            for _ in range(fn.output_dim):
-                blocks, arrow = rows[k]
-                assert blocks <= {t, t + 1}
-                assert t + 1 in blocks
-                assert not arrow
-                k += 1
+        assert len(rows) == p.n_eq == len(p.eq_meta)
+        for (blocks, arrow), (t, i, fam) in zip(rows, p.eq_meta):
+            assert blocks <= {t, t + 1}
+            assert t + 1 in blocks
+            assert not arrow
 
     def test_hessian_bandwidth(self):
         for p in (build_sequential(biped_scenario(5)), build_simultaneous(biped_scenario(5))):
@@ -347,21 +363,14 @@ class TestPatterns:
         for build in (build_sequential, build_simultaneous):
             p = build(biped_scenario(4))
             x = rng.normal(size=p.n)
-            for comp, fns in (
-                (p.compiled_eq(), p.eq_constraints),
-                (p.compiled_ineq(), p.ineq_affine + p.ineq_qpm),
-            ):
+            for comp, fn in ((p.compiled_eq(), p.eq), (p.compiled_ineq(), p.ineq)):
                 rows = row_blocks(p, comp)
-                k = 0
-                for fn in fns:
-                    J = qpm.gradient(fn, x)
-                    for r in range(fn.output_dim):
-                        cols = np.flatnonzero(np.abs(J[r]) > 1e-14)
-                        blocks, arrow = rows[k]
-                        seen = set(int(b) for b in p.layout.var_block[cols])
-                        assert seen <= (blocks | ({-1} if arrow else set()))
-                        k += 1
-                assert k == comp.m
+                J = qpm.gradient(fn, x)
+                assert len(rows) == J.shape[0] == comp.m
+                for (blocks, arrow), J_r in zip(rows, J):
+                    cols = np.flatnonzero(np.abs(J_r) > 1e-14)
+                    seen = set(int(b) for b in p.layout.var_block[cols])
+                    assert seen <= (blocks | ({-1} if arrow else set()))
 
     @pytest.mark.parametrize(
         "scenario, horizons", [(stepping_scenario, (20, 40, 80)), (biped_scenario, (10, 30, 60))]
@@ -386,12 +395,11 @@ class TestCompiled:
         for build in (build_sequential, build_simultaneous):
             p = build(stepping_scenario(10) if build is build_sequential else biped_scenario(6))
             comp = p.compiled_ineq()
-            fns = list(p.ineq_affine) + list(p.ineq_qpm)
             for _ in range(3):
                 x = rng.normal(size=p.n) * 3
-                ref = np.concatenate([qpm.evaluate(fn, x) for fn in fns])
+                ref = qpm.evaluate(p.ineq, x)
                 assert np.allclose(comp.value(x), ref, atol=1e-10)
-                Jref = np.vstack([qpm.gradient(fn, x) for fn in fns])
+                Jref = qpm.gradient(p.ineq, x)
                 assert np.allclose(comp.jacobian(x).toarray(), Jref, atol=1e-10)
 
     def test_no_stored_zero_in_jacobians(self):
@@ -438,6 +446,15 @@ class TestCompiled:
             fd = (comp.value(x + e) - comp.value(x - e)) / (2 * eps)
             assert np.allclose(J[:, j], fd, atol=1e-5)
 
+    @pytest.mark.parametrize("build", [build_sequential, build_simultaneous])
+    def test_quadratic_parts_psd(self, build):
+        """Every stored Q_i and P_i of the constraint functions is PSD."""
+        for scn in (biped_scenario(5), stepping_scenario()):
+            p = build(scn)
+            for fn in (p.ineq, p.eq):
+                assert qpm.min_quad_eigenvalue(fn) >= -qpm.PSD_TOL
+            assert not (p.ineq.is_affine() and p.eq.is_affine())
+
     def test_objective_hessian_psd(self):
         for build in (build_sequential, build_simultaneous):
             p = build(biped_scenario(5))
@@ -455,19 +472,12 @@ class TestConvexifiedHessian:
         p = build_sequential(biped_scenario(4))
         # pick a CoP row at t >= 2, where the CoM position is non-constant
         # and the row carries genuine Q/P parts
-        n_aff = sum(f.output_dim for f in p.ineq_affine)
-        fn_pos = next(
-            k for k, (t, i, fam) in enumerate(
-                m for m in p.ineq_meta if m[2] == "cop"
-            ) if t >= 2
-        )
+        k = next(k for k, (t, i, fam) in enumerate(p.ineq_meta) if fam == "cop" and t >= 2)
         c = np.zeros(p.n_ineq)
-        c[n_aff + 4 * fn_pos] = 1.0
+        c[k] = 1.0
         H = convexified_lagrangian_hessian(p, np.zeros(p.n), (c, np.zeros(0)))
-        row = p.ineq_qpm[fn_pos].rows[0]
-        assert row.plus is not None
-        Q = np.zeros((p.n, p.n))
-        Q[np.ix_(row.plus.idx, row.plus.idx)] = row.plus.mat
+        Q, _ = qpm.hessian_parts(p.ineq, k)
+        assert Q.any()
         assert np.allclose(
             (H - p.compiled_objective().H).toarray(), Q, atol=1e-12
         )
@@ -489,26 +499,23 @@ class TestConvexifiedHessian:
 
     @pytest.mark.parametrize("convexify", [True, False])
     def test_combo_matches_symbolic_parts(self, convexify):
-        """hessian_combo against the dense Q_i and P_i of the symbolic rows,
-        summed independently of the compiled store."""
+        """hessian_combo against the dense Q_i and P_i of qpm.hessian_parts,
+        summed row by row."""
         rng = np.random.default_rng(11)
         for build in (build_sequential, build_simultaneous):
             p = build(stepping_scenario())
             if build is build_sequential:
-                comp, fns = p.compiled_ineq(), list(p.ineq_affine) + list(p.ineq_qpm)
+                comp, fn = p.compiled_ineq(), p.ineq
             else:
-                comp, fns = p.compiled_eq(), p.eq_constraints
+                comp, fn = p.compiled_eq(), p.eq
             c = rng.normal(size=comp.m)
             ref = np.zeros((p.n, p.n))
-            k = 0
-            for fn in fns:
-                for i in range(fn.output_dim):
-                    Q, P = qpm.hessian_parts(fn, i)
-                    if convexify:
-                        ref += max(c[k], 0.0) * Q + max(-c[k], 0.0) * P
-                    else:
-                        ref += c[k] * (Q - P)
-                    k += 1
+            for k in range(fn.output_dim):
+                Q, P = qpm.hessian_parts(fn, k)
+                if convexify:
+                    ref += max(c[k], 0.0) * Q + max(-c[k], 0.0) * P
+                else:
+                    ref += c[k] * (Q - P)
             assert np.abs(ref).max() > 0
             H = comp.hessian_combo(c, convexify=convexify).toarray()
             assert np.allclose(H, ref, rtol=0, atol=1e-12)
