@@ -20,7 +20,7 @@ import time
 from . import planner, scenario
 from .contact import ContactWrenchCom, NormalForceNonPositive, com_to_cop, cop_wrench_feasibility
 from .solver import QPSubproblemInfeasible, solve
-from .transcription import extract_sequential, extract_simultaneous
+from .transcription import extract
 
 CSV_HEADER = "# kinomo-csv v1"
 
@@ -106,7 +106,6 @@ def cmd_momentum(args):
     )
     if res.status == "NumericFailure":
         return EXIT_NUMERIC
-    extract = extract_sequential if args.formulation == "sequential" else extract_simultaneous
     sol = extract(p, res.x)
     contacts = _contact_rows(scn, sol, args.formulation)
     base = os.path.join(args.out_dir, scn.name)

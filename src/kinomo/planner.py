@@ -25,7 +25,7 @@ from .kinematics import (
     momentum_state,
 )
 from .solver import solve
-from .transcription import build_sequential, build_simultaneous, extract_sequential, extract_simultaneous
+from .transcription import build_sequential, build_simultaneous, extract
 
 
 # Height (m) of the sine arc of a swing reference path at mid-swing.
@@ -53,6 +53,8 @@ class PlanOptions:
     kinematic_max_iter: int = 30
 
     def __post_init__(self):
+        if self.max_outer < 1:
+            raise ValueError("max_outer must be >= 1")
         if self.formulation not in ("sequential", "simultaneous"):
             raise ValueError(f"unknown formulation {self.formulation!r}")
 
@@ -134,7 +136,6 @@ def _solve_momentum(scn, state, opts):
     res = solve(p, scn.solver)
     if res.status == "NumericFailure":
         return res, None
-    extract = extract_sequential if opts.formulation == "sequential" else extract_simultaneous
     return res, extract(p, res.x)
 
 

@@ -9,6 +9,7 @@ errors carry the JSON field path for machine-readable reports.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -107,6 +108,19 @@ class Scenario:
 # JSON loading with field-path diagnostics
 
 
+def _check_finite(v, path="$"):
+    """Reject the NaN and infinities that JSON parsers accept, wherever a
+    number stands in the document, at that number's path."""
+    if isinstance(v, dict):
+        for key, u in v.items():
+            _check_finite(u, f"{path}.{key}")
+    elif isinstance(v, list):
+        for j, u in enumerate(v):
+            _check_finite(u, f"{path}[{j}]")
+    elif isinstance(v, float) and not math.isfinite(v):
+        raise SchemaViolation(path, "must be a finite number")
+
+
 def _get(d, key, path, kind=None):
     if key not in d:
         raise SchemaViolation(f"{path}.{key}", "missing field")
@@ -153,7 +167,7 @@ def _load_link(d, path, name_to_index):
     )
 
 
-def _load_model(d, path="robot"):
+def _load_model(d, path="$.robot"):
     raw_links = _get(d, "links", path, list)
     if not raw_links:
         raise SchemaViolation(f"{path}.links", "at least one link required")
@@ -220,6 +234,7 @@ def _load_phase(d, path, T, model):
 def scenario_from_dict(data, name="scenario"):
     if not isinstance(data, dict):
         raise SchemaViolation("$", "top level must be an object")
+    _check_finite(data)
     T = _get(data, "T", "$", int)
     if T < 1:
         raise SchemaViolation("$.T", "must be >= 1")

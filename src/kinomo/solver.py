@@ -60,6 +60,8 @@ class SolverOptions:
     backend: str = "ipm"  # "ipm" | "sqp_dense"
 
     def __post_init__(self):
+        if type(self.max_iter) is not int or self.max_iter < 0:  # isinstance would take True
+            raise ValueError("max_iter must be a non-negative integer")
         if not self.kkt_tol > 0:
             raise ValueError("kkt_tol must be positive")
         if self.backend not in ("ipm", "sqp_dense"):

@@ -17,7 +17,8 @@ steps and contact samples (no qpm call per step or sample): h_0..h_T as
 one function of 9(T+1) rows, the world forces and CoM torques with three
 rows per sample, and from them the constraint rows. The tracking
 objective of both forms is one weighted least-squares over the rows of
-h_1..h_T and the forces: sum_k w_k (r_k(x) - y_k)^2.
+h_1..h_T and the forces: sum_k w_k (r_k(x) - y_k)^2. The problem keeps
+these three maps, and extract reads every solution through them.
 
 Both builders emit an NlpProblem: one inequality and one equality Q+/-
 function with a (step, phase, family) entry per row, and a DecisionLayout
@@ -37,14 +38,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import contact, qpm
-from .contact import ContactWrenchCop, com_to_cop, cop_to_com
-from .dynamics import (
-    ForceIntegralVars,
-    MomentumState,
-    RobotConstants,
-    forces_from_integrals,
-    sequential_state_map,
-)
+from .contact import ContactWrenchCop, com_to_cop
+from .dynamics import MomentumState, RobotConstants
 
 
 @dataclass
@@ -276,12 +271,19 @@ class NlpProblem:
     ``ineq`` rows are g(x) >= 0 and ``eq`` rows g(x) = 0, each one Q+/-
     function over every step (0 rows where the form has no such family);
     ineq_meta and eq_meta give each row's (step, phase index, family).
+    ``h``, ``f`` and ``kappa`` are the maps the rows are built from: the
+    momentum states h_0..h_T (nine rows each), and the world force and
+    the torque about the CoM of each active contact sample (three rows
+    each, samples in step order).
     """
 
     layout: DecisionLayout
     objective: tuple  # (affine map r, targets y, weights w): sum w (r(x) - y)^2
     ineq: qpm.QpmFunction
     eq: qpm.QpmFunction
+    h: qpm.QpmFunction
+    f: qpm.QpmFunction
+    kappa: qpm.QpmFunction
     scenario: MomentumScenario
     ineq_meta: list
     eq_meta: list
@@ -374,7 +376,19 @@ def _tracking_objective(scn, ph, st, h, f):
 def _sequential_h(scn, n, base):
     """The closed-form state maps h_0..h_T of the force integrals as one
     function of 9(T+1) rows; base[i, t] is the first phi index of phase i
-    at step t."""
+    at step t, -1 while the phase is inactive.
+
+    Telescoping the Euler rollout over the second differences of (phi,
+    psi), which read zero before a phase starts, gives
+
+        l_t   = l_0 + delta*t*M*g + delta   * sum_e (phi_{m1} - phi_{m2})
+        M r_t = M r_0 + delta*t*l_0 + delta^2*t(t-1)/2*M*g
+                                    + delta^2 * sum_e phi-contribution
+        k_t   = k_0 + delta * sum_e (psi_{m1} - psi_{m2})
+
+    with (m1, m2) = (t-1, t-2) while phase e lasts and its last two steps
+    after it ends; the phi-contribution is phi_{m2} while the phase lasts
+    and phi_{m2} + (t - epsilon_e)(phi_{m1} - phi_{m2}) after it."""
     M, g, dt, h0 = scn.consts.M, scn.consts.g, scn.delta, scn.h0
     t = np.arange(scn.T + 1)
     tt = t[:, None]
@@ -437,7 +451,7 @@ def build_sequential(scenario: MomentumScenario) -> NlpProblem:
     ineq_meta = [(t, i, fam) for fam in ("friction", "cop") for i, t in samples for _ in range(4)]
     return NlpProblem(
         layout, _tracking_objective(scn, ph, st, h, f), qpm.stack([friction, cop]),
-        qpm.make_affine(np.zeros((0, n)), np.zeros(0)), scn, ineq_meta, [],
+        qpm.make_affine(np.zeros((0, n)), np.zeros(0)), h, f, kappa, scn, ineq_meta, [],
     )
 
 
@@ -485,7 +499,7 @@ def build_simultaneous(scenario: MomentumScenario) -> NlpProblem:
     dynamics = qpm.affine_after(C, a, qpm.stack([h, f, kappa]))
 
     return NlpProblem(
-        layout, _tracking_objective(scn, ph, st, h, f), contact_rows, dynamics, scn,
+        layout, _tracking_objective(scn, ph, st, h, f), contact_rows, dynamics, h, f, kappa, scn,
         [(t, i, "contact") for i, t in samples for _ in range(10)],
         [(t, None, "dynamics") for t in range(T) for _ in range(9)],
     )
@@ -495,66 +509,36 @@ def build_simultaneous(scenario: MomentumScenario) -> NlpProblem:
 # solution extraction and cross-formulation mapping
 
 
-def extract_sequential(p: NlpProblem, x):
-    """Momentum states, world forces and the force integrals at x."""
+def extract(p: NlpProblem, x):
+    """The solution at x read through the builder's maps: the momentum
+    states "h" (T+1, 9), and per phase index the world forces "forces" and
+    the torques about the CoM "kappas" (T, 3; zero while the phase is
+    inactive). The simultaneous form adds its CoP wrenches, read from x,
+    as "wrenches" {(phase index, step): ContactWrenchCop}."""
     scn = p.scenario
-    layout = p.layout
-    phi = {}
-    psi = {}
-    for i, ph in enumerate(scn.phases):
-        phi[i] = np.array(
-            [x[layout.contact_base[(i, t)] : layout.contact_base[(i, t)] + 3]
-             for t in range(ph.sigma, ph.epsilon)]
-        )
-        psi[i] = np.array(
-            [x[layout.contact_base[(i, t)] + 3 : layout.contact_base[(i, t)] + 6]
-             for t in range(ph.sigma, ph.epsilon)]
-        )
-    v = ForceIntegralVars(scn.phases, phi=phi, psi=psi)
-    h = np.array(
-        [sequential_state_map(v, scn.h0, scn.consts, scn.delta, t).as_vector()
-         for t in range(scn.T + 1)]
-    )
-    forces = {}
-    kappas = {}
-    for i, ph in enumerate(scn.phases):
-        forces[i] = np.zeros((scn.T, 3))
-        kappas[i] = np.zeros((scn.T, 3))
-        for t in range(ph.sigma, ph.epsilon):
-            forces[i][t], kappas[i][t] = forces_from_integrals(v, i, t)
-    return {"h": h, "forces": forces, "kappas": kappas, "integrals": v}
+    samples, ph, st, cb, _ = _samples(scn, p.layout)
+    sol = {"h": qpm.evaluate(p.h, x).reshape(-1, 9)}
+    for key, fn in (("forces", p.f), ("kappas", p.kappa)):
+        per_phase = np.zeros((len(scn.phases), scn.T, 3))
+        per_phase[ph, st] = qpm.evaluate(fn, x).reshape(-1, 3)
+        sol[key] = dict(enumerate(per_phase))
+    if p.layout.kind == "simultaneous":
+        w = x[cb[:, None] + np.arange(6)]
+        sol["wrenches"] = {
+            s: ContactWrenchCop(v[:3], v[3:5], float(v[5])) for s, v in zip(samples, w)
+        }
+    return sol
 
 
-def extract_simultaneous(p: NlpProblem, x):
-    """Momentum states, world forces, torques about the CoM and the CoP
-    wrenches at x."""
-    scn = p.scenario
-    layout = p.layout
-    h = np.empty((scn.T + 1, 9))
-    h[0] = scn.h0.as_vector()
-    for t in range(1, scn.T + 1):
-        b = layout.state_base[t]
-        h[t] = x[b : b + 9]
-    forces = {}
-    kappas = {}
-    wrenches = {}
-    for i, ph in enumerate(scn.phases):
-        forces[i] = np.zeros((scn.T, 3))
-        kappas[i] = np.zeros((scn.T, 3))
-        for t in range(ph.sigma, ph.epsilon):
-            b = layout.contact_base[(i, t)]
-            w = ContactWrenchCop(x[b : b + 3], x[b + 3 : b + 5], float(x[b + 5]))
-            wrenches[(i, t)] = w
-            com = cop_to_com(w, ph.surface, h[t, :3])
-            forces[i][t], kappas[i][t] = com.f, com.kappa
-    return {"h": h, "forces": forces, "kappas": kappas, "wrenches": wrenches}
+# the benchmark in perfbench/ still calls extract by its former per-form names
+extract_sequential = extract_simultaneous = extract
 
 
 def map_sequential_point(p_seq: NlpProblem, p_sim: NlpProblem, x_seq):
     """Lift a sequential point into simultaneous variables with identical
     dynamics (zero equality residual) and identical wrenches."""
     scn = p_seq.scenario
-    sol = extract_sequential(p_seq, x_seq)
+    sol = extract(p_seq, x_seq)
     x = np.zeros(p_sim.n)
     for t in range(1, scn.T + 1):
         b = p_sim.layout.state_base[t]

@@ -9,6 +9,7 @@ import time
 import numpy as np
 import pytest
 
+from test_dynamics import built, rollout_states, with_integrals
 from test_solver import convex_variant, one_contact_scenario
 from test_transcription import biped_scenario
 
@@ -21,13 +22,7 @@ from kinomo.contact import (
     cop_to_com,
     cop_wrench_feasibility,
 )
-from kinomo.dynamics import (
-    ForceIntegralVars,
-    MomentumState,
-    RobotConstants,
-    rollout_from_integrals,
-    sequential_state_map,
-)
+from kinomo.dynamics import MomentumState, RobotConstants
 from kinomo.kinematics import centroidal_momentum_matrix, default_biped, momentum_jacobian
 from kinomo.linalg import BlockTridiagCholesky, factorize_banded_arrow
 from kinomo.planner import PlanOptions, initialize_references, plan
@@ -38,7 +33,7 @@ from kinomo.scenario import (
     rescale_horizon,
 )
 from kinomo.solver import SolverOptions, _solve_dense_qp, solve, solve_ipm
-from kinomo.transcription import build_sequential, build_simultaneous, extract_sequential
+from kinomo.transcription import build_sequential, build_simultaneous, extract
 
 STAND = "scenarios/stand.json"
 STEP = "scenarios/step_stones.json"
@@ -66,7 +61,8 @@ def test_criterion_01_cross_product():
 
 
 def test_criterion_02_sequential_map_oracle():
-    """sequential_state_map equals the Euler rollout on random instances."""
+    """The sequential builder's state map equals the Euler rollout of the
+    second differences of random force integrals."""
     rng = np.random.default_rng(2)
     worst = 0.0
     t0 = time.perf_counter()
@@ -82,15 +78,13 @@ def test_criterion_02_sequential_map_oracle():
                for i, ph in enumerate(phases)}
         psi = {i: rng.normal(size=(ph.epsilon - ph.sigma, 3))
                for i, ph in enumerate(phases)}
-        v = ForceIntegralVars(tuple(phases), phi=phi, psi=psi)
         h0 = MomentumState(rng.normal(size=3), rng.normal(size=3), rng.normal(size=3))
         consts = RobotConstants(M=float(rng.uniform(10, 60)))
         delta = float(rng.uniform(0.01, 0.2))
-        ref = rollout_from_integrals(v, h0, consts, delta, T)
-        for t in range(T + 1):
-            a = sequential_state_map(v, h0, consts, delta, t).as_vector()
-            b = ref[t].as_vector()
-            worst = max(worst, float(np.max(np.abs(a - b) / (1.0 + np.abs(b)))))
+        p = built(phases, T, h0, delta, consts)
+        x = with_integrals(p, phi, psi)
+        a, b = extract(p, x)["h"], rollout_states(p, x)
+        worst = max(worst, float(np.max(np.abs(a - b) / (1.0 + np.abs(b)))))
     elapsed = time.perf_counter() - t0
     assert worst <= 1e-9
     assert elapsed < 5.0
@@ -201,7 +195,7 @@ def test_criterion_06_desk_stepping():
     elapsed = time.perf_counter() - t0
     assert res.converged and max(res.kkt) <= 1e-6
     assert elapsed < 60.0
-    sol = extract_sequential(p, res.x)
+    sol = extract(p, res.x)
     worst = np.inf
     for t in range(scn.T):
         for i, ph in enumerate(scn.phases):
@@ -259,10 +253,8 @@ def test_criterion_08_cross_formulation():
     assert r_seq.converged and r_sim.converged
     rel = abs(r_seq.objective - r_sim.objective) / (1.0 + abs(r_seq.objective))
     assert rel <= 1e-3
-    h_seq = extract_sequential(p_seq, r_seq.x)["h"]
-    from kinomo.transcription import extract_simultaneous
-
-    h_sim = extract_simultaneous(p_sim, r_sim.x)["h"]
+    h_seq = extract(p_seq, r_seq.x)["h"]
+    h_sim = extract(p_sim, r_sim.x)["h"]
     dh = float(np.abs(h_seq - h_sim).max())
     assert dh <= 1e-3
     print(f"PASS 8: objective rel diff {rel:.2e}, momentum diff {dh:.2e}")

@@ -122,6 +122,27 @@ class TestMomentum:
         assert capsys.readouterr().out.splitlines()[-1].startswith("error:")
         assert not (tmp_path / "stand_contacts.csv").exists()
 
+    @pytest.mark.parametrize("keys, value, path", [
+        (("solver", "max_iter"), -1, "$.solver"),
+        (("solver", "max_iter"), 2.5, "$.solver"),
+        (("solver", "max_iter"), "7", "$.solver"),
+        (("phases", 0, "surface", "mu"), float("nan"), "$.phases[0].surface.mu"),
+        (("delta",), float("nan"), "$.delta"),
+        (("robot", "links", 3, "mass"), float("nan"), "$.robot.links[3].mass"),
+        (("q0", 2), float("inf"), "$.q0[2]"),
+        (("phases", 1, "surface", "p_max", 0), float("nan"), "$.phases[1].surface.p_max[0]"),
+    ])
+    def test_malformed_number_exits_schema(self, tmp_path, capsys, keys, value, path):
+        d = scenario_to_dict(make_standing_scenario(T=10))
+        node = d
+        for k in keys[:-1]:
+            node = node[k]
+        node[keys[-1]] = value
+        p = tmp_path / "bad_number.json"
+        p.write_text(json.dumps(d))  # writes NaN and Infinity as JSON parsers read them
+        assert cli.main(["momentum", str(p), "--out-dir", str(tmp_path)]) == cli.EXIT_SCHEMA
+        assert capsys.readouterr().out.startswith(f"error: {path}: ")
+
     @pytest.mark.parametrize("command", ["momentum", "plan", "bench"])
     def test_missing_file(self, command, tmp_path, capsys):
         assert cli.main([command, str(tmp_path / "nope.json"),

@@ -152,3 +152,5 @@ class TestPlan:
     def test_options_validation(self):
         with pytest.raises(ValueError):
             PlanOptions(formulation="hybrid")
+        with pytest.raises(ValueError):
+            PlanOptions(max_outer=0)

@@ -92,7 +92,7 @@ class TestValidation:
     def test_negative_mass(self):
         d = self.base()
         d["robot"]["links"][5]["mass"] = -1.0
-        self.check_path(d, "links[5].mass")
+        self.check_path(d, "$.robot.links[5].mass")
 
     def test_missing_robot(self):
         d = self.base()

@@ -38,7 +38,7 @@ from kinomo.transcription import (
     build_sequential,
     build_simultaneous,
     convexified_lagrangian_hessian,
-    extract_sequential,
+    extract,
 )
 
 
@@ -55,8 +55,8 @@ def convex_variant(p):
     """Same problem with the nonconvex CoP rows dropped (affine subclass)."""
     rows = [k for k, m in enumerate(p.ineq_meta) if m[2] == "friction"]
     return NlpProblem(
-        p.layout, p.objective, qpm.select_rows(p.ineq, rows), p.eq, p.scenario,
-        [p.ineq_meta[k] for k in rows], [],
+        p.layout, p.objective, qpm.select_rows(p.ineq, rows), p.eq, p.h, p.f, p.kappa,
+        p.scenario, [p.ineq_meta[k] for k in rows], [],
     )
 
 
@@ -125,7 +125,7 @@ class TestIpm:
         assert res.converged
         # the reference is exactly attainable: zero tracking cost
         assert res.objective < 1e-8
-        sol = extract_sequential(p, res.x)
+        sol = extract(p, res.x)
         assert np.allclose(sol["h"], p.scenario.h_ref, atol=1e-4)
 
     def test_simultaneous_backend(self):
@@ -140,7 +140,7 @@ class TestIpm:
         p = build_sequential(scn)
         res = solve_ipm(p, SolverOptions(max_iter=300))
         assert res.converged
-        sol = extract_sequential(p, res.x)
+        sol = extract(p, res.x)
         for t in range(scn.T):
             for i in scn.active_at(t):
                 ph = scn.phases[i]

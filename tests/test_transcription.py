@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from kinomo import contact, dynamics, qpm, transcription
-from kinomo.contact import ContactPhase, ContactSurface, ContactWrenchCom, com_to_cop
+from test_dynamics import rollout_states, sample_wrenches
+
+from kinomo import contact, qpm, transcription
+from kinomo.contact import ContactPhase, ContactSurface, com_to_cop
 from kinomo.dynamics import MomentumState, RobotConstants
 from kinomo.solver import KKTSystem
 from kinomo.transcription import (
@@ -11,8 +13,7 @@ from kinomo.transcription import (
     build_sequential,
     build_simultaneous,
     convexified_lagrangian_hessian,
-    extract_sequential,
-    extract_simultaneous,
+    extract,
     map_sequential_point,
 )
 
@@ -117,19 +118,15 @@ class TestSequentialMaps:
         for scn in (biped_scenario(8), stepping_scenario()):
             p = build_sequential(scn)
             x = rng.normal(size=p.n) * 5
-            sol = extract_sequential(p, x)
-            for t in range(scn.T + 1):
-                ref = dynamics.sequential_state_map(
-                    sol["integrals"], scn.h0, scn.consts, scn.delta, t
-                ).as_vector()
-                assert np.allclose(sol["h"][t], ref, atol=1e-12)
+            ref = rollout_states(p, x)
+            assert np.allclose(extract(p, x)["h"], ref, rtol=0, atol=1e-12 * np.abs(ref).max())
 
     def test_objective_value_at_static_stance(self):
         scn = biped_scenario(6)
         p = build_sequential(scn)
         x = static_stance_point(p)
         obj = p.compiled_objective()
-        sol = extract_sequential(p, x)
+        sol = extract(p, x)
         # the stance holds h exactly at the reference; forces match refs too
         assert np.allclose(sol["h"], scn.h_ref, atol=1e-9)
         assert obj.value(x) == pytest.approx(0.0, abs=1e-8)
@@ -146,16 +143,16 @@ class TestSequentialMaps:
         scn = biped_scenario(5)
         p = build_sequential(scn)
         x = static_stance_point(p) + rng.normal(size=p.n)
-        sol = extract_sequential(p, x)
+        wrenches = sample_wrenches(p, x)
+        h = rollout_states(p, x)
         vals = p.compiled_ineq().value(x)
         for k in range(0, p.n_ineq, 4):
             t, i, fam = p.ineq_meta[k]
             if fam != "cop":
                 continue
             ph = scn.phases[i]
-            f = sol["forces"][i][t]
-            kappa = sol["kappas"][i][t]
-            r = sol["h"][t][:3]
+            f, kappa = wrenches[(i, t)].f, wrenches[(i, t)].kappa
+            r = h[t, :3]
             s = ph.surface
             fz = s.R_z @ f
             m = s.R_xy.T @ (kappa + np.cross(r - s.t, f))
@@ -177,7 +174,6 @@ class TestSequentialMaps:
         p = build_sequential(scn)
         x = static_stance_point(p)
         # push the CoP of contact 0 outside the support rectangle in y
-        sol = extract_sequential(p, x)
         for t in range(scn.T):
             b = p.layout.contact_base[(0, t)]
             s = (t + 1) * (t + 2) / 2.0
@@ -185,12 +181,8 @@ class TestSequentialMaps:
         vals = p.compiled_ineq().value(x)
         assert vals.min() < 0
         # confirm with the conversion oracle
-        sol = extract_sequential(p, x)
-        w = com_to_cop(
-            ContactWrenchCom(sol["forces"][0][2], sol["kappas"][0][2]),
-            scn.phases[0].surface,
-            sol["h"][2][:3],
-        )
+        r = rollout_states(p, x)[2, :3]
+        w = com_to_cop(sample_wrenches(p, x)[(0, 2)], scn.phases[0].surface, r)
         assert abs(w.p_hat[1]) > 0.05
 
 
@@ -225,8 +217,8 @@ class TestSimultaneous:
         p_seq = build_sequential(scn)
         p_sim = build_simultaneous(scn)
         x_seq = positive_stance_point(p_seq, rng)
-        seq = extract_sequential(p_seq, x_seq)
-        sim = extract_simultaneous(p_sim, map_sequential_point(p_seq, p_sim, x_seq))
+        seq = extract(p_seq, x_seq)
+        sim = extract(p_sim, map_sequential_point(p_seq, p_sim, x_seq))
         for i in range(len(scn.phases)):
             assert np.allclose(sim["kappas"][i], seq["kappas"][i], rtol=0.0, atol=1e-9)
 
@@ -247,7 +239,7 @@ class TestSimultaneous:
         p = build_simultaneous(scn)
         x = rng.normal(size=p.n)
         vals = p.compiled_ineq().value(x)
-        sol = extract_simultaneous(p, x)
+        sol = extract(p, x)
         for k in range(0, p.n_ineq, 10):
             t, i, fam = p.ineq_meta[k]
             assert fam == "contact"
@@ -257,6 +249,29 @@ class TestSimultaneous:
                 np.concatenate([w.f_hat, w.p_hat, [w.tau_hat]])
             )
             assert np.allclose(vals[k : k + 10], direct, atol=1e-12)
+
+    def test_extraction_matches_direct(self):
+        """h, world forces and torques about the CoM at random x against
+        x's slices, the torque written out with np.cross."""
+        rng = np.random.default_rng(13)
+        scn = stepping_scenario()
+        p = build_simultaneous(scn)
+        x = rng.normal(size=p.n) * 3
+        sol = extract(p, x)
+        h = np.vstack([scn.h0.as_vector()] + [
+            x[p.layout.state_base[t] : p.layout.state_base[t] + 9] for t in range(1, scn.T + 1)
+        ])
+        assert np.array_equal(sol["h"], h)
+        f = np.zeros((len(scn.phases), scn.T, 3))
+        kappa = np.zeros_like(f)
+        for (i, t), b in p.layout.contact_base.items():
+            s = scn.phases[i].surface
+            f[i, t] = s.R @ x[b : b + 3]
+            cop = s.R[:, :2] @ x[b + 3 : b + 5] + s.t
+            kappa[i, t] = x[b + 5] * s.R[:, 2] + np.cross(cop - h[t, :3], f[i, t])
+        for i in range(len(scn.phases)):
+            assert np.allclose(sol["forces"][i], f[i], rtol=0, atol=1e-12)
+            assert np.allclose(sol["kappas"][i], kappa[i], rtol=0, atol=1e-9)
 
     def test_dynamics_rows_match_direct(self):
         """Each step's nine dynamics rows at random x against the momentum
