@@ -2,9 +2,10 @@
 planning and horizon-scaling benchmarks.
 
 All outputs are CSV files prefixed with the version header line
-``# kinomo-csv v1``. Exit codes: 0 success, 2 schema/parse error,
-3 solver did not converge, 4 numeric failure (also an infeasible SQP
-subproblem, and a contact export met with a non-positive normal force).
+``# kinomo-csv v1``. Exit codes: 0 success, 2 schema/parse error (also
+a malformed command-line option), 3 solver did not converge, 4 numeric
+failure (also an infeasible SQP subproblem, and a contact export met with
+a non-positive normal force).
 """
 
 from __future__ import annotations
@@ -99,10 +100,16 @@ def cmd_validate(args):
 def cmd_momentum(args):
     scn = scenario.load_scenario(args.scenario)
     p = planner.momentum_problem(scn, planner.initialize_references(scn), args.formulation)
-    res = solve(p, _solver_options(scn, args))
+    opts = _solver_options(scn, args)
+    res = solve(p, opts)
+    # the IPM starts from the exact Hessian and falls back at most once
+    fallbacks = int(
+        opts.backend == "ipm" and any(st.hessian == "convexified" for st in res.stats)
+    )
     print(
         f"{scn.name} [{args.formulation}/{res.status}] n={p.n} "
-        f"iters={len(res.stats)} objective={res.objective:.6g} kkt={max(res.kkt):.3e}"
+        f"iters={len(res.stats)} fallbacks={fallbacks} "
+        f"objective={res.objective:.6g} kkt={max(res.kkt):.3e}"
     )
     if res.status == "NumericFailure":
         return EXIT_NUMERIC
@@ -121,8 +128,8 @@ def cmd_momentum(args):
     )
     _write_csv(
         base + "_iterations.csv",
-        ["iter", "kkt", "mu", "alpha", "time_ms"],
-        [[st.iter, st.kkt, st.mu, st.alpha, st.time_ms] for st in res.stats],
+        ["iter", "kkt", "mu", "alpha", "time_ms", "hessian"],
+        [[st.iter, st.kkt, st.mu, st.alpha, st.time_ms, st.hessian] for st in res.stats],
     )
     return _STATUS_EXIT[res.status]
 
@@ -193,8 +200,7 @@ def _bench_cell(scn, T, formulation, repeats):
 
 def cmd_bench(args):
     scn = scenario.load_scenario(args.scenario)
-    t_list = [int(v) for v in args.T_list.split(",")]
-    rows = [_bench_cell(scn, T, args.formulation, args.repeats) for T in t_list]
+    rows = [_bench_cell(scn, T, args.formulation, args.repeats) for T in args.T_list]
     # the file keeps the option's spelling: seq | sim
     short = {v: k for k, v in FORMULATIONS.items()}[args.formulation]
     path = os.path.join(args.out_dir, f"{scn.name}_bench_{short}.csv")
@@ -202,6 +208,22 @@ def cmd_bench(args):
     for r in rows:
         print(f"T={r[0]:5d} n={r[1]:6d} iters={r[2]:.0f} total={r[3]:.1f}ms per_iter={r[4]:.2f}ms kkt={r[5]:.2e}")
     return EXIT_OK
+
+
+def _positive_int(text):
+    """An integer >= 1, as an argparse type: anything else exits 2."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer >= 1")
+    return value
+
+
+def _horizons(text):
+    """A comma-separated list of horizons, each an integer >= 1."""
+    return [_positive_int(v) for v in text.split(",")]
 
 
 def build_parser():
@@ -230,8 +252,8 @@ def build_parser():
     p = sub.add_parser("bench", help="horizon-scaling benchmark")
     common(p)
     p.add_argument("--formulation", choices=tuple(FORMULATIONS), default="seq")
-    p.add_argument("--T-list", dest="T_list", default="25,50,100,200,400")
-    p.add_argument("--repeats", type=int, default=3)
+    p.add_argument("--T-list", dest="T_list", type=_horizons, default="25,50,100,200,400")
+    p.add_argument("--repeats", type=_positive_int, default=3)
     p.set_defaults(fn=cmd_bench)
     return ap
 

@@ -4,13 +4,12 @@ The Lagrangian convention throughout is
 
     L(x, z, y) = J(x) - z^T g_I(x) - y^T g_E(x),   g_I >= 0, z >= 0,
 
-so the curvature contribution of constraint i is -2 dual_i (Q_i - P_i);
-its PSD part is what convexified_lagrangian_hessian assembles from the
-coefficients -2z (inequalities) and -2y (equalities). The Newton system
-eliminates slacks and inequality duals into the diagonal Sigma = Z S^-1
-and factorizes
+so the curvature contribution of constraint i is -2 dual_i (Q_i - P_i)
+with coefficients -2z (inequalities) and -2y (equalities). The Newton
+system eliminates slacks and inequality duals into the diagonal
+Sigma = Z S^-1 and factorizes
 
-    K = H_tilde + A_I^T Sigma A_I + delta I
+    K = H + A_I^T Sigma A_I + delta I
 
 by the banded-plus-arrow Cholesky (sequential formulation, no equality
 rows) or, with the dynamics equalities appended, as a quasi-definite
@@ -20,7 +19,25 @@ sparsity pattern and the slot of every entry are worked out once per
 solve, and each iteration only scatters numbers into the slots. Both
 factorizations cost O(T) per iteration for a fixed effector count.
 
-A dense line-search SQP with the same convexified Hessian serves as the
+H is first the exact Lagrangian Hessian, which makes each step a Newton
+step. The exact matrix is rejected when the Cholesky of K + REG_FLOOR I
+fails (sequential form), or, since the banded LU shows no inertia, when
+the step dx fails the curvature test dx^T K dx > kappa |dx|^2
+(simultaneous form; Chiang and Zavala, Comput. Optim. Appl. 64, 2016).
+On the first rejection the solve switches for good to the convexified
+Hessian, which keeps only the PSD part of each row's curvature: the
+objective Hessian plus c Q_i for c >= 0 and |c| P_i for c < 0, as
+convexified_lagrangian_hessian assembles it. That matrix is positive
+semidefinite, so K is positive definite for a small delta and every step
+is a descent direction of the barrier merit function; from the switch on,
+the solve is the globally convergent convexified method, with delta
+raised tenfold while the factorization fails. The rule costs at most one
+extra assembly and factorization. Trying the exact Hessian again after
+a convexified step does not converge reliably: on step_stones rescaled
+to T=400 (sequential form) such a per-iteration fallback stalls at the
+iteration limit.
+
+A dense line-search SQP with the convexified Hessian serves as the
 baseline solver for cross-checking on small instances.
 """
 
@@ -45,12 +62,14 @@ class QPSubproblemInfeasible(RuntimeError):
 
 
 # Interior-point constants: initial barrier parameter, its reduction
-# factor, the fraction-to-boundary factor and the smallest regularization
-# delta (also the dense SQP's Hessian shift).
+# factor, the fraction-to-boundary factor, the smallest regularization
+# delta (also the dense SQP's Hessian shift) and the least curvature
+# kappa an exact simultaneous step must show per unit of |dx|^2.
 MU0 = 1.0
 MU_REDUCTION = 0.2
 FRACTION_TO_BOUNDARY = 0.995
 REG_FLOOR = 1e-8
+CURVATURE_MIN = REG_FLOOR
 
 
 @dataclass
@@ -68,13 +87,16 @@ class SolverOptions:
             raise ValueError(f"unknown backend {self.backend!r}")
 
 
-@dataclass
+# slots: a solve keeps one record per iteration, and without a per-record
+# dict each takes a fifth less memory (208 against 258 bytes, floats included)
+@dataclass(slots=True)
 class IterationStat:
     iter: int
     kkt: float
     mu: float
     alpha: float
     time_ms: float
+    hessian: str  # "exact" | "convexified": the Hessian of this iteration's step
 
 
 @dataclass
@@ -203,16 +225,24 @@ class KKTSystem:
     pattern, the diagonal and, in the simultaneous form, A_E, A_E^T and
     the -gamma I block), numbers its lower-triangle entries ("slots") and
     maps each slot to its place in the band storage. ``assemble`` then
-    only computes the slot values,
+    only computes the slot values, for the stacked curvature
+    coefficients c either exactly,
+
+        K = H_obj + G_Q c - G_P c + A_I^T Sigma A_I,
+
+    or convexified, keeping the PSD part of each row's c (Q - P),
 
         K = H_obj + G_Q max(c, 0) + G_P max(-c, 0) + A_I^T Sigma A_I,
 
-    ``pack`` scatters them into the storage with delta written onto the
-    diagonal of K, and ``factor`` factorizes the storage in place:
-    banded-plus-arrow Cholesky of K + delta I (sequential), or banded LU
-    of [[K + delta I, A_E^T], [A_E, -gamma I]] in step-interleaved order
-    (simultaneous). ``ineq`` and ``eq`` are the problem's compiled
-    constraint functions, None where it has none.
+    on the same slots. ``pack`` scatters them into the storage with delta
+    written onto the diagonal of K, and ``factor`` factorizes the storage
+    in place: banded-plus-arrow Cholesky of K + delta I (sequential), or
+    banded LU of [[K + delta I, A_E^T], [A_E, -gamma I]] in
+    step-interleaved order (simultaneous). The Cholesky fails unless
+    K + delta I is positive definite; ``curvature`` gives dx^T K dx, the
+    test that stands in for inertia where the LU shows none. ``ineq`` and
+    ``eq`` are the problem's compiled constraint functions, None where it
+    has none.
     """
 
     gamma = 1e-8
@@ -259,6 +289,11 @@ class KKTSystem:
         slot = {k: np.searchsorted(pattern, v).astype(np.int32) for k, v in keys.items()}
         del keys  # before the matrices below are built
         S = pattern.size
+        row, col = np.divmod(pattern, N)
+        # the slots of K, the primal block, come first: their keys are below n N
+        n_k = int(np.searchsorted(pattern, n * N))
+        self._k_row, self._k_col = row[:n_k].astype(np.int32), col[:n_k].astype(np.int32)
+        self._k_weight = np.where(self._k_row == self._k_col, 1.0, 2.0)
 
         self._const = np.bincount(slot["obj"], const_val, minlength=S)
         if m_e:
@@ -282,7 +317,6 @@ class KKTSystem:
             )
 
         # band storage: each slot's place, and a mirror place off the diagonal
-        row, col = np.divmod(pattern, N)
         if m_e:
             self.order = _simultaneous_kkt_order(p)
         else:
@@ -323,27 +357,36 @@ class KKTSystem:
         self._storage = np.zeros(sum(r * c for r, c in shapes))
         self._blocks = _fortran_views(self._storage, shapes)
 
-    def assemble(self, c_i, sigma, J_i, c_e, J_e):
+    def assemble(self, c_i, sigma, J_i, c_e, J_e, *, exact):
         """Compute this iteration's slot values.
 
         ``c_i``, ``c_e`` are the curvature coefficients of the inequality
-        and equality rows (c >= 0 keeps c Q, c < 0 keeps |c| P, as in
-        convexified_lagrangian_hessian), ``sigma`` the diagonal Z S^-1 and
-        ``J_i``, ``J_e`` the data arrays of the Jacobians in their fixed
+        and equality rows, ``exact`` selects the exact or the convexified
+        curvature (c >= 0 keeps c Q, c < 0 keeps |c| P, as in
+        convexified_lagrangian_hessian), ``sigma`` is the diagonal Z S^-1
+        and ``J_i``, ``J_e`` the data arrays of the Jacobians in their fixed
         CSR patterns. An absent family takes empty arrays and None."""
         c = np.concatenate([c_i, c_e])
+        cq, cp = (c, -c) if exact else (np.maximum(c, 0.0), np.maximum(-c, 0.0))
         v = self._const.copy()
-        # a part whose coefficients are all zero is skipped: the
-        # inequality duals of the IPM make every c_i negative
-        for part, cp in (("Q", np.maximum(c, 0.0)), ("P", np.maximum(-c, 0.0))):
-            if cp.any():
-                v += self._G[part] @ cp
+        # a part whose coefficients are all zero is skipped: convexified,
+        # the inequality duals of the IPM make every c_i negative
+        for part, coeffs in (("Q", cq), ("P", cp)):
+            if coeffs.any():
+                v += self._G[part] @ coeffs
         if self.m_i:
             np.take(J_i, self._p2, out=self._AtA.data)
             v += self._AtA @ (J_i * np.repeat(sigma, self._row_len))
         if self.m_e:
             v[self._ae_slot] = J_e
         self._v = v
+
+    def curvature(self, dx):
+        """dx^T K dx for the assembled K, without delta: one sum over the
+        slots of the primal block."""
+        terms = dx[self._k_row] * dx[self._k_col]
+        terms *= self._k_weight
+        return float(terms @ self._v[: terms.size])
 
     def pack(self, delta):
         """Write the assembled matrix, with delta added to the diagonal of
@@ -420,6 +463,7 @@ def solve_ipm(p: NlpProblem, opts: SolverOptions = None) -> SolveResult:
     y = np.zeros(m_e)
     ev = _evaluate(obj, ineq, eq, x, z, y)
     kkt = KKTSystem(p, ineq, eq)
+    hessian = "exact"  # until the first rejected exact matrix (module docstring)
 
     stats = []
     status = "MaxIter"
@@ -435,7 +479,7 @@ def solve_ipm(p: NlpProblem, opts: SolverOptions = None) -> SolveResult:
         if kkt_norm <= opts.kkt_tol:
             status = "Converged"
             stats.append(IterationStat(it, kkt_norm, mu, 0.0,
-                                       (time.perf_counter() - it_t0) * 1e3))
+                                       (time.perf_counter() - it_t0) * 1e3, hessian))
             break
         if it == opts.max_iter:
             break
@@ -444,21 +488,32 @@ def solve_ipm(p: NlpProblem, opts: SolverOptions = None) -> SolveResult:
         if max(res[0], res[1], np.abs(s * z - mu).max(initial=0.0)) <= 10.0 * mu:
             mu = max(mu * MU_REDUCTION, 1e-14)
 
-        # reduced system: K = H_tilde + A_I^T Sigma A_I (+ delta I)
+        # reduced system: K = H + A_I^T Sigma A_I (+ delta I)
         sigma = z / s
         r_i = g_i - s
-        kkt.assemble(
-            -2.0 * z, sigma, A_i.data if m_i else None,
-            -2.0 * y, A_e.data if m_e else None,
-        )
+        terms = (-2.0 * z, sigma, A_i.data if m_i else None,
+                 -2.0 * y, A_e.data if m_e else None)
+        kkt.assemble(*terms, exact=hessian == "exact")
         rhs = -r_d
         if m_i:
             rhs = rhs + A_i.T @ (mu / s - z - sigma * r_i)
         if m_e:
             rhs = np.concatenate([rhs, -g_e])
 
-        delta = REG_FLOOR
         sol = None
+        if hessian == "exact":
+            try:
+                sol = kkt.factor(REG_FLOOR).solve(rhs)
+                # the LU shows no inertia: the step's curvature stands in
+                dx = sol[:n]
+                if m_e and not kkt.curvature(dx) > CURVATURE_MIN * float(dx @ dx):
+                    sol = None
+            except NotPositiveDefinite:
+                pass
+            if sol is None:  # rejected: convexified for the rest of the solve
+                hessian = "convexified"
+                kkt.assemble(*terms, exact=False)
+        delta = REG_FLOOR
         while sol is None:
             try:
                 sol = kkt.factor(delta).solve(rhs)
@@ -495,7 +550,7 @@ def solve_ipm(p: NlpProblem, opts: SolverOptions = None) -> SolveResult:
         else:
             alpha = 0.0
         stats.append(
-            IterationStat(it, kkt_norm, mu, alpha, (time.perf_counter() - it_t0) * 1e3)
+            IterationStat(it, kkt_norm, mu, alpha, (time.perf_counter() - it_t0) * 1e3, hessian)
         )
         if not alpha:  # no trial point reduced either measure
             status = "Infeasible" if res[1] > 1e-4 else "MaxIter"
@@ -594,7 +649,7 @@ def solve_sqp_dense(p: NlpProblem, opts: SolverOptions = None) -> SolveResult:
         if kkt_norm <= opts.kkt_tol:
             status = "Converged"
             stats.append(IterationStat(it, kkt_norm, 0.0, 0.0,
-                                       (time.perf_counter() - t0) * 1e3))
+                                       (time.perf_counter() - t0) * 1e3, "convexified"))
             break
         H = convexified_lagrangian_hessian(
             p, x, (-2.0 * z, -2.0 * y)
@@ -648,14 +703,16 @@ def solve_sqp_dense(p: NlpProblem, opts: SolverOptions = None) -> SolveResult:
                 z = z_qp.copy()
                 y = y_qp.copy()
                 stats.append(
-                    IterationStat(it, kkt_norm, 0.0, 1.0, (time.perf_counter() - t0) * 1e3)
+                    IterationStat(it, kkt_norm, 0.0, 1.0, (time.perf_counter() - t0) * 1e3,
+                                  "convexified")
                 )
                 continue
         x = x + alpha * d
         z = z + alpha * (z_qp - z)
         y = y + alpha * (y_qp - y)
         stats.append(
-            IterationStat(it, kkt_norm, 0.0, alpha, (time.perf_counter() - t0) * 1e3)
+            IterationStat(it, kkt_norm, 0.0, alpha, (time.perf_counter() - t0) * 1e3,
+                          "convexified")
         )
     res = kkt_residual(p, x, z, y)
     f = obj.value(x)

@@ -77,9 +77,17 @@ class TestMomentum:
     def test_iteration_stats_written(self, stand_path, tmp_path):
         cli.main(["momentum", stand_path, "--out-dir", str(tmp_path)])
         header, cols, rows = read_csv(tmp_path / "stand_iterations.csv")
-        assert cols == ["iter", "kkt", "mu", "alpha", "time_ms"]
+        assert cols == ["iter", "kkt", "mu", "alpha", "time_ms", "hessian"]
         kkts = [float(r[1]) for r in rows]
         assert kkts[-1] <= 1e-6
+        assert {r[5] for r in rows} <= {"exact", "convexified"}
+
+    @pytest.mark.parametrize("backend", ["ipm", "sqp"])
+    def test_summary_counts_fallbacks(self, stand_path, tmp_path, capsys, backend):
+        cli.main(["momentum", stand_path, "--backend", backend, "--out-dir", str(tmp_path)])
+        # the standing instance never rejects the exact matrix; the SQP
+        # is convexified by design and never falls back
+        assert " fallbacks=0 " in capsys.readouterr().out
 
     def test_formulations_agree(self, stand_path, tmp_path, capsys):
         assert cli.main(["momentum", stand_path, "--out-dir", str(tmp_path)]) == 0
@@ -187,3 +195,14 @@ class TestBench:
                   "--repeats", "1", "--out-dir", str(tmp_path)])
         _, _, rows = read_csv(tmp_path / "stand_bench_sim.csv")
         assert int(rows[0][1]) == 21 * int(rows[0][0])
+
+    @pytest.mark.parametrize("option, value", [
+        ("--repeats", "0"), ("--repeats", "-2"), ("--T-list", "0"),
+        ("--T-list", "10,-5"), ("--T-list", "10,x"), ("--T-list", "10,,20"),
+    ])
+    def test_bad_option_exits_schema(self, stand_path, tmp_path, capsys, option, value):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["bench", stand_path, f"{option}={value}", "--out-dir", str(tmp_path)])
+        assert exc.value.code == cli.EXIT_SCHEMA
+        assert f"argument {option}: " in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())

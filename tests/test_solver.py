@@ -7,7 +7,7 @@ import scipy.sparse as sp
 
 from test_transcription import biped_scenario, foot_surface, stepping_scenario
 
-from kinomo import qpm, transcription
+from kinomo import qpm, solver, transcription
 from kinomo.contact import (
     ContactPhase,
     ContactWrenchCom,
@@ -184,6 +184,38 @@ class TestIpm:
         assert res.status == "MaxIter"
 
 
+def _step_stones_problem(build, T=None):
+    scn = load_scenario("scenarios/step_stones.json")
+    if T is not None:
+        scn = rescale_horizon(scn, T)
+    state = initialize_references(scn)
+    return build(scn.momentum_scenario(state.h_bar, state.lambda_bar))
+
+
+class TestHessianMode:
+    @pytest.mark.parametrize("build", [build_sequential, build_simultaneous])
+    def test_step_stones_newton_iterations(self, build):
+        # the convexified Hessian took 576 (seq) and 538 (sim) iterations
+        res = solve_ipm(_step_stones_problem(build))
+        assert res.converged
+        assert len(res.stats) <= 60
+
+    def test_rejected_exact_matrix_falls_back_for_good(self):
+        # the exact sequential K fails the Cholesky late in this solve
+        res = solve_ipm(_step_stones_problem(build_sequential, T=200))
+        assert res.converged
+        modes = [st.hessian for st in res.stats]
+        k = modes.index("convexified")
+        assert k > 0 and set(modes[k:]) == {"convexified"}
+
+    def test_curvature_test_rejects_simultaneous_step(self, monkeypatch):
+        # no step passes the curvature test: the first iteration falls back
+        monkeypatch.setattr(solver, "CURVATURE_MIN", np.inf)
+        res = solve_ipm(build_simultaneous(biped_scenario(6)))
+        assert res.converged
+        assert {st.hessian for st in res.stats} == {"convexified"}
+
+
 class TestNonFinite:
     @pytest.mark.parametrize("backend", ["ipm", "sqp_dense"])
     @pytest.mark.parametrize("build", [build_sequential, build_simultaneous])
@@ -299,8 +331,12 @@ def _unpacked(kkt, blocks):
 
 
 class TestKKTSystem:
-    @pytest.mark.parametrize("build", [build_sequential, build_simultaneous])
-    def test_matches_sparse_oracle(self, build):
+    @pytest.mark.parametrize("build, exact", [
+        # the convexified cases keep their ids from before the exact mode
+        pytest.param(build, exact, id=build.__name__ + ("-exact" if exact else ""))
+        for exact in (False, True) for build in (build_sequential, build_simultaneous)
+    ])
+    def test_matches_sparse_oracle(self, build, exact):
         scn = rescale_horizon(load_scenario("scenarios/step_stones.json"), 12)
         state = initialize_references(scn)
         p = build(scn.momentum_scenario(state.h_bar, state.lambda_bar))
@@ -317,9 +353,18 @@ class TestKKTSystem:
             y = rng.normal(size=p.n_eq)
             A_i = ineq.jacobian(x)
             A_e = eq.jacobian(x) if eq else None
-            kkt.assemble(-2.0 * z, sigma, A_i.data, -2.0 * y, A_e.data if eq else None)
-        K = convexified_lagrangian_hessian(p, x, (-2.0 * z, -2.0 * y))
+            kkt.assemble(-2.0 * z, sigma, A_i.data, -2.0 * y, A_e.data if eq else None,
+                         exact=exact)
+        if exact:
+            K = p.compiled_objective().H + ineq.hessian_combo(-2.0 * z, convexify=False)
+            if eq is not None:
+                K = K + eq.hessian_combo(-2.0 * y, convexify=False)
+        else:
+            K = convexified_lagrangian_hessian(p, x, (-2.0 * z, -2.0 * y))
         K = K + A_i.T @ sp.diags(sigma) @ A_i
+        dx = rng.normal(size=p.n)
+        dKd = dx @ (K @ dx)
+        assert abs(kkt.curvature(dx) - dKd) <= 1e-12 * abs(K).max() * (dx @ dx)
         if eq is not None:
             K = sp.bmat([[K, A_e.T], [A_e, -KKTSystem.gamma * sp.eye(p.n_eq)]])
         K = K.toarray()
