@@ -3,7 +3,8 @@ planning and horizon-scaling benchmarks.
 
 All outputs are CSV files prefixed with the version header line
 ``# kinomo-csv v1``. Exit codes: 0 success, 2 schema/parse error (also
-a malformed command-line option), 3 solver did not converge, 4 numeric
+a malformed command-line option, such as an ``--out-dir`` that is not a
+writable directory), 3 solver did not converge, 4 numeric
 failure (also an infeasible SQP subproblem, and a contact export met with
 a non-positive normal force).
 """
@@ -221,6 +222,15 @@ def _positive_int(text):
     return value
 
 
+def _out_dir(text):
+    """A writable directory, as an argparse type: checked before any solve."""
+    if not os.path.isdir(text):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a directory")
+    if not os.access(text, os.W_OK | os.X_OK):
+        raise argparse.ArgumentTypeError(f"{text!r} is not writable")
+    return text
+
+
 def _horizons(text):
     """A comma-separated list of horizons, each an integer >= 1."""
     return [_positive_int(v) for v in text.split(",")]
@@ -232,7 +242,8 @@ def build_parser():
 
     def common(p):
         p.add_argument("scenario", help="scenario JSON file")
-        p.add_argument("--out-dir", default=".", help="directory for CSV outputs")
+        p.add_argument("--out-dir", type=_out_dir, default=".",
+                       help="directory for CSV outputs")
 
     p = sub.add_parser("validate", help="schema-check a scenario file")
     p.add_argument("scenario")

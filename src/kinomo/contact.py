@@ -124,10 +124,6 @@ def local_to_world(w: ContactWrenchCop, s: ContactSurface):
     return f, tau, p
 
 
-def world_to_local(f, tau, p, s: ContactSurface):
-    return ContactWrenchCop(s.R.T @ f, s.R_xy.T @ (p - s.t), float(s.R_z @ tau))
-
-
 def cop_to_com(w: ContactWrenchCop, s: ContactSurface, r):
     """Re-express a CoP wrench as force/torque about the CoM at r."""
     f, tau, p = local_to_world(w, s)

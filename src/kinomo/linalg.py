@@ -1,8 +1,11 @@
-"""Structured factorizations: block tridiagonal Cholesky and banded + arrow.
+"""Structured factorizations: block tridiagonal Cholesky, banded + arrow
+Cholesky and banded LU.
 
-Both factorizations run in time linear in the number of diagonal blocks,
-which is what keeps the per-iteration cost of the trajectory solvers
-linear in the horizon length.
+All three run in time linear in the number of diagonal blocks, which is
+what keeps the per-iteration cost of the trajectory solvers linear in the
+horizon length. BandStorage is the one place that knows the LAPACK band
+layouts: it maps a symmetric sparsity pattern onto them once, packs values
+and hands the storage to the banded factorization of its layout.
 """
 
 from __future__ import annotations
@@ -60,16 +63,77 @@ class BlockTridiagCholesky:
         return np.concatenate(x)
 
 
-def _to_lower_banded(K, bw):
-    """Convert a sparse symmetric matrix to LAPACK lower banded storage."""
-    n = K.shape[0]
-    coo = K.tocoo()
-    ab = np.zeros((bw + 1, n), order="F")
-    mask = coo.row >= coo.col
-    r, c, v = coo.row[mask], coo.col[mask], coo.data[mask]
-    ab[r - c, c] = 0.0
-    np.add.at(ab, (r - c, c), v)
-    return ab
+class BandStorage:
+    """A symmetric sparsity pattern's places in LAPACK band storage.
+
+    ``row`` and ``col`` list the pattern, each entry of one triangle once
+    (the diagonal included); ``order`` is the permutation that makes the
+    matrix banded: storage position k holds index ``order[k]``. With
+    ``n_arrow`` given, the last ``n_arrow`` positions are a dense arrow,
+    and the storage is (ab, W, C): the band block in LAPACK lower band
+    storage, the band-arrow coupling W and the arrow block C, stored in
+    full. With ``n_arrow`` None, it is (ab,), the whole matrix in LAPACK
+    general band storage with ``kl = ku = bw``, both triangles stored.
+
+    The constructor computes every entry's place, and its mirror place
+    where the layout stores both, and allocates one Fortran-ordered buffer.
+    ``pack`` writes values into it; ``factor`` factorizes it in place.
+    """
+
+    def __init__(self, row, col, order, n_arrow=None):
+        self.order = np.asarray(order, dtype=np.intp)
+        self.n_arrow = n_arrow
+        N = self.order.size
+        pos = np.empty(N, dtype=np.intp)
+        pos[self.order] = np.arange(N)
+        hi = np.maximum(pos[row], pos[col])
+        lo = np.minimum(pos[row], pos[col])
+        off = hi != lo
+        if n_arrow is None:
+            self.bw = int((hi - lo).max(initial=0))
+            ld, mid = 3 * self.bw + 1, 2 * self.bw  # the first bw rows are workspace
+            dst = mid + hi - lo + lo * ld
+            mirror = off
+            mirror_dst = mid + lo - hi + hi * ld
+            shapes = [(ld, N)]
+        else:
+            nb, na = N - n_arrow, n_arrow
+            in_band = hi < nb
+            self.bw = int((hi - lo)[in_band].max(initial=0))
+            n_ab, n_w = (self.bw + 1) * nb, nb * na
+            a_hi, a_lo = hi - nb, lo - nb
+            dst = np.where(
+                in_band,
+                hi - lo + lo * (self.bw + 1),
+                np.where(lo < nb, n_ab + lo + a_hi * nb, n_ab + n_w + a_hi + a_lo * na),
+            )
+            mirror = off & (lo >= nb)
+            mirror_dst = n_ab + n_w + a_lo + a_hi * na
+            shapes = [(self.bw + 1, nb), (nb, na), (na, na)]
+        self._dst = np.concatenate([dst, mirror_dst[mirror]])
+        self._src = np.concatenate([np.arange(dst.size), np.flatnonzero(mirror)])
+        self._flat = np.zeros(sum(r * c for r, c in shapes))
+        self.blocks, start = [], 0
+        for r, c in shapes:
+            self.blocks.append(self._flat[start : start + r * c].reshape((r, c), order="F"))
+            start += r * c
+
+    def pack(self, values, shift=0.0, at=None):
+        """Write ``values``, one per pattern entry, into the storage, with
+        ``shift`` added to the entries ``at``, and return its blocks."""
+        self._flat.fill(0.0)
+        self._flat[self._dst] = values[self._src]
+        if at is not None:
+            self._flat[self._dst[at]] += shift
+        return self.blocks
+
+    def factor(self, values, shift=0.0, at=None):
+        """Pack and factorize the storage in place; the factorization lives
+        there until the next pack. Raises NotPositiveDefinite."""
+        blocks = self.pack(values, shift, at)
+        if self.n_arrow is None:
+            return BandedLU(*blocks, self.bw, self.bw, self.order)
+        return BandedArrowFactorization(*blocks, self.order)
 
 
 class BandedArrowFactorization:
@@ -77,27 +141,23 @@ class BandedArrowFactorization:
     dense ("arrow") rows/columns to the end, solved via a Schur complement
     on the arrow block.
 
-    Takes the matrix prepacked in that order: ``ab`` holds the band block
-    in LAPACK lower band storage (Fortran order, overwritten by its
-    factor), ``W`` the band-arrow coupling and ``C`` the arrow block, both
-    dense. ``band_order`` and ``arrow_order`` map the packed positions
-    back to the caller's indices.
+    Takes the matrix permuted by ``order``, arrow last, as BandStorage
+    packs it: ``ab`` holds the band block in LAPACK lower band storage
+    (Fortran order, overwritten by its factor), ``W`` the band-arrow
+    coupling and ``C`` the arrow block, both dense.
     """
 
-    def __init__(self, ab, W, C, band_order, arrow_order):
-        self.band_order = np.asarray(band_order, dtype=np.intp)
-        self.arrow_order = np.asarray(arrow_order, dtype=np.intp)
-        nb, na = self.band_order.size, self.arrow_order.size
-        n = nb + na
-        perm = np.concatenate([self.band_order, self.arrow_order])
-        self.inv_perm = np.empty(n, dtype=np.intp)
-        self.inv_perm[perm] = np.arange(n)
+    def __init__(self, ab, W, C, order):
+        self.order = np.asarray(order, dtype=np.intp)
+        n = self.order.size
+        self.inv_order = np.empty(n, dtype=np.intp)
+        self.inv_order[self.order] = np.arange(n)
+        self.nb, self.na = W.shape
         cb, info = lapack.dpbtrf(ab, lower=1, overwrite_ab=1)
         if info != 0:
             raise NotPositiveDefinite(f"banded Cholesky failed (info={info})")
         self._cb = cb
-        self.nb, self.na = nb, na
-        if na:
+        if self.na:
             # S = C - W^T B^-1 W = C - Y^T Y with Y = L^-1 W, B = L L^T
             Y, info = lapack.dtbtrs(cb, W, uplo="L")
             if info != 0:
@@ -109,8 +169,6 @@ class BandedArrowFactorization:
             except sla.LinAlgError as exc:
                 raise NotPositiveDefinite("arrow Schur complement not PD") from exc
             self._W = W
-        else:
-            self._W = None
 
     def _band_solve(self, rhs):
         x, info = lapack.dpbtrs(self._cb, rhs, lower=1)
@@ -119,17 +177,16 @@ class BandedArrowFactorization:
         return x
 
     def solve(self, rhs):
-        rhs = np.asarray(rhs, dtype=float)
-        r1 = rhs[self.band_order]
+        r = np.asarray(rhs, dtype=float)[self.order]
         if self.na:
-            r2 = rhs[self.arrow_order]
+            r1 = r[: self.nb]
             u1 = self._band_solve(r1)
-            x2 = sla.cho_solve(self._schur, r2 - self._W.T @ u1)
+            x2 = sla.cho_solve(self._schur, r[self.nb :] - self._W.T @ u1)
             x1 = self._band_solve(r1 - self._W @ x2)
-            out = np.concatenate([x1, x2])
+            r = np.concatenate([x1, x2])
         else:
-            out = self._band_solve(r1)
-        return out[self.inv_perm]
+            r = self._band_solve(r)
+        return r[self.inv_order]
 
 
 def factorize_banded_arrow(K, band_order, arrow_order=()):
@@ -137,23 +194,15 @@ def factorize_banded_arrow(K, band_order, arrow_order=()):
 
     ``band_order`` lists the indices of the banded part in an order that
     makes it narrow-banded (e.g. grouped by time step); ``arrow_order``
-    lists the dense coupling indices. K may be sparse or dense; it is
-    packed into the storage BandedArrowFactorization takes. Raises
-    NotPositiveDefinite.
+    lists the dense coupling indices. K may be sparse or dense; its lower
+    triangle is packed through BandStorage. Raises NotPositiveDefinite.
     """
-    band_order = np.asarray(band_order, dtype=np.intp)
     arrow_order = np.asarray(arrow_order, dtype=np.intp)
-    if band_order.size + arrow_order.size != K.shape[0]:
+    order = np.concatenate([np.asarray(band_order, dtype=np.intp), arrow_order])
+    if order.size != K.shape[0]:
         raise ValueError("band and arrow orders must partition all indices")
-    perm = np.concatenate([band_order, arrow_order])
-    Kp = sp.csc_matrix(K)[perm][:, perm].tocsr()
-    nb = band_order.size
-    B = Kp[:nb, :nb].tocoo()
-    bw = int(np.abs(B.row - B.col).max(initial=0))
-    ab = _to_lower_banded(B, bw)
-    W = np.asfortranarray(Kp[:nb, nb:].toarray())
-    C = Kp[nb:, nb:].toarray()
-    return BandedArrowFactorization(ab, W, C, band_order, arrow_order)
+    L = sp.tril(sp.csc_matrix(K)).tocoo()
+    return BandStorage(L.row, L.col, order, arrow_order.size).factor(L.data)
 
 
 class BandedLU:
@@ -161,33 +210,15 @@ class BandedLU:
     used for the symmetric quasi-definite KKT systems of the simultaneous
     formulation. Linear time in the matrix dimension for fixed bandwidth.
 
-    ``BandedLU(K, order)`` packs the sparse K permuted by ``order``;
-    ``BandedLU.from_band`` takes storage already packed."""
+    Takes ``ab``, the matrix permuted by ``order`` in LAPACK general band
+    storage (``2 kl + ku + 1`` rows, Fortran order, the first ``kl`` rows
+    workspace), as BandStorage packs it, and factorizes it in place."""
 
-    def __init__(self, K, order):
-        n = K.shape[0]
-        order = np.asarray(order, dtype=np.intp)
-        Kp = sp.csc_matrix(K)[order][:, order].tocoo()
-        kl = int((Kp.row - Kp.col).max(initial=0))
-        ku = int((Kp.col - Kp.row).max(initial=0))
-        ab = np.zeros((2 * kl + ku + 1, n), order="F")
-        np.add.at(ab, (kl + ku + Kp.row - Kp.col, Kp.col), Kp.data)
-        self._factor(ab, kl, ku, order)
-
-    @classmethod
-    def from_band(cls, ab, kl, ku, order):
-        """Factorize ``ab``, the permuted matrix in LAPACK general band
-        storage (``2 kl + ku + 1`` rows, Fortran order, the first ``kl``
-        rows workspace), in place. ``order`` is the permutation."""
-        self = cls.__new__(cls)
-        self._factor(ab, kl, ku, np.asarray(order, dtype=np.intp))
-        return self
-
-    def _factor(self, ab, kl, ku, order):
-        n = order.size
-        self.order = order
+    def __init__(self, ab, kl, ku, order):
+        self.order = np.asarray(order, dtype=np.intp)
+        n = self.order.size
         self.inv_order = np.empty(n, dtype=np.intp)
-        self.inv_order[order] = np.arange(n)
+        self.inv_order[self.order] = np.arange(n)
         lu, piv, info = lapack.dgbtrf(ab, kl, ku, overwrite_ab=1)
         if info != 0:
             raise NotPositiveDefinite(f"banded LU failed (info={info})")

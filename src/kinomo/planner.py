@@ -61,7 +61,8 @@ class PlanOptions:
 
 @dataclass
 class PlanState:
-    """References exchanged between the sub-problems plus pass history."""
+    """References exchanged between the sub-problems, and the forces and
+    torques of the last momentum plan."""
 
     h_bar: np.ndarray  # (T+1, 9) momentum reference
     lambda_bar: dict  # phase index -> (T, 3) force reference (never updated)
@@ -69,8 +70,6 @@ class PlanState:
     q: np.ndarray  # current joint trajectory, (T+1, dof)
     forces: dict = None  # phase index -> (T, 3) momentum-plan forces
     kappas: dict = None  # phase index -> (T, 3) torques about the CoM
-    outer: int = 0
-    metric_history: list = field(default_factory=list)
 
 
 def _support_centroid(scn, t):
@@ -190,7 +189,6 @@ def plan(scn, opts=None):
     traj = None
     h_dyn = None
     for outer in range(1, opts.max_outer + 1):
-        state.outer = outer
         refs = KinematicRefs(
             h_ref=state.h_bar,
             effector_ref={k: v.copy() for k, v in state.c_bar.items()},
@@ -226,7 +224,6 @@ def plan(scn, opts=None):
         report["mismatch"].append(mism)
         report["delta_h"].append(delta_h)
         report["delta_c"].append(delta_c)
-        state.metric_history.append(max(delta_h, delta_c))
         state.h_bar = h_dyn
         state.c_bar = c_new
         state.q = traj.q

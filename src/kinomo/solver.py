@@ -14,9 +14,10 @@ Sigma = Z S^-1 and factorizes
 by the banded-plus-arrow Cholesky (sequential formulation, no equality
 rows) or, with the dynamics equalities appended, as a quasi-definite
 banded KKT system in step-interleaved order (simultaneous formulation).
-KKTSystem assembles that matrix into fixed LAPACK band storage: the
-sparsity pattern and the slot of every entry are worked out once per
-solve, and each iteration only scatters numbers into the slots. Both
+KKTSystem assembles that matrix: the sparsity pattern and the slot of
+every entry are worked out once per solve, and each iteration only
+computes the slot values. A linalg.BandStorage made from the same pattern
+packs them into LAPACK band storage and factorizes it. Both
 factorizations cost O(T) per iteration for a fixed effector count.
 
 H is first the exact Lagrangian Hessian, which makes each step a Newton
@@ -50,9 +51,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import linalg
-# The IPM packs its own band storage and factorizes through kinomo.linalg;
-# the sparse-input factorizations stay importable from here, where
-# perfbench/tracing.py wraps them.
+# The IPM packs and factorizes through linalg.BandStorage; the two
+# factorization names stay importable from here, where perfbench/tracing.py
+# wraps them.
 from .linalg import BandedLU, NotPositiveDefinite, factorize_banded_arrow  # noqa: F401
 from .transcription import NlpProblem, convexified_lagrangian_hessian
 
@@ -217,14 +218,14 @@ def _row_pairs(indptr):
 
 
 class KKTSystem:
-    """The IPM's Newton matrix in fixed LAPACK band storage.
+    """The IPM's Newton matrix, assembled on a fixed pattern.
 
     The constructor does the symbolic work, once per solve: it takes the
     union pattern of every entry the matrix can hold (objective Hessian,
     each stored Q and P entry, A_I^T A_I from the Jacobian's fixed CSR
-    pattern, the diagonal and, in the simultaneous form, A_E, A_E^T and
-    the -gamma I block), numbers its lower-triangle entries ("slots") and
-    maps each slot to its place in the band storage. ``assemble`` then
+    pattern, the diagonal and, in the simultaneous form, A_E and the
+    -gamma I block), numbers its lower-triangle entries ("slots") and
+    hands the pattern to a linalg.BandStorage (``band``). ``assemble`` then
     only computes the slot values, for the stacked curvature
     coefficients c either exactly,
 
@@ -234,8 +235,8 @@ class KKTSystem:
 
         K = H_obj + G_Q max(c, 0) + G_P max(-c, 0) + A_I^T Sigma A_I,
 
-    on the same slots. ``pack`` scatters them into the storage with delta
-    written onto the diagonal of K, and ``factor`` factorizes the storage
+    on the same slots. ``pack`` writes them into the band storage with
+    delta added to the diagonal of K, and ``factor`` factorizes the storage
     in place: banded-plus-arrow Cholesky of K + delta I (sequential), or
     banded LU of [[K + delta I, A_E^T], [A_E, -gamma I]] in
     step-interleaved order (simultaneous). The Cholesky fails unless
@@ -316,46 +317,15 @@ class KKTSystem:
                 (np.zeros(order.size), p1[order], indptr), shape=(S, ineq.indices.size)
             )
 
-        # band storage: each slot's place, and a mirror place off the diagonal
+        # the band storage, in step-interleaved order (simultaneous) or with
+        # the arrow last (sequential)
         if m_e:
-            self.order = _simultaneous_kkt_order(p)
+            self.band = linalg.BandStorage(row, col, _simultaneous_kkt_order(p))
         else:
-            self.band_order = p.layout.band_order()
-            self.arrow_order = p.layout.arrow_indices
-            self.order = np.concatenate([self.band_order, self.arrow_order])
-        pos = np.empty(N, dtype=np.intp)
-        pos[self.order] = np.arange(N)
-        hi = np.maximum(pos[row], pos[col])
-        lo = np.minimum(pos[row], pos[col])
-        off = hi != lo
-        if m_e:
-            self.kl = self.ku = int((hi - lo).max(initial=0))
-            ld = 2 * self.kl + self.ku + 1
-            mid = self.kl + self.ku
-            dst = mid + hi - lo + lo * ld
-            mirror = off
-            mirror_dst = mid + lo - hi + hi * ld
-            shapes = [(ld, N)]
-        else:
-            nb, na = self.band_order.size, self.arrow_order.size
-            in_band = hi < nb
-            bw = int((hi - lo)[in_band].max(initial=0))
-            n_ab, n_w = (bw + 1) * nb, nb * na
-            a_hi, a_lo = hi - nb, lo - nb
-            dst = np.where(
-                in_band,
-                hi - lo + lo * (bw + 1),
-                np.where(lo < nb, n_ab + lo + a_hi * nb, n_ab + n_w + a_hi + a_lo * na),
-            )
-            # the dense arrow block C is stored in full
-            mirror = off & (lo >= nb)
-            mirror_dst = n_ab + n_w + a_lo + a_hi * na
-            shapes = [(bw + 1, nb), (nb, na), (na, na)]
-        self._dst = np.concatenate([dst, mirror_dst[mirror]])
-        self._src = np.concatenate([np.arange(S), np.flatnonzero(mirror)])
-        self._diag_dst = dst[slot["diag"]]
-        self._storage = np.zeros(sum(r * c for r, c in shapes))
-        self._blocks = _fortran_views(self._storage, shapes)
+            arrow = p.layout.arrow_indices
+            order = np.concatenate([p.layout.band_order(), arrow])
+            self.band = linalg.BandStorage(row, col, order, arrow.size)
+        self._diag = slot["diag"]
 
     def assemble(self, c_i, sigma, J_i, c_e, J_e, *, exact):
         """Compute this iteration's slot values.
@@ -390,34 +360,14 @@ class KKTSystem:
 
     def pack(self, delta):
         """Write the assembled matrix, with delta added to the diagonal of
-        K, into the band storage and return its blocks: (ab,) in LAPACK
-        general band storage (simultaneous), or (ab, W, C) with ab in
-        lower band storage (sequential), all in the permuted ``order``."""
-        self._storage.fill(0.0)
-        self._storage[self._dst] = self._v[self._src]
-        self._storage[self._diag_dst] += delta
-        return self._blocks
+        K, into the band storage and return its blocks (BandStorage)."""
+        return self.band.pack(self._v, delta, self._diag)
 
     def factor(self, delta):
         """Pack with delta and factorize the storage in place; the
         factorization lives there until the next pack. Raises
         NotPositiveDefinite."""
-        if self.m_e:
-            (ab,) = self.pack(delta)
-            return linalg.BandedLU.from_band(ab, self.kl, self.ku, self.order)
-        ab, W, C = self.pack(delta)
-        return linalg.BandedArrowFactorization(
-            ab, W, C, self.band_order, self.arrow_order
-        )
-
-
-def _fortran_views(flat, shapes):
-    """Consecutive Fortran-ordered 2-D views of one flat buffer."""
-    views, start = [], 0
-    for r, c in shapes:
-        views.append(flat[start : start + r * c].reshape((r, c), order="F"))
-        start += r * c
-    return views
+        return self.band.factor(self._v, delta, self._diag)
 
 
 def _fraction_to_boundary(v, dv):

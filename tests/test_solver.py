@@ -305,15 +305,15 @@ class TestDiagnostics:
         assert res.stats[-1].kkt <= 1e-6
 
 
-def _unpacked(kkt, blocks):
-    """The matrix held in KKTSystem's band storage, as a dense array in
-    the problem's own variable order."""
-    N = kkt.order.size
+def _unpacked(band, blocks):
+    """The matrix held in a linalg.BandStorage, as a dense array in the
+    problem's own variable order."""
+    N = band.order.size
     D = np.zeros((N, N))
-    if kkt.m_e:
+    if band.n_arrow is None:
         (ab,) = blocks
-        mid = kkt.kl + kkt.ku
-        for d in range(-kkt.ku, kkt.kl + 1):  # d = i - j
+        mid = 2 * band.bw
+        for d in range(-band.bw, band.bw + 1):  # d = i - j
             j = np.arange(max(0, -d), min(N, N - d))
             D[j + d, j] = ab[mid + d, j]
     else:
@@ -326,24 +326,33 @@ def _unpacked(kkt, blocks):
         D[nb:, :nb] = W.T
         D[nb:, nb:] = C
     out = np.empty_like(D)
-    out[np.ix_(kkt.order, kkt.order)] = D
+    out[np.ix_(band.order, band.order)] = D
     return out
 
 
 class TestKKTSystem:
-    @pytest.mark.parametrize("build, exact", [
+    @pytest.mark.parametrize("build, exact, standing", [
         # the convexified cases keep their ids from before the exact mode
-        pytest.param(build, exact, id=build.__name__ + ("-exact" if exact else ""))
+        pytest.param(build, exact, False, id=build.__name__ + ("-exact" if exact else ""))
         for exact in (False, True) for build in (build_sequential, build_simultaneous)
+    ] + [
+        # a sequential instance without an arrow: empty W and C blocks
+        pytest.param(build_sequential, exact, True,
+                     id="build_sequential-standing" + ("-exact" if exact else ""))
+        for exact in (False, True)
     ])
-    def test_matches_sparse_oracle(self, build, exact):
-        scn = rescale_horizon(load_scenario("scenarios/step_stones.json"), 12)
+    def test_matches_sparse_oracle(self, build, exact, standing):
+        if standing:
+            scn = make_standing_scenario(T=6)
+        else:
+            scn = rescale_horizon(load_scenario("scenarios/step_stones.json"), 12)
         state = initialize_references(scn)
         p = build(scn.momentum_scenario(state.h_bar, state.lambda_bar))
         ineq = p.compiled_ineq()
         eq = p.compiled_eq() if p.n_eq else None
         if eq is None:
-            assert p.layout.arrow_indices.size  # the W and C blocks are used
+            # the step_stones instance uses the W and C blocks, the standing one none
+            assert bool(p.layout.arrow_indices.size) != standing
         kkt = KKTSystem(p, ineq, eq)
         rng = np.random.default_rng(7)
         for _ in range(2):  # the second assembly overwrites the first
@@ -373,7 +382,7 @@ class TestKKTSystem:
         rhs = rng.normal(size=K.shape[0])
         for delta in (1e-4, 1e-2):  # the second as after a rejected factorization
             Kd = K + np.diag(delta * shift)
-            packed = _unpacked(kkt, kkt.pack(delta))
+            packed = _unpacked(kkt.band, kkt.pack(delta))
             assert np.abs(packed - Kd).max() <= 1e-12 * np.abs(Kd).max()
             ref = np.linalg.solve(Kd, rhs)
             sol = kkt.factor(delta).solve(rhs)

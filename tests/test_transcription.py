@@ -395,13 +395,13 @@ class TestPatterns:
         arrow = 12 if scenario is stepping_scenario else 0
         for T in horizons:
             p = build_sequential(scenario(T))
-            kkt = KKTSystem(p, p.compiled_ineq(), None)
-            ab, W, C = kkt._blocks
+            band = KKTSystem(p, p.compiled_ineq(), None).band
+            ab, W, C = band.blocks
             assert ab.shape[0] == 35
-            assert kkt.arrow_order.size == W.shape[1] == C.shape[0] == arrow
+            assert band.n_arrow == W.shape[1] == C.shape[0] == arrow
             p = build_simultaneous(scenario(T))
-            kkt = KKTSystem(p, p.compiled_ineq(), p.compiled_eq())
-            assert kkt.kl == kkt.ku == 47
+            band = KKTSystem(p, p.compiled_ineq(), p.compiled_eq()).band
+            assert band.bw == 47
 
 
 class TestCompiled:
