@@ -1,11 +1,12 @@
-"""Structured factorizations: block tridiagonal Cholesky, banded + arrow
-Cholesky and banded LU.
+"""Banded factorizations: banded + arrow Cholesky and banded LU.
 
-All three run in time linear in the number of diagonal blocks, which is
-what keeps the per-iteration cost of the trajectory solvers linear in the
-horizon length. BandStorage is the one place that knows the LAPACK band
-layouts: it maps a symmetric sparsity pattern onto them once, packs values
-and hands the storage to the banded factorization of its layout.
+Both run in time linear in the matrix dimension for a fixed bandwidth,
+which is what keeps the per-iteration cost of the trajectory solvers
+linear in the horizon length. BandStorage is the one place that knows the
+LAPACK band layouts: it maps a symmetric sparsity pattern onto them once,
+packs values and hands the storage to the banded factorization of its
+layout. Every banded system goes through it: the IPM's Newton matrix,
+factorize_banded_arrow's sparse input and BlockTridiagCholesky's blocks.
 """
 
 from __future__ import annotations
@@ -22,45 +23,27 @@ class NotPositiveDefinite(Exception):
 
 class BlockTridiagCholesky:
     """Cholesky factorization of a symmetric positive definite block
-    tridiagonal matrix given as diagonal blocks D_0..D_{N-1} and lower
-    off-diagonal blocks B_0..B_{N-2} (B_i couples block i+1 with block i)."""
+    tridiagonal matrix given as equal-size diagonal blocks D_0..D_{N-1}
+    and lower off-diagonal blocks B_0..B_{N-2} (B_i couples block i+1 with
+    block i). The blocks are packed in their own order, bandwidth 2b - 1
+    for blocks of size b, through BandStorage into the banded Cholesky.
+    Raises NotPositiveDefinite."""
 
     def __init__(self, diag, off):
         if len(off) != len(diag) - 1:
             raise ValueError("need one off-diagonal block per adjacent pair")
-        self.sizes = [d.shape[0] for d in diag]
-        self.L = []       # lower-triangular diagonal factors
-        self.M = []       # dense sub-diagonal factors
-        prev_L = None
-        for i, D in enumerate(diag):
-            S = np.array(D, dtype=float)
-            if i > 0:
-                # M_i = B_{i-1} L_{i-1}^{-T}
-                Mi = sla.solve_triangular(prev_L, off[i - 1].T, lower=True).T
-                self.M.append(Mi)
-                S = S - Mi @ Mi.T
-            try:
-                Li = sla.cholesky(S, lower=True)
-            except sla.LinAlgError as exc:
-                raise NotPositiveDefinite(f"block {i} is not positive definite") from exc
-            self.L.append(Li)
-            prev_L = Li
+        diag = np.asarray(diag, dtype=float)
+        N, b = diag.shape[:2]
+        first = b * np.arange(N)[:, None]
+        i, j = np.tril_indices(b)  # the lower triangle of each diagonal block
+        oi, oj = np.divmod(np.arange(b * b), b)  # every entry of each B
+        row = np.concatenate([(first + i).ravel(), (first[1:] + oi).ravel()])
+        col = np.concatenate([(first + j).ravel(), (first[:-1] + oj).ravel()])
+        values = np.concatenate([diag[:, i, j].ravel(), np.asarray(off, dtype=float).ravel()])
+        self._fac = BandStorage(row, col, np.arange(N * b), 0).factor(values)
 
     def solve(self, rhs):
-        rhs = np.asarray(rhs, dtype=float)
-        splits = np.cumsum(self.sizes)[:-1]
-        b = np.split(rhs, splits)
-        y = []
-        for i, Li in enumerate(self.L):
-            r = b[i] if i == 0 else b[i] - self.M[i - 1] @ y[i - 1]
-            y.append(sla.solve_triangular(Li, r, lower=True))
-        x = [None] * len(y)
-        for i in range(len(y) - 1, -1, -1):
-            r = y[i]
-            if i < len(y) - 1:
-                r = r - self.M[i].T @ x[i + 1]
-            x[i] = sla.solve_triangular(self.L[i].T, r, lower=False)
-        return np.concatenate(x)
+        return self._fac.solve(rhs)
 
 
 class BandStorage:

@@ -165,11 +165,6 @@ def _cross_pairs(k):
                        (row, i, j, np.tile(q, k)), (row, i, j, np.tile(p, k)))
 
 
-def cross_product_qpm():
-    """s(a, b) = a x b as a Q+/- function on R^6, constants built offline."""
-    return _cross_pairs(1)
-
-
 # ---------------------------------------------------------------------------
 # closure operations
 

@@ -121,20 +121,36 @@ def _check_finite(v, path="$"):
         raise SchemaViolation(path, "must be a finite number")
 
 
+def _is_number(v):
+    """A JSON number: Python reads true and false as ints too."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def _get(d, key, path, kind=None):
+    """Field ``key`` of the object d at ``path``, of type ``kind`` if given;
+    a boolean is never an int."""
+    if not isinstance(d, dict):
+        raise SchemaViolation(path, "expected object")
     if key not in d:
         raise SchemaViolation(f"{path}.{key}", "missing field")
     v = d[key]
-    if kind is not None and not isinstance(v, kind):
-        raise SchemaViolation(f"{path}.{key}", f"expected {kind.__name__}")
+    if kind is not None and (isinstance(v, bool) or not isinstance(v, kind)):
+        name = kind.__name__ if isinstance(kind, type) else "number"
+        raise SchemaViolation(f"{path}.{key}", f"expected {name}")
     return v
+
+
+def _numbers(v, path, *shapes):
+    """Nested lists of JSON numbers as a float array of one of ``shapes``."""
+    a = np.array(v, dtype=object)
+    if a.shape not in shapes or not all(_is_number(u) for u in a.flat):
+        sizes = " or ".join("x".join(map(str, shape)) for shape in shapes)
+        raise SchemaViolation(path, f"expected {sizes} numbers")
+    return a.astype(float)
 
 
 def _vector(d, key, path, size):
-    v = np.asarray(_get(d, key, path, list), dtype=float)
-    if v.shape != (size,):
-        raise SchemaViolation(f"{path}.{key}", f"expected {size} numbers")
-    return v
+    return _numbers(_get(d, key, path), f"{path}.{key}", (size,))
 
 
 def _load_link(d, path, name_to_index):
@@ -142,7 +158,7 @@ def _load_link(d, path, name_to_index):
     parent = d.get("parent")
     if parent is None:
         pidx = -1
-    elif parent not in name_to_index:
+    elif not isinstance(parent, str) or parent not in name_to_index:
         raise SchemaViolation(f"{path}.parent", f"unknown link {parent!r}")
     else:
         pidx = name_to_index[parent]
@@ -152,17 +168,15 @@ def _load_link(d, path, name_to_index):
     mass = float(_get(d, "mass", path, (int, float)))
     if mass < 0:
         raise SchemaViolation(f"{path}.mass", "must be >= 0")
-    inertia = np.asarray(d.get("inertia", np.zeros(3)), dtype=float)
+    inertia = _numbers(d.get("inertia", [0.0] * 3), f"{path}.inertia", (3,), (3, 3))
     if inertia.shape == (3,):
         inertia = np.diag(inertia)
-    if inertia.shape != (3, 3):
-        raise SchemaViolation(f"{path}.inertia", "expected 3 or 3x3 numbers")
     return Link(
         name, pidx, kind,
         _vector(d, "axis", path, 3),
         _vector(d, "offset", path, 3),
         mass,
-        np.asarray(d.get("com", np.zeros(3)), dtype=float),
+        _numbers(d.get("com", [0.0] * 3), f"{path}.com", (3,)),
         inertia,
     )
 
@@ -194,13 +208,16 @@ def _load_model(d, path="$.robot"):
         vals = _get(d, key, path, list)
         if len(vals) != n:
             raise SchemaViolation(f"{path}.{key}", f"expected {n} entries")
+        for j, v in enumerate(vals):
+            if v is not None and not _is_number(v):
+                raise SchemaViolation(f"{path}.{key}[{j}]", "expected a number or null")
         return np.array([np.nan if v is None else float(v) for v in vals])
 
     return KinematicModel(tuple(links), effectors, limits("lower"), limits("upper"))
 
 
 def _load_surface(d, path):
-    R = quaternion_to_matrix(_get(d, "rotation", path, list), f"{path}.rotation")
+    R = quaternion_to_matrix(_vector(d, "rotation", path, 4), f"{path}.rotation")
     mu = float(_get(d, "mu", path, (int, float)))
     if mu <= 0:
         raise SchemaViolation(f"{path}.mu", "must be > 0")
@@ -259,7 +276,7 @@ def scenario_from_dict(data, name="scenario"):
     wd = _get(data, "weights", "$", dict) if "weights" in data else {}
     given = {"momentum": _vector(wd, "momentum", "$.weights", 9)} if "momentum" in wd else {}
     if "force" in wd:
-        given["force"] = wd["force"]
+        given["force"] = _get(wd, "force", "$.weights", (int, float))
     try:
         weights = TrackingWeights(**given)
     except (TypeError, ValueError) as e:
@@ -268,9 +285,9 @@ def scenario_from_dict(data, name="scenario"):
         solver = SolverOptions(**data.get("solver", {}))
     except (TypeError, ValueError) as e:
         raise SchemaViolation("$.solver", str(e))
-    return Scenario(
-        data.get("name", name), model, q0, phases, T, delta, gravity, weights, solver
-    )
+    if "name" in data:
+        name = _get(data, "name", "$", str)
+    return Scenario(name, model, q0, phases, T, delta, gravity, weights, solver)
 
 
 def load_scenario(path):

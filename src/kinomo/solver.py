@@ -13,12 +13,15 @@ Sigma = Z S^-1 and factorizes
 
 by the banded-plus-arrow Cholesky (sequential formulation, no equality
 rows) or, with the dynamics equalities appended, as a quasi-definite
-banded KKT system in step-interleaved order (simultaneous formulation).
-KKTSystem assembles that matrix: the sparsity pattern and the slot of
-every entry are worked out once per solve, and each iteration only
-computes the slot values. A linalg.BandStorage made from the same pattern
-packs them into LAPACK band storage and factorizes it. Both
-factorizations cost O(T) per iteration for a fixed effector count.
+banded KKT system (simultaneous formulation). Both are ordered by time
+step, the order Rao, Wright and Rawlings (J. Optim. Theory Appl. 99,
+1998) give the MPC KKT system: the variables of step t, then the
+equality rows of step t, and the arrow last. KKTSystem assembles that
+matrix: the sparsity pattern and the slot of every entry are worked out
+once per solve, and each iteration only computes the slot values. A
+linalg.BandStorage made from the same pattern packs them into LAPACK band
+storage and factorizes it. Both factorizations cost O(T) per iteration
+for a fixed effector count.
 
 H is first the exact Lagrangian Hessian, which makes each step a Newton
 step. The exact matrix is rejected when the Cholesky of K + REG_FLOOR I
@@ -82,8 +85,8 @@ class SolverOptions:
     def __post_init__(self):
         if type(self.max_iter) is not int or self.max_iter < 0:  # isinstance would take True
             raise ValueError("max_iter must be a non-negative integer")
-        if not self.kkt_tol > 0:
-            raise ValueError("kkt_tol must be positive")
+        if isinstance(self.kkt_tol, bool) or not self.kkt_tol > 0:
+            raise ValueError("kkt_tol must be a positive number")
         if self.backend not in ("ipm", "sqp_dense"):
             raise ValueError(f"unknown backend {self.backend!r}")
 
@@ -181,20 +184,6 @@ def _ballistic_initial_point(p: NlpProblem):
     return x
 
 
-def _simultaneous_kkt_order(p: NlpProblem):
-    """Interleave each step's variables with that step's equality duals."""
-    layout = p.layout
-    n = p.n
-    order = []
-    prev_end = 0
-    for t in range(layout.T):
-        end = layout.state_base[t + 1] + 9
-        order.extend(range(prev_end, end))
-        order.extend(range(n + 9 * t, n + 9 * t + 9))
-        prev_end = end
-    return np.array(order, dtype=np.intp)
-
-
 def _sorted_unique(a):
     """np.unique by one sort: numpy's hash-based unique is several times
     slower on these key arrays."""
@@ -225,9 +214,11 @@ class KKTSystem:
     each stored Q and P entry, A_I^T A_I from the Jacobian's fixed CSR
     pattern, the diagonal and, in the simultaneous form, A_E and the
     -gamma I block), numbers its lower-triangle entries ("slots") and
-    hands the pattern to a linalg.BandStorage (``band``). ``assemble`` then
-    only computes the slot values, for the stacked curvature
-    coefficients c either exactly,
+    hands the pattern to a linalg.BandStorage (``band``) in time-step
+    order: index j sorts by 2 var_block[j] for a variable and by 2 t + 1
+    for an equality row of step t, stably, with the arrow last.
+    ``assemble`` then only computes the slot values, for the stacked
+    curvature coefficients c either exactly,
 
         K = H_obj + G_Q c - G_P c + A_I^T Sigma A_I,
 
@@ -238,12 +229,11 @@ class KKTSystem:
     on the same slots. ``pack`` writes them into the band storage with
     delta added to the diagonal of K, and ``factor`` factorizes the storage
     in place: banded-plus-arrow Cholesky of K + delta I (sequential), or
-    banded LU of [[K + delta I, A_E^T], [A_E, -gamma I]] in
-    step-interleaved order (simultaneous). The Cholesky fails unless
-    K + delta I is positive definite; ``curvature`` gives dx^T K dx, the
-    test that stands in for inertia where the LU shows none. ``ineq`` and
-    ``eq`` are the problem's compiled constraint functions, None where it
-    has none.
+    banded LU of [[K + delta I, A_E^T], [A_E, -gamma I]] (simultaneous).
+    The Cholesky fails unless K + delta I is positive definite;
+    ``curvature`` gives dx^T K dx, the test that stands in for inertia
+    where the LU shows none. ``ineq`` and ``eq`` are the problem's
+    compiled constraint functions, None where it has none.
     """
 
     gamma = 1e-8
@@ -317,14 +307,15 @@ class KKTSystem:
                 (np.zeros(order.size), p1[order], indptr), shape=(S, ineq.indices.size)
             )
 
-        # the band storage, in step-interleaved order (simultaneous) or with
-        # the arrow last (sequential)
-        if m_e:
-            self.band = linalg.BandStorage(row, col, _simultaneous_kkt_order(p))
-        else:
-            arrow = p.layout.arrow_indices
-            order = np.concatenate([p.layout.band_order(), arrow])
-            self.band = linalg.BandStorage(row, col, order, arrow.size)
+        # the time-step order: variables of step t (key 2t) before the
+        # equality rows of step t (key 2t + 1), the arrow last, each group
+        # in index order
+        arrow = p.layout.arrow_indices
+        eq_step = np.array([t for t, _, _ in p.eq_meta], dtype=np.intp)
+        key = np.concatenate([2 * p.layout.var_block, 2 * eq_step + 1])
+        key[arrow] = key.max(initial=0) + 1
+        order = np.argsort(key, kind="stable")
+        self.band = linalg.BandStorage(row, col, order, None if m_e else arrow.size)
         self._diag = slot["diag"]
 
     def assemble(self, c_i, sigma, J_i, c_e, J_e, *, exact):

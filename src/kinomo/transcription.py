@@ -97,8 +97,9 @@ class DecisionLayout:
 
     ``var_block[j]`` is the step-block label of variable j, or -1 when j
     belongs to the arrow block (frozen phase-boundary phi/psi shared by
-    every later step). Arrow entries alias into x; they are not
-    duplicated variables.
+    every later step); the solver orders its Newton matrix by these
+    labels. Arrow entries alias into x; they are not duplicated
+    variables.
     """
 
     kind: str  # "sequential" | "simultaneous"
@@ -109,12 +110,6 @@ class DecisionLayout:
     active: tuple  # per step, tuple of active phase indices
     contact_base: dict  # (phase, t) -> first of 6 contiguous indices
     state_base: dict  # t -> first of 9 indices for h_t (simultaneous only)
-
-    def band_order(self):
-        """Non-arrow variables in step order (already contiguous)."""
-        mask = np.ones(self.n_vars, dtype=bool)
-        mask[self.arrow_indices] = False
-        return np.flatnonzero(mask)
 
 
 def _layout(scn, kind):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from test_dynamics import built, rollout_states, with_integrals
+from test_qpm import cross6
 from test_solver import convex_variant, one_contact_scenario
 from test_transcription import biped_scenario
 
@@ -46,7 +47,7 @@ def _momentum_problem(scn, build):
 
 def test_criterion_01_cross_product():
     """Q+- cross product: exact reconstruction and PSD certificates."""
-    fn = qpm.cross_product_qpm()
+    fn = cross6()
     rng = np.random.default_rng(1)
     t0 = time.perf_counter()
     worst = 0.0

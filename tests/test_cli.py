@@ -53,6 +53,15 @@ class TestValidate:
         assert "$.weights" in capsys.readouterr().out
 
 
+    def test_non_numeric_entry_exits_schema(self, tmp_path, capsys):
+        d = scenario_to_dict(make_standing_scenario(T=10))
+        d["robot"]["links"][0]["axis"] = ["a", 0, 0]
+        p = tmp_path / "bad_axis.json"
+        p.write_text(json.dumps(d))
+        assert cli.main(["validate", str(p)]) == cli.EXIT_SCHEMA
+        assert "$.robot.links[0].axis" in capsys.readouterr().out
+
+
 class TestMomentum:
     def test_sequential(self, stand_path, tmp_path, capsys):
         rc = cli.main(["momentum", stand_path, "--out-dir", str(tmp_path)])

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from test_qpm import cross6
+
 from kinomo import contact, qpm
 
 rng = np.random.default_rng(7)
@@ -261,7 +263,7 @@ class TestCopQpmConstraints:
     def test_rejects_nonaffine_maps(self):
         phase = make_phase()
         cross = qpm.compose_affine(
-            qpm.cross_product_qpm(), qpm.make_affine(np.random.default_rng(0).normal(size=(6, 9)), np.zeros(6))
+            cross6(), qpm.make_affine(np.random.default_rng(0).normal(size=(6, 9)), np.zeros(6))
         )
         r_map, f_map, k_map = identity_maps()
         with pytest.raises(ValueError):

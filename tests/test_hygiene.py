@@ -72,7 +72,6 @@ def test_private_names_read(path):
 ALLOWED_UNREAD = {
     "qpm.hessian_parts": "dense oracle of the stored Q and P curvature, for tests",
     "qpm.min_quad_eigenvalue": "oracle of a Q+/- row's convexity, for tests",
-    "qpm.cross_product_qpm": "one-pair case of qpm.cross; its deletion is ROADMAP item 9",
     "scenario.make_standing_scenario": "shipped preset for users and tests",
     "scenario.make_stepping_scenario": "shipped preset for users and tests",
     "scenario.save_scenario": "writes scenario files for users and tests",

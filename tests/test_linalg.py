@@ -55,6 +55,18 @@ class TestBlockTridiagCholesky:
         with pytest.raises(linalg.NotPositiveDefinite):
             linalg.BlockTridiagCholesky(diag, off)
 
+    def test_wrong_number_of_off_blocks(self):
+        diag, off = random_block_tridiag(4, 3)
+        for bad in (off[:-1], off + off[:1]):
+            with pytest.raises(ValueError):
+                linalg.BlockTridiagCholesky(diag, bad)
+
+    def test_single_block(self):
+        diag, _ = random_block_tridiag(1, 5, seed=2)
+        rhs = rng.normal(size=5)
+        x = linalg.BlockTridiagCholesky(diag, []).solve(rhs)
+        assert np.allclose(diag[0] @ x, rhs, rtol=0, atol=1e-12 * np.abs(rhs).max())
+
     def test_timing_linear(self):
         b = 7
 

@@ -21,6 +21,13 @@ def fd_gradient(fn, x, h=1e-5):
     return G
 
 
+def cross6():
+    """s(a, b) = a x b as a Q+/- function on z = (a, b) in R^6: qpm.cross
+    of the two 3-row halves of the identity."""
+    I = np.eye(6)
+    return qpm.cross(qpm.make_affine(I[:3], np.zeros(3)), qpm.make_affine(I[3:], np.zeros(3)))
+
+
 def scalar_square():
     """y -> y^2: one row, Q = [[1]] and no linear part."""
     return qpm.QpmFunction(1, np.zeros((1, 1)), [0.0], Q=([0], [0], [0], [1.0]))
@@ -50,19 +57,28 @@ class TestMakeAffine:
 
 
 class TestCrossProduct:
+    def test_cross6_is_the_one_pair_constant(self):
+        """cross6 holds the same arrays as the constant one-pair map."""
+        s, ref = cross6(), qpm._cross_pairs(1)
+        assert s.output_dim == ref.output_dim and s.input_dim == ref.input_dim
+        assert (s.A != ref.A).nnz == 0 and np.array_equal(s.b, ref.b)
+        for got, want in ((s.Q, ref.Q), (s.P, ref.P)):
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b)
+
     def test_canonical_basis(self):
-        s = qpm.cross_product_qpm()
+        s = cross6()
         z = np.array([1.0, 0, 0, 0, 1.0, 0])  # (e1, e2)
         assert np.allclose(s(z), [0, 0, 1.0])
 
     def test_self_cross_is_zero(self):
-        s = qpm.cross_product_qpm()
+        s = cross6()
         for _ in range(20):
             v = rng.normal(size=3)
             assert np.allclose(s(np.concatenate([v, v])), 0.0, atol=1e-14)
 
     def test_matches_numpy_cross(self):
-        s = qpm.cross_product_qpm()
+        s = cross6()
         for _ in range(1000):
             z = rng.uniform(-1, 1, size=6)
             assert np.allclose(s(z), np.cross(z[:3], z[3:]), atol=1e-12)
@@ -70,7 +86,7 @@ class TestCrossProduct:
     def test_row3_decomposition(self):
         # Q3 = 1/4[(e1+e5)(e1+e5)^T + (e2-e4)(e2-e4)^T] (1-indexed), P3 the
         # sign-swapped pair; checked via z^T (Q3 - P3) z = a1 b2 - a2 b1.
-        s = qpm.cross_product_qpm()
+        s = cross6()
         Q, P = qpm.hessian_parts(s, 2)
         e = np.eye(6)
         Qref = 0.25 * (
@@ -86,7 +102,7 @@ class TestCrossProduct:
             assert np.isclose(z @ (Q - P) @ z, z[0] * z[4] - z[1] * z[3], atol=1e-10)
 
     def test_rank_and_eigenvalues(self):
-        s = qpm.cross_product_qpm()
+        s = cross6()
         for i in range(3):
             for mat in qpm.hessian_parts(s, i):
                 lam = np.linalg.eigvalsh(mat)
@@ -95,12 +111,12 @@ class TestCrossProduct:
                 assert np.allclose(nz, 0.5)
 
     def test_psd_invariant(self):
-        assert qpm.min_quad_eigenvalue(qpm.cross_product_qpm()) >= -qpm.PSD_TOL
+        assert qpm.min_quad_eigenvalue(cross6()) >= -qpm.PSD_TOL
 
 
 class TestComposeAffine:
     def test_identity_composition(self):
-        v = qpm.cross_product_qpm()
+        v = cross6()
         s = qpm.make_affine(np.eye(6), np.zeros(6))
         r = qpm.compose_affine(v, s)
         for _ in range(100):
@@ -118,7 +134,7 @@ class TestComposeAffine:
             assert np.isclose(r(x)[0], (2 * x[0] + 1) ** 2)
 
     def test_cross_with_constant_is_affine(self):
-        v = qpm.cross_product_qpm()
+        v = cross6()
         b0 = np.array([0.3, -1.2, 2.0])
         A = np.vstack([np.eye(3), np.zeros((3, 3))])
         a = np.concatenate([np.zeros(3), b0])
@@ -129,12 +145,12 @@ class TestComposeAffine:
             assert np.allclose(r(x), np.cross(x, b0), atol=1e-12)
 
     def test_rejects_nonaffine_inner(self):
-        v = qpm.cross_product_qpm()
+        v = cross6()
         with pytest.raises(ValueError):
             qpm.compose_affine(qpm.make_affine(np.ones((1, 3)), [0.0]), v)
 
     def test_psd_preserved(self):
-        v = qpm.cross_product_qpm()
+        v = cross6()
         s = qpm.make_affine(rng.normal(size=(6, 4)), rng.normal(size=6))
         r = qpm.compose_affine(v, s)
         assert qpm.min_quad_eigenvalue(r) >= -qpm.PSD_TOL
@@ -146,13 +162,13 @@ class TestComposeAffine:
 
 class TestLinearCombine:
     def test_cancellation(self):
-        v = qpm.cross_product_qpm()
+        v = cross6()
         z = qpm.linear_combine([(1.0, v), (-1.0, v)])
         for _ in range(20):
             assert np.allclose(z(rng.normal(size=6)), 0.0, atol=1e-14)
 
     def test_negative_scale_swaps_parts(self):
-        v = qpm.cross_product_qpm()
+        v = cross6()
         Q3, P3 = qpm.hessian_parts(v, 2)
         w = qpm.linear_combine([(-2.0, v)])
         Qn, Pn = qpm.hessian_parts(w, 2)
@@ -161,7 +177,7 @@ class TestLinearCombine:
         assert qpm.min_quad_eigenvalue(w) >= -qpm.PSD_TOL
 
     def test_pointwise_combination(self):
-        v1 = qpm.cross_product_qpm()
+        v1 = cross6()
         v2 = qpm.compose_affine(v1, qpm.make_affine(rng.normal(size=(6, 6)), rng.normal(size=6)))
         comb = qpm.linear_combine([(0.5, v1), (0.25, v2)])
         for _ in range(50):
@@ -177,7 +193,7 @@ class TestEvaluationOps:
             assert np.allclose(qpm.gradient(f, rng.normal(size=5)), A)
 
     def test_cross_gradient_finite_differences(self):
-        s = qpm.cross_product_qpm()
+        s = cross6()
         z = np.array([1.0, 0, 0, 0, 1.0, 0])
         assert np.allclose(qpm.gradient(s, z), fd_gradient(s, z), atol=1e-6)
 
@@ -189,10 +205,10 @@ class TestEvaluationOps:
 
     def test_hessian_row_out_of_range(self):
         with pytest.raises(IndexError):
-            qpm.hessian_parts(qpm.cross_product_qpm(), 3)
+            qpm.hessian_parts(cross6(), 3)
 
     def test_gradient_fd_on_composed(self):
-        v = qpm.cross_product_qpm()
+        v = cross6()
         s = qpm.make_affine(rng.normal(size=(6, 4)), rng.normal(size=6))
         r = qpm.compose_affine(v, s)
         for _ in range(10):
@@ -204,7 +220,7 @@ class TestEvaluationOps:
 @given(st.lists(st.floats(-10, 10), min_size=6, max_size=6))
 def test_ops_commute_with_evaluation(vals):
     x = np.array(vals)
-    v = qpm.cross_product_qpm()
+    v = cross6()
     A = np.arange(36, dtype=float).reshape(6, 6) / 10.0 - 1.0
     a = np.linspace(-1, 1, 6)
     s = qpm.make_affine(A, a)
@@ -216,7 +232,7 @@ def test_ops_commute_with_evaluation(vals):
 
 
 def test_affine_after():
-    v = qpm.cross_product_qpm()
+    v = cross6()
     A = rng.normal(size=(2, 3))
     a = rng.normal(size=2)
     u = qpm.affine_after(A, a, v)

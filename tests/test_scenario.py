@@ -124,6 +124,34 @@ class TestValidation:
         d["weights"][field] = value
         self.check_path(d, "$.weights")
 
+    @pytest.mark.parametrize("keys, value, path", [
+        (("robot", "links", 0, "com"), [0, 0], "$.robot.links[0].com"),
+        (("robot", "links", 0, "axis"), ["a", 0, 0], "$.robot.links[0].axis"),
+        (("robot", "links", 0, "inertia"), "big", "$.robot.links[0].inertia"),
+        (("robot", "links", 0, "inertia"), [[1, 0, 0], [0, 1, 0], [0, 0, "1"]],
+         "$.robot.links[0].inertia"),
+        (("robot", "links", 1, "mass"), "heavy", "$.robot.links[1].mass"),
+        (("robot", "links", 1, "parent"), [1], "$.robot.links[1].parent"),
+        (("robot", "lower", 0), "x", "$.robot.lower[0]"),
+        (("robot", "effectors", "l_foot"), 3, "$.robot.effectors.l_foot"),
+        (("phases", 0), 3, "$.phases[0]"),
+        (("phases", 0, "sigma"), False, "$.phases[0].sigma"),
+        (("phases", 0, "surface", "rotation"), ["a", 0, 0, 0], "$.phases[0].surface.rotation"),
+        (("T",), True, "$.T"),
+        (("weights", "force"), True, "$.weights.force"),
+        (("solver", "kkt_tol"), True, "$.solver"),
+        (("name",), 5, "$.name"),
+    ])
+    def test_malformed_value(self, keys, value, path):
+        d = self.base()
+        node = d
+        for k in keys[:-1]:
+            node = node[k]
+        node[keys[-1]] = value
+        with pytest.raises(SchemaViolation) as exc:
+            scenario_from_dict(d)
+        assert exc.value.path == path
+
     def test_parse_error(self, tmp_path):
         p = tmp_path / "broken.json"
         p.write_text("{not json")

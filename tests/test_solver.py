@@ -388,6 +388,30 @@ class TestKKTSystem:
             sol = kkt.factor(delta).solve(rhs)
             assert np.linalg.norm(sol - ref) <= 1e-8 * np.linalg.norm(ref)
 
+    def test_sequential_order_is_band_then_arrow(self):
+        """Sequential: the variables outside the arrow in index order, then
+        the arrow."""
+        for scn in (stepping_scenario(20), biped_scenario(10)):
+            p = build_sequential(scn)
+            band = KKTSystem(p, p.compiled_ineq(), None).band
+            arrow = p.layout.arrow_indices
+            rest = np.setdiff1d(np.arange(p.n), arrow)
+            assert np.array_equal(band.order, np.concatenate([rest, arrow]))
+            assert band.n_arrow == arrow.size
+
+    def test_simultaneous_order_groups_each_step(self):
+        """Simultaneous: each step's equality rows sit directly after h_t
+        and that step's wrenches."""
+        p = build_simultaneous(stepping_scenario(20))
+        order = KKTSystem(p, p.compiled_ineq(), p.compiled_eq()).band.order.tolist()
+        lay = p.layout
+        for t in range(lay.T):
+            step = list(range(lay.state_base[t], lay.state_base[t] + 9)) if t else []
+            step += [lay.contact_base[i, t] + k for i in lay.active[t] for k in range(6)]
+            rows = [p.n + r for r, (s, _, _) in enumerate(p.eq_meta) if s == t]
+            start = order.index(rows[0]) - len(step)
+            assert order[start : start + len(step) + len(rows)] == sorted(step) + rows
+
     def test_step_seq_objective(self):
         # step_stones cut at T=49 (instance 0 of perfbench's step-seq
         # workload), pinned to the objective this solve reaches with the

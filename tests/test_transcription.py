@@ -106,10 +106,11 @@ class TestLayouts:
         assert len(arrow) == 12
 
     def test_blocks_partition(self):
-        for p in (build_sequential(biped_scenario(4)), build_simultaneous(biped_scenario(4))):
+        for p in (build_sequential(biped_scenario(4)), build_simultaneous(biped_scenario(4)),
+                  build_sequential(stepping_scenario())):
             assert p.layout.var_block.size == p.n
-            band = p.layout.band_order()
-            assert band.size + p.layout.arrow_indices.size == p.n
+            arrow = np.flatnonzero(p.layout.var_block == -1)
+            assert np.array_equal(arrow, p.layout.arrow_indices)
 
 
 class TestSequentialMaps:
@@ -401,7 +402,7 @@ class TestPatterns:
             assert band.n_arrow == W.shape[1] == C.shape[0] == arrow
             p = build_simultaneous(scenario(T))
             band = KKTSystem(p, p.compiled_ineq(), p.compiled_eq()).band
-            assert band.bw == 47
+            assert band.bw == 29
 
 
 class TestCompiled:
