@@ -15,11 +15,9 @@ import numpy as np
 
 from .linalg import BlockTridiagCholesky, NotPositiveDefinite
 
-# Central finite-difference step of momentum_jacobian's configuration
-# block, and the Gauss-Newton stopping rule of the kinematic sub-problem:
-# a step that moves no joint by more than STEP_TOL, or lowers the cost by
-# no more than COST_TOL.
-FD_STEP = 1e-6
+# Gauss-Newton stopping rule of the kinematic sub-problem: a step that
+# moves no joint by more than STEP_TOL, or lowers the cost by no more than
+# COST_TOL.
 STEP_TOL = 1e-6
 COST_TOL = 1e-9
 
@@ -61,6 +59,10 @@ class KinematicModel:
     axes: np.ndarray = field(init=False, repr=False, compare=False)  # (n, 3)
     # revolute joints: cross-product matrix K of the axis and K @ K
     skews: np.ndarray = field(init=False, repr=False, compare=False)  # (n, 2, 3, 3)
+    revolute: np.ndarray = field(init=False, repr=False, compare=False)  # (n,) bool
+    # support[i, k] = 1 where joint k moves link i (k is i or an ancestor):
+    # support @ x sums x down each chain, support.T @ x over each subtree
+    support: np.ndarray = field(init=False, repr=False, compare=False)  # (n, n)
 
     def __post_init__(self):
         object.__setattr__(self, "links", tuple(self.links))
@@ -74,12 +76,18 @@ class KinematicModel:
             object.__setattr__(self, "upper", np.full(n, np.nan))
         axes = np.array([ln.axis for ln in self.links]).reshape(n, 3)
         K = np.swapaxes(np.cross(axes[:, None, :], np.eye(3)), 1, 2)  # K e_j = a x e_j
+        support = np.eye(n)
+        for i, ln in enumerate(self.links):
+            if ln.parent >= 0:
+                support[i] += support[ln.parent]
         for name, value in (
             ("masses", np.array([ln.mass for ln in self.links], dtype=float)),
             ("link_coms", np.array([ln.com for ln in self.links]).reshape(n, 3)),
             ("inertias", np.array([ln.inertia for ln in self.links]).reshape(n, 3, 3)),
             ("axes", axes),
             ("skews", np.stack([K, K @ K], axis=1)),
+            ("revolute", np.array([ln.kind == "revolute" for ln in self.links])),
+            ("support", support),
         ):
             object.__setattr__(self, name, value)
 
@@ -97,6 +105,7 @@ class JointTrajectory:
     q: np.ndarray  # (T+1, n)
     delta: float
     converged: bool = True
+    trials: int = 0  # line-search cost evaluations of the solve that made q
 
     @property
     def qdot(self):
@@ -157,25 +166,15 @@ def _joint_axes(model, R):
     return _apply(R, model.axes)
 
 
-def _link_velocities(model, R, p, qdot):
-    """Angular velocity and origin velocity of every link, (..., n, 3) each."""
-    a_w = _joint_axes(model, R)
-    shape = np.broadcast_shapes(p.shape[:-2], qdot.shape[:-1]) + p.shape[-2:]
-    omega = np.zeros(shape)
-    v = np.zeros(shape)
-    for i, ln in enumerate(model.links):
-        j = ln.parent
-        if j >= 0:
-            omega[..., i, :] = omega[..., j, :]
-            v[..., i, :] = v[..., j, :] + np.cross(
-                omega[..., j, :], p[..., i, :] - p[..., j, :]
-            )
-        motion = a_w[..., i, :] * qdot[..., i, None]
-        if ln.kind == "revolute":
-            omega[..., i, :] += motion
-        else:
-            v[..., i, :] += motion
-    return omega, v
+def _twists(model, R, p, qdot):
+    """World joint motion axes S and link twists V, (..., n, 6) each, as
+    (angular, linear) with the linear part the velocity of the body point
+    at the world origin: a revolute joint gives (a, p x a), a prismatic
+    one (0, a), and V_i = V_parent + S_i qdot_i."""
+    a = _joint_axes(model, R)
+    rev = model.revolute[:, None]
+    S = np.concatenate([a * rev, np.where(rev, np.cross(p, a), a)], axis=-1)
+    return S, model.support @ (S * qdot[..., None])
 
 
 def centroidal_momentum(model, q, qdot, fk=None):
@@ -183,8 +182,9 @@ def centroidal_momentum(model, q, qdot, fk=None):
     (..., 3) each."""
     qdot = np.asarray(qdot, dtype=float)
     R, p, coms, x_com = fk if fk is not None else forward_kinematics(model, q)
-    omega, v = _link_velocities(model, R, p, qdot)
-    v_c = v + np.cross(omega, coms - p)
+    _, V = _twists(model, R, p, qdot)
+    omega = V[..., :3]
+    v_c = V[..., 3:] + np.cross(omega, coms)
     m = model.masses[:, None]
     l = (m * v_c).sum(axis=-2)
     spin = _apply(R, _apply(model.inertias, _apply(np.swapaxes(R, -1, -2), omega)))
@@ -210,20 +210,51 @@ def momentum_state(model, q, qdot):
     return np.concatenate([fk[3], l, k], axis=-1)
 
 
-def momentum_jacobian(model, q, qdot):
-    """(d h/d q, d h/d qdot), (..., 9, n) each; velocities enter linearly so
-    that block is exact, the configuration block uses central finite
-    differences with all 2n probes of every entry in one batch."""
-    q = np.asarray(q, dtype=float)
+def momentum_jacobian(model, q, qdot, fk=None):
+    """(d h/d q, d h/d qdot), (..., 9, n) each, exact: one twist pass down
+    the tree and one sum over each joint's subtree.
+
+    With spatial vectors at the world origin, the momentum h_O = (k_O, l)
+    of the subtree of joint j, moved rigidly with S_j, gives column j of
+    the configuration block, S_j x* h_sub - I_sub (S_j x V_j), and of the
+    velocity block, I_sub S_j. The CoM rows follow from l = M dx_com/dt,
+    the angular rows from k = k_O - x_com x l."""
     qdot = np.asarray(qdot, dtype=float)
-    n = model.dof
-    H = centroidal_momentum_matrix(model, q)
-    dq_dot = np.concatenate([np.zeros(H.shape[:-2] + (3, n)), H], axis=-2)
-    step = FD_STEP * np.eye(n)
-    probes = np.concatenate([q[..., None, :] + step, q[..., None, :] - step], axis=-2)
-    h = momentum_state(model, probes, qdot[..., None, :])
-    dq = np.swapaxes(h[..., :n, :] - h[..., n:, :], -1, -2) / (2 * FD_STEP)
-    return dq, dq_dot
+    R, p, coms, x_com = fk if fk is not None else forward_kinematics(model, q)
+    S, V = _twists(model, R, p, qdot)
+    w_S, v_S = S[..., :3], S[..., 3:]
+    omega, v = V[..., :3], V[..., 3:]
+    # each link's spatial inertia about the origin: mass m, first moment
+    # s = m c, rotational inertia J = R I R^T + m (|c|^2 1 - c c^T)
+    m = model.masses[:, None]
+    s = m * coms
+    cc = coms[..., :, None] * coms[..., None, :]
+    J = (R @ model.inertias @ np.swapaxes(R, -1, -2)
+         + m[..., None] * ((coms * coms).sum(axis=-1)[..., None, None] * np.eye(3) - cc))
+    l_link = m * v + np.cross(omega, s)
+    k_link = _apply(J, omega) + np.cross(s, v)
+    # subtree sums
+    sub = model.support.T
+    m_sub = sub @ m
+    s_sub = sub @ s
+    J_sub = (sub @ J.reshape(J.shape[:-2] + (9,))).reshape(J.shape)
+    l_sub = sub @ l_link
+    k_sub = sub @ k_link
+    # S_j x V_j as (angular, linear)
+    X_w = np.cross(w_S, omega)
+    X_v = np.cross(w_S, v) + np.cross(v_S, omega)
+    dl = np.cross(w_S, l_sub) - m_sub * X_v - np.cross(X_w, s_sub)
+    dk = (np.cross(w_S, k_sub) + np.cross(v_S, l_sub)
+          - _apply(J_sub, X_w) - np.cross(s_sub, X_v))
+    Hl = m_sub * v_S + np.cross(w_S, s_sub)
+    Hk = _apply(J_sub, w_S) + np.cross(s_sub, v_S)
+    # to the CoM
+    x = x_com[..., None, :]
+    dx = Hl / model.masses.sum()
+    l = l_link.sum(axis=-2)[..., None, :]
+    dq = np.concatenate([dx, dl, dk - np.cross(dx, l) - np.cross(x, dl)], axis=-1)
+    dq_dot = np.concatenate([np.zeros_like(dx), Hl, Hk - np.cross(x, Hl)], axis=-1)
+    return np.swapaxes(dq, -1, -2), np.swapaxes(dq_dot, -1, -2)
 
 
 def point_jacobian(model, q, link_index, local_offset, fk=None):
@@ -379,7 +410,7 @@ def _residuals(model, q, delta, refs, weights, with_jac=True):
     r = np.concatenate(res, axis=-1)
     if not with_jac:
         return r, None, None
-    dq, dqd = momentum_jacobian(model, q, qdot)
+    dq, dqd = momentum_jacobian(model, q, qdot, fk=fk)
     eye = np.eye(n)
     with np.errstate(invalid="ignore"):
         outside = (q < model.lower) | (q > model.upper)
@@ -440,7 +471,8 @@ def solve_kinematic_subproblem(
 ):
     """Minimize posture/momentum/effector tracking over q_{1:T} by
     Gauss-Newton with a block tridiagonal normal-equation factorization.
-    ``converged`` is True only when the STEP_TOL/COST_TOL rule fired."""
+    ``converged`` is True only when the STEP_TOL/COST_TOL rule fired;
+    ``trials`` counts the line search's cost evaluations."""
     n = model.dof
     q = np.tile(np.asarray(q0, dtype=float), (T + 1, 1))
     post = refs.posture_ref
@@ -449,6 +481,7 @@ def solve_kinematic_subproblem(
     refs = KinematicRefs(refs.h_ref, refs.effector_ref, post)
     cost = _trajectory_cost(model, q, delta, refs, weights)
     converged = False
+    trials = 0
     damping = 0.0
     for _ in range(max_iter):
         grad, diag, off = _normal_equations(*_residuals(model, q, delta, refs, weights))
@@ -468,6 +501,7 @@ def solve_kinematic_subproblem(
             q_new = q.copy()
             q_new[1:] = q[1:] + alpha * step.reshape(T, n)
             new_cost = _trajectory_cost(model, q_new, delta, refs, weights)
+            trials += 1
             if new_cost <= cost + 1e-4 * alpha * gTs or new_cost < cost:
                 improved = True
                 break
@@ -481,4 +515,4 @@ def solve_kinematic_subproblem(
         if moved <= STEP_TOL or decreased <= COST_TOL:
             converged = True
             break
-    return JointTrajectory(q, delta, converged=converged), cost
+    return JointTrajectory(q, delta, converged=converged, trials=trials), cost

@@ -70,6 +70,9 @@ def test_private_names_read(path):
 
 # Public functions and classes with no reader in src/kinomo, kept for a reason.
 ALLOWED_UNREAD = {
+    "kinematics.centroidal_momentum_matrix": (
+        "H(q) from unit-velocity probes, oracle of momentum_jacobian's "
+        "velocity block (criterion 10)"),
     "qpm.hessian_parts": "dense oracle of the stored Q and P curvature, for tests",
     "qpm.min_quad_eigenvalue": "oracle of a Q+/- row's convexity, for tests",
     "scenario.make_standing_scenario": "shipped preset for users and tests",

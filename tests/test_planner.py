@@ -122,6 +122,7 @@ class TestPlan:
         traj, h, forces, report = plan(scn)
         assert report["converged"]
         assert report["passes"] <= 2
+        assert len(report["kinematic_trials"]) == report["passes"]
         assert np.abs(traj.q - scn.q0).max() < 1e-3
         # near-zero momentum everywhere
         assert np.abs(h[:, 3:]).max() < 1e-2
