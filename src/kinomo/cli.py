@@ -60,7 +60,8 @@ def _solver_options(scn, args):
 
 
 def _contact_rows(scn, sol, formulation):
-    """(t, effector, world force, CoP coordinates, normal torque, feasible)."""
+    """Per active contact sample, in step order, its phase and the row
+    (t, effector, world force, CoP coordinates, normal torque, feasible)."""
     rows = []
     for t in range(scn.T):
         for i, ph in enumerate(scn.phases):
@@ -75,10 +76,8 @@ def _contact_rows(scn, sol, formulation):
                 w = sol["wrenches"][(i, t)]
             f_world = ph.surface.R @ w.f_hat
             verdict = cop_wrench_feasibility(ph, w, tol=1e-9)
-            rows.append(
-                [t, ph.effector_id, *f_world, w.p_hat[0], w.p_hat[1], w.tau_hat,
-                 int(verdict["feasible"])]
-            )
+            rows.append((ph, [t, ph.effector_id, *f_world, w.p_hat[0], w.p_hat[1],
+                              w.tau_hat, int(verdict["feasible"])]))
     return rows
 
 
@@ -125,7 +124,7 @@ def cmd_momentum(args):
     _write_csv(
         base + "_contacts.csv",
         ["t", "effector", "fx", "fy", "fz", "px_hat", "py_hat", "tau_hat", "feasible"],
-        contacts,
+        [row for _, row in contacts],
     )
     _write_csv(
         base + "_iterations.csv",
@@ -165,9 +164,8 @@ def cmd_plan(args):
         base + "_cop.csv",
         ["t", "effector", "px_hat", "py_hat", "px_max", "py_max", "feasible"],
         [
-            [r[0], r[1], r[5], r[6],
-             *_phase_for(scn, r[0], r[1]).surface.p_max, r[8]]
-            for r in _contact_rows(scn, sol, "sequential")
+            [r[0], r[1], r[5], r[6], *ph.surface.p_max, r[8]]
+            for ph, r in _contact_rows(scn, sol, "sequential")
         ],
     )
     print(
@@ -175,13 +173,6 @@ def cmd_plan(args):
         f"mismatch={report['mismatch'][-1]:.3e}"
     )
     return EXIT_OK if report["converged"] else EXIT_NOT_CONVERGED
-
-
-def _phase_for(scn, t, effector):
-    for ph in scn.phases:
-        if ph.effector_id == effector and ph.active(t):
-            return ph
-    raise KeyError((t, effector))
 
 
 def _bench_cell(scn, T, formulation, repeats):

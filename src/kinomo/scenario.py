@@ -320,17 +320,15 @@ def model_to_dict(model):
                 "inertia": [list(row) for row in ln.inertia],
             }
         )
-    out = {
+    return {
         "links": links,
         "effectors": {
             name: {"link": model.links[idx].name, "offset": list(off)}
             for name, (idx, off) in model.effectors.items()
         },
+        "lower": [None if np.isnan(v) else v for v in model.lower],
+        "upper": [None if np.isnan(v) else v for v in model.upper],
     }
-    if model.lower is not None:
-        out["lower"] = [None if np.isnan(v) else v for v in model.lower]
-        out["upper"] = [None if np.isnan(v) else v for v in model.upper]
-    return out
 
 
 def scenario_to_dict(scn):

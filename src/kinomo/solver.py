@@ -39,7 +39,11 @@ raised tenfold while the factorization fails. The rule costs at most one
 extra assembly and factorization. Trying the exact Hessian again after
 a convexified step does not converge reliably: on step_stones rescaled
 to T=400 (sequential form) such a per-iteration fallback stalls at the
-iteration limit.
+iteration limit. Nor can the exact Hessian alone, regularized by a delta
+raised tenfold from REG_FLOOR until K + delta I factorizes, replace the
+fallback: on the same instance it ends at MaxIter after 800 iterations
+(KKT 2.0e-6; 1.1e-5 when each delta restarts at a third of the last one,
+as in IPOPT), where the one-way fallback converges in 292.
 
 A dense line-search SQP with the convexified Hessian serves as the
 baseline solver for cross-checking on small instances.
@@ -165,23 +169,6 @@ def kkt_residual(p: NlpProblem, x, z, y):
     z, y = np.asarray(z), np.asarray(y)
     _, _, r_d, g_i, _, g_e, _ = _evaluate(*_compiled_parts(p), x, z, y)
     return _kkt_norms(r_d, g_i, z, g_e)
-
-
-def _ballistic_initial_point(p: NlpProblem):
-    scn = p.scenario
-    x = np.zeros(p.n)
-    if p.layout.kind != "simultaneous":
-        return x
-    M, g, dt = scn.consts.M, scn.consts.g, scn.delta
-    h0 = scn.h0
-    for t in range(1, scn.T + 1):
-        b = p.layout.state_base[t]
-        l = h0.l + dt * t * M * g
-        r = h0.r + (dt * t * h0.l + dt**2 * (t * (t - 1) / 2.0) * M * g) / M
-        x[b : b + 3] = r
-        x[b + 3 : b + 6] = l
-        x[b + 6 : b + 9] = h0.k
-    return x
 
 
 def _sorted_unique(a):
@@ -389,7 +376,8 @@ def solve_ipm(p: NlpProblem, opts: SolverOptions = None) -> SolveResult:
     filter entry. Each trial point is evaluated once, and the accepted
     one's evaluations serve the next iteration. When no trial is accepted
     the solve ends: Infeasible above a primal residual of 1e-4, else MaxIter.
-    A non-finite objective or KKT norm ends it as NumericFailure.
+    A non-finite objective or KKT norm ends it as NumericFailure. The solve
+    starts at the builder's p.x0.
     """
     opts = opts or SolverOptions()
     n = p.n
@@ -397,7 +385,7 @@ def solve_ipm(p: NlpProblem, opts: SolverOptions = None) -> SolveResult:
     m_e = p.n_eq
     obj, ineq, eq = _compiled_parts(p)
     empty = np.zeros(0)
-    x = _ballistic_initial_point(p)
+    x = p.x0.copy()
     mu = MU0
     s = np.maximum(ineq.value(x), 1.0) if m_i else empty
     z = mu / s
@@ -576,7 +564,7 @@ def solve_sqp_dense(p: NlpProblem, opts: SolverOptions = None) -> SolveResult:
     opts = opts or SolverOptions()
     n = p.n
     obj, ineq, eq = _compiled_parts(p)
-    x = _ballistic_initial_point(p)
+    x = p.x0.copy()
     z = np.zeros(p.n_ineq)
     y = np.zeros(p.n_eq)
     stats = []
@@ -592,9 +580,7 @@ def solve_sqp_dense(p: NlpProblem, opts: SolverOptions = None) -> SolveResult:
             stats.append(IterationStat(it, kkt_norm, 0.0, 0.0,
                                        (time.perf_counter() - t0) * 1e3, "convexified"))
             break
-        H = convexified_lagrangian_hessian(
-            p, x, (-2.0 * z, -2.0 * y)
-        ).toarray()
+        H = convexified_lagrangian_hessian(p, (-2.0 * z, -2.0 * y)).toarray()
         H = H + REG_FLOOR * np.eye(n)
         c = obj.gradient(x)
         if p.n_ineq:

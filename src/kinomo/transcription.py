@@ -38,7 +38,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import contact, qpm
-from .contact import ContactWrenchCop, com_to_cop
+from .contact import ContactWrenchCop
 from .dynamics import MomentumState, RobotConstants
 
 
@@ -269,7 +269,8 @@ class NlpProblem:
     ``h``, ``f`` and ``kappa`` are the maps the rows are built from: the
     momentum states h_0..h_T (nine rows each), and the world force and
     the torque about the CoM of each active contact sample (three rows
-    each, samples in step order).
+    each, samples in step order). ``x0`` is the builder's start for a
+    solve: zero contact force, so that h reads the ballistic states.
     """
 
     layout: DecisionLayout
@@ -279,6 +280,7 @@ class NlpProblem:
     h: qpm.QpmFunction
     f: qpm.QpmFunction
     kappa: qpm.QpmFunction
+    x0: np.ndarray  # where a solve starts
     scenario: MomentumScenario
     ineq_meta: list
     eq_meta: list
@@ -312,7 +314,7 @@ class NlpProblem:
         return self._compiled["eq"]
 
 
-def convexified_lagrangian_hessian(p: NlpProblem, x, duals):
+def convexified_lagrangian_hessian(p: NlpProblem, duals):
     """Objective Hessian plus sum_i psd_part(dual_i (Q_i - P_i)).
 
     ``duals`` is (ineq_coeffs, eq_coeffs); a coefficient c >= 0
@@ -368,6 +370,16 @@ def _tracking_objective(scn, ph, st, h, f):
     return r, y, w
 
 
+def _ballistic(scn):
+    """The momentum states h_0..h_T (T+1, 9) under zero contact force: the
+    constant term of the sequential state maps and the builders' start."""
+    M, g, dt, h0 = scn.consts.M, scn.consts.g, scn.delta, scn.h0
+    tt = np.arange(scn.T + 1)[:, None]
+    r = M * h0.r + dt * tt * h0.l + dt**2 * (tt * (tt - 1) / 2.0) * M * g
+    l = h0.l + dt * tt * M * g
+    return np.hstack([r / M, l, np.tile(h0.k, (scn.T + 1, 1))])
+
+
 def _sequential_h(scn, n, base):
     """The closed-form state maps h_0..h_T of the force integrals as one
     function of 9(T+1) rows; base[i, t] is the first phi index of phase i
@@ -383,13 +395,11 @@ def _sequential_h(scn, n, base):
 
     with (m1, m2) = (t-1, t-2) while phase e lasts and its last two steps
     after it ends; the phi-contribution is phi_{m2} while the phase lasts
-    and phi_{m2} + (t - epsilon_e)(phi_{m1} - phi_{m2}) after it."""
-    M, g, dt, h0 = scn.consts.M, scn.consts.g, scn.delta, scn.h0
+    and phi_{m2} + (t - epsilon_e)(phi_{m1} - phi_{m2}) after it. The
+    terms free of (phi, psi) are the ballistic states of _ballistic."""
+    M, dt = scn.consts.M, scn.delta
     t = np.arange(scn.T + 1)
-    tt = t[:, None]
-    r_const = M * h0.r + dt * tt * h0.l + dt**2 * (tt * (tt - 1) / 2.0) * M * g
-    l_const = h0.l + dt * tt * M * g
-    b = np.hstack([r_const / M, l_const, np.tile(h0.k, (t.size, 1))]).ravel()
+    b = _ballistic(scn).ravel()
     k3 = np.arange(3)
     entries = []
     for i, ph in enumerate(scn.phases):
@@ -446,7 +456,8 @@ def build_sequential(scenario: MomentumScenario) -> NlpProblem:
     ineq_meta = [(t, i, fam) for fam in ("friction", "cop") for i, t in samples for _ in range(4)]
     return NlpProblem(
         layout, _tracking_objective(scn, ph, st, h, f), qpm.stack([friction, cop]),
-        qpm.make_affine(np.zeros((0, n)), np.zeros(0)), h, f, kappa, scn, ineq_meta, [],
+        qpm.make_affine(np.zeros((0, n)), np.zeros(0)), h, f, kappa, np.zeros(n), scn,
+        ineq_meta, [],
     )
 
 
@@ -493,15 +504,18 @@ def build_simultaneous(scenario: MomentumScenario) -> NlpProblem:
     a = np.tile(np.concatenate([np.zeros(3), -dt * (M * g), np.zeros(3)]), T)
     dynamics = qpm.affine_after(C, a, qpm.stack([h, f, kappa]))
 
+    # zero wrenches and the ballistic states h_1..h_T
+    x0 = np.zeros(n)
+    x0[sb[:, None] + k9] = _ballistic(scn)[1:]
     return NlpProblem(
-        layout, _tracking_objective(scn, ph, st, h, f), contact_rows, dynamics, h, f, kappa, scn,
-        [(t, i, "contact") for i, t in samples for _ in range(10)],
+        layout, _tracking_objective(scn, ph, st, h, f), contact_rows, dynamics, h, f, kappa,
+        x0, scn, [(t, i, "contact") for i, t in samples for _ in range(10)],
         [(t, None, "dynamics") for t in range(T) for _ in range(9)],
     )
 
 
 # ---------------------------------------------------------------------------
-# solution extraction and cross-formulation mapping
+# solution extraction
 
 
 def extract(p: NlpProblem, x):
@@ -527,30 +541,3 @@ def extract(p: NlpProblem, x):
 
 # the benchmark in perfbench/ still calls extract by its former per-form names
 extract_sequential = extract_simultaneous = extract
-
-
-def map_sequential_point(p_seq: NlpProblem, p_sim: NlpProblem, x_seq):
-    """Lift a sequential point into simultaneous variables with identical
-    dynamics (zero equality residual) and identical wrenches."""
-    scn = p_seq.scenario
-    sol = extract(p_seq, x_seq)
-    x = np.zeros(p_sim.n)
-    for t in range(1, scn.T + 1):
-        b = p_sim.layout.state_base[t]
-        x[b : b + 9] = sol["h"][t]
-    for i, ph in enumerate(scn.phases):
-        for t in range(ph.sigma, ph.epsilon):
-            b = p_sim.layout.contact_base[(i, t)]
-            f = sol["forces"][i][t]
-            kappa = sol["kappas"][i][t]
-            r = sol["h"][t][:3]
-            try:
-                w = com_to_cop(contact.ContactWrenchCom(f, kappa), ph.surface, r)
-            except contact.NormalForceNonPositive:
-                # CoP undefined without normal force; keep the equivalent
-                # local force and fold the torque into tau only if exact.
-                w = ContactWrenchCop(ph.surface.R.T @ f, np.zeros(2), 0.0)
-            x[b : b + 3] = w.f_hat
-            x[b + 3 : b + 5] = w.p_hat
-            x[b + 5] = w.tau_hat
-    return x

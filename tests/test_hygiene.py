@@ -78,7 +78,6 @@ ALLOWED_UNREAD = {
     "scenario.make_standing_scenario": "shipped preset for users and tests",
     "scenario.make_stepping_scenario": "shipped preset for users and tests",
     "scenario.save_scenario": "writes scenario files for users and tests",
-    "transcription.map_sequential_point": "pending ROADMAP item 3 (start at the references)",
 }
 
 

@@ -55,7 +55,7 @@ def convex_variant(p):
     """Same problem with the nonconvex CoP rows dropped (affine subclass)."""
     rows = [k for k, m in enumerate(p.ineq_meta) if m[2] == "friction"]
     return NlpProblem(
-        p.layout, p.objective, qpm.select_rows(p.ineq, rows), p.eq, p.h, p.f, p.kappa,
+        p.layout, p.objective, qpm.select_rows(p.ineq, rows), p.eq, p.h, p.f, p.kappa, p.x0,
         p.scenario, [p.ineq_meta[k] for k in rows], [],
     )
 
@@ -369,7 +369,7 @@ class TestKKTSystem:
             if eq is not None:
                 K = K + eq.hessian_combo(-2.0 * y, convexify=False)
         else:
-            K = convexified_lagrangian_hessian(p, x, (-2.0 * z, -2.0 * y))
+            K = convexified_lagrangian_hessian(p, (-2.0 * z, -2.0 * y))
         K = K + A_i.T @ sp.diags(sigma) @ A_i
         dx = rng.normal(size=p.n)
         dKd = dx @ (K @ dx)

@@ -1,11 +1,15 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from test_dynamics import rollout_states, sample_wrenches
 
-from kinomo import contact, qpm, transcription
-from kinomo.contact import ContactPhase, ContactSurface, com_to_cop
+from kinomo import contact, dynamics, qpm, transcription
+from kinomo.contact import ContactPhase, ContactSurface, ContactWrenchCop, com_to_cop
 from kinomo.dynamics import MomentumState, RobotConstants
+from kinomo.planner import initialize_references
+from kinomo.scenario import load_scenario, make_stepping_scenario
 from kinomo.solver import KKTSystem
 from kinomo.transcription import (
     MomentumScenario,
@@ -14,8 +18,9 @@ from kinomo.transcription import (
     build_simultaneous,
     convexified_lagrangian_hessian,
     extract,
-    map_sequential_point,
 )
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 M_TOTAL = 30.0
 G = 9.81
@@ -79,6 +84,30 @@ def static_stance_point(p):
             s = (t + 1) * (t + 2) / 2.0
             x[b : b + 3] = s * f0
             x[b + 3 : b + 6] = s * kappa
+    return x
+
+
+def map_sequential_point(p_seq, p_sim, x_seq):
+    """Lift a sequential point into simultaneous variables with identical
+    dynamics (zero equality residual) and identical wrenches."""
+    scn = p_seq.scenario
+    sol = extract(p_seq, x_seq)
+    x = np.zeros(p_sim.n)
+    for t in range(1, scn.T + 1):
+        b = p_sim.layout.state_base[t]
+        x[b : b + 9] = sol["h"][t]
+    for i, ph in enumerate(scn.phases):
+        for t in range(ph.sigma, ph.epsilon):
+            b = p_sim.layout.contact_base[(i, t)]
+            try:
+                w = com_to_cop(
+                    contact.ContactWrenchCom(sol["forces"][i][t], sol["kappas"][i][t]),
+                    ph.surface, sol["h"][t][:3],
+                )
+            except contact.NormalForceNonPositive:
+                # no CoP without normal force: keep the local force only
+                w = ContactWrenchCop(ph.surface.R.T @ sol["forces"][i][t], np.zeros(2), 0.0)
+            x[b : b + 6] = np.concatenate([w.f_hat, w.p_hat, [w.tau_hat]])
     return x
 
 
@@ -307,6 +336,26 @@ class TestSimultaneous:
             assert np.allclose(qpm.evaluate(p.eq, x), direct, rtol=0, atol=1e-10)
 
 
+class TestStart:
+    @pytest.mark.parametrize("make", [
+        lambda: load_scenario(SCENARIOS / "step_stones.json"),
+        lambda: load_scenario(SCENARIOS / "stand.json"),
+        lambda: make_stepping_scenario(T=30),
+    ], ids=["step_stones", "stand", "stepping30"])
+    def test_builders_start_on_the_ballistic_states(self, make):
+        scn = make()
+        state = initialize_references(scn)
+        ms = scn.momentum_scenario(state.h_bar, state.lambda_bar)
+        p_seq, p_sim = build_sequential(ms), build_simultaneous(ms)
+        assert not p_seq.x0.any()
+        h_seq, h_sim = extract(p_seq, p_seq.x0)["h"], extract(p_sim, p_sim.x0)["h"]
+        assert np.array_equal(h_seq, h_sim)
+        states = dynamics.rollout(ms.h0, [], ms.delta, ms.T, ms.consts)
+        ballistic = np.array([h.as_vector() for h in states])
+        assert np.allclose(h_sim, ballistic, rtol=1e-12, atol=1e-9)
+        assert np.abs(p_sim.compiled_eq().value(p_sim.x0)).max() <= 1e-9
+
+
 def row_blocks(p, comp):
     """Per row of a compiled constraint function: the step blocks of its
     columns and whether it touches the arrow block."""
@@ -481,7 +530,7 @@ class TestCompiled:
 class TestConvexifiedHessian:
     def test_zero_duals(self):
         p = build_sequential(biped_scenario(4))
-        H = convexified_lagrangian_hessian(p, np.zeros(p.n), (np.zeros(p.n_ineq), np.zeros(0)))
+        H = convexified_lagrangian_hessian(p, (np.zeros(p.n_ineq), np.zeros(0)))
         assert np.allclose(H.toarray(), p.compiled_objective().H.toarray())
 
     def test_single_positive_dual_keeps_q_part(self):
@@ -491,7 +540,7 @@ class TestConvexifiedHessian:
         k = next(k for k, (t, i, fam) in enumerate(p.ineq_meta) if fam == "cop" and t >= 2)
         c = np.zeros(p.n_ineq)
         c[k] = 1.0
-        H = convexified_lagrangian_hessian(p, np.zeros(p.n), (c, np.zeros(0)))
+        H = convexified_lagrangian_hessian(p, (c, np.zeros(0)))
         Q, _ = qpm.hessian_parts(p.ineq, k)
         assert Q.any()
         assert np.allclose(
@@ -504,7 +553,7 @@ class TestConvexifiedHessian:
         comp = p.compiled_ineq()
         for _ in range(5):
             c = rng.normal(size=p.n_ineq)
-            Ht = convexified_lagrangian_hessian(p, np.zeros(p.n), (c, np.zeros(0)))
+            Ht = convexified_lagrangian_hessian(p, (c, np.zeros(0)))
             gap = (Ht - p.compiled_objective().H) - comp.hessian_combo(c, convexify=False)
             lam = np.linalg.eigvalsh((Ht - p.compiled_objective().H).toarray())
             assert lam[0] >= -1e-9
