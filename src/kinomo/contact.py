@@ -190,8 +190,9 @@ def build_cop_qpm_constraints(phases, r_map, f_map, kappa_map):
         m = R_xy^T kappa + R_xy^T ((r - t) x f),
 
     one affine map of (f, kappa, (r - t) x f) for every sample at once; the
-    cross product carries its Q/P entries through affine composition only
-    (no eigendecomposition at build time).
+    cross product's Q/P entries are quarter squares of sums and differences
+    of rows of r - t and f (qpm.cross), so no eigendecomposition is needed
+    at build time.
     """
     for name, fn in (("r_map", r_map), ("f_map", f_map), ("kappa_map", kappa_map)):
         if not fn.is_affine():

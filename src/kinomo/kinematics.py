@@ -279,9 +279,10 @@ def point_jacobian(model, q, link_index, local_offset, fk=None):
 # Default desk-scale biped
 
 
-def default_biped(total_mass=30.0):
-    """Small biped: floating base, 3-DoF legs (pitch-roll-knee) and 2-DoF
-    arms (shoulder/elbow pitch). Feet are point effectors on the shanks."""
+def default_biped():
+    """Small 30 kg biped: floating base, 3-DoF legs (pitch-roll-knee) and
+    2-DoF arms (shoulder/elbow pitch). Feet are point effectors on the
+    shanks."""
     X, Y, Z = np.eye(3)
     zero3 = np.zeros(3)
 
@@ -323,7 +324,7 @@ def default_biped(total_mass=30.0):
             Link(f"{side}_elbow", len(links) - 1, "revolute", Y, np.array([0.0, 0.0, -0.2]), 0.75,
                  np.array([0.0, 0.0, -0.1]), inert(0.75, 0.035))
         )
-    scale = total_mass / sum(ln.mass for ln in links)
+    scale = 30.0 / sum(ln.mass for ln in links)
     links = [
         Link(ln.name, ln.parent, ln.kind, ln.axis, ln.offset,
              ln.mass * scale, ln.com, ln.inertia * scale)
@@ -339,14 +340,13 @@ def default_biped(total_mass=30.0):
     return KinematicModel(tuple(links), effectors, lower, upper)
 
 
-def biped_standing_configuration(model=None, knee=0.3, base_height=None):
-    """Configuration with both feet flat under the hips at z = 0."""
-    model = model if model is not None else default_biped()
+def biped_standing_configuration(model):
+    """Configuration of default_biped with both feet flat under the hips at
+    z = 0, hips bent by 0.3 rad and knees by -0.6 rad."""
+    knee = 0.3
     q = np.zeros(model.dof)
     names = [ln.name for ln in model.links]
-    if base_height is None:
-        base_height = 0.05 + 0.5 * np.cos(knee)  # hip drop + two 0.25 segments
-    q[names.index("base_z")] = base_height
+    q[names.index("base_z")] = 0.05 + 0.5 * np.cos(knee)  # hip drop + two 0.25 segments
     for side in ("l", "r"):
         q[names.index(f"{side}_hip_pitch")] = knee
         q[names.index(f"{side}_knee")] = -2 * knee
@@ -475,10 +475,6 @@ def solve_kinematic_subproblem(
     ``trials`` counts the line search's cost evaluations."""
     n = model.dof
     q = np.tile(np.asarray(q0, dtype=float), (T + 1, 1))
-    post = refs.posture_ref
-    if post.ndim == 1:
-        post = np.tile(post, (T + 1, 1))
-    refs = KinematicRefs(refs.h_ref, refs.effector_ref, post)
     cost = _trajectory_cost(model, q, delta, refs, weights)
     converged = False
     trials = 0

@@ -11,11 +11,12 @@ each of the Q and P parts as (row, i, j, value) arrays of the nonzero
 entries on and below the diagonal, sorted by (row, i, j), with int32
 indices. Affine functions are the special case of empty Q and P.
 
-The class is closed under stacking, affine maps of the output
-(affine_after, linear_combine, select_rows) and composition with an
-affine inner map (compose_affine). Each operation acts on all rows at
-once and keeps the two PSD parts apart, so a constraint family over every
-step and contact sample is one expression.
+The class is closed under stacking and affine maps of the output
+(affine_after, linear_combine, select_rows). Its one quadratic source is
+the cross product of two affine functions (cross), a sum of rank-1
+squares of their rows. Each operation acts on all rows at once and keeps
+the two PSD parts apart, so a constraint family over every step and
+contact sample is one expression.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-# Tolerance for PSD validity checks (round-off from repeated affine
-# congruence transforms accumulates slightly negative eigenvalues).
+# Tolerance for PSD validity checks (round-off in summed rank-1 squares
+# leaves slightly negative eigenvalues).
 PSD_TOL = 1e-10
 
 _NO_ENTRIES = (np.zeros(0, np.int32),) * 3 + (np.zeros(0),)
@@ -130,41 +131,6 @@ def block_diag(blocks):
     )
 
 
-# The cross product a x b on z = (a, b) in R^6: each row is z_p z_q - z_u z_v,
-# a difference of rank-2 PSD forms with exact 1/4 outer-product entries.
-_CROSS_PAIRS = (
-    ((1, 5), (2, 4)),  # a2*b3 - a3*b2
-    ((2, 3), (0, 5)),  # a3*b1 - a1*b3
-    ((0, 4), (1, 3)),  # a1*b2 - a2*b1
-)
-
-
-def _cross_pairs(k):
-    """The cross products of k pairs (a_l, b_l) on z = (a_0..a_{k-1},
-    b_0..b_{k-1}) in R^{6k}: row 3l + c is component c of a_l x b_l, with
-    Q = 1/4 (e_p + e_q)(e_p + e_q)' + 1/4 (e_u - e_v)(e_u - e_v)' and P
-    the sign-swapped pair."""
-    row, i, j, q = [], [], [], []
-    for c, pairs in enumerate(_CROSS_PAIRS):
-        for (a, b), sign in zip(pairs, (1.0, -1.0)):
-            # b indexes the second factor, so (b, a) is below the diagonal
-            row += [c, c, c]
-            i += [a, b, b]
-            j += [a, b, a]
-            q += [0.25, 0.25, 0.25 * sign]
-    row, i, j, q = map(np.array, (row, i, j, q))
-    p = np.where(i == j, q, -q)
-    lb = np.arange(k)[:, None]
-    row = (3 * lb + row).ravel()
-
-    def spread(idx):  # an index of the one-pair template, for pair l
-        return np.where(idx < 3, 3 * lb + idx, 3 * k + 3 * lb + idx - 3).ravel()
-
-    i, j = spread(i), spread(j)
-    return QpmFunction(6 * k, sp.csr_matrix((3 * k, 6 * k)), np.zeros(3 * k),
-                       (row, i, j, np.tile(q, k)), (row, i, j, np.tile(p, k)))
-
-
 # ---------------------------------------------------------------------------
 # closure operations
 
@@ -235,66 +201,65 @@ def stack(fns):
     return QpmFunction(n, A, np.concatenate([f.b for f in fns]), cat("Q"), cat("P"))
 
 
-def _through(part, S, c):
-    """A quadratic part of the outer rows pushed through y = S x + c:
-    (Sx + c)' Q_r (Sx + c) = x' S'Q_r S x + 2 c'Q_r S x + c'Q_r c.
-
-    Returns the entries of S'Q_r S (k >= l), the (row, k, value) entries
-    of 2 S'Q_r c and c'Q_r c per row."""
-    row, i, j, val = part
-    off = i != j
-    # every (a, b) with Q_ab != 0: the stored entries and, off the
-    # diagonal, their mirrors
-    pr, pa, pb, pv = (
-        np.concatenate([a, b[off]]) for a, b in ((row, row), (i, j), (j, i), (val, val))
-    )
-    length = np.diff(S.indptr)
-    la, lb = length[pa], length[pb]
-    count = la * lb
-    pid = np.repeat(np.arange(pa.size), count)
-    t = _ranges(np.zeros_like(count), count)
-    ka = S.indptr[pa][pid] + t // lb[pid]
-    kb = S.indptr[pb][pid] + t % lb[pid]
-    k, l = S.indices[ka], S.indices[kb]
-    low = k >= l
-    quad = (pr[pid][low], k[low], l[low], (pv[pid] * S.data[ka] * S.data[kb])[low])
-    # u = Q_r c, one value per (row, a), then S'u and c'u
-    hit = c[pb] != 0.0
-    ukey, uinv = np.unique(pr[hit].astype(np.int64) * c.size + pa[hit], return_inverse=True)
-    u = np.bincount(uinv, weights=pv[hit] * c[pb[hit]], minlength=ukey.size)
-    urow, ua = np.divmod(ukey, c.size)
-    reps = length[ua]
-    idx = _ranges(S.indptr[ua], reps)
-    lin = (np.repeat(urow, reps), S.indices[idx], 2.0 * (S.data[idx] * np.repeat(u, reps)))
-    return quad, lin, u * c[ua], urow
+def sorted_unique(a):
+    """np.unique by one sort: numpy's hash-based unique is several times
+    slower on the index-key arrays of this package."""
+    a = np.sort(a)
+    keep = np.ones(a.size, dtype=bool)
+    keep[1:] = a[1:] != a[:-1]
+    return a[keep]
 
 
-def compose_affine(v, s):
-    """r(x) = v(s(x)) with s affine; PSD parts transform by congruence."""
-    if not s.is_affine():
-        raise ValueError("inner function must be affine")
-    if v.input_dim != s.output_dim:
-        raise DimensionMismatch(
-            f"outer expects {v.input_dim} inputs, inner produces {s.output_dim}"
-        )
-    m, n = v.output_dim, s.input_dim
-    A = v.A @ s.A
-    b = v.b + v.A @ s.b
-    quads = []
-    for part, sign in ((v.Q, 1.0), (v.P, -1.0)):
-        quad, (lr, lk, lv), const, crow = _through(part, s.A, s.b)
-        quads.append(quad)
-        A = A + sign * sp.csr_matrix((lv, (lr, lk)), shape=(m, n))
-        b = b + sign * np.bincount(crow, weights=const, minlength=m)
-    return QpmFunction(n, A, b, *quads)
+def row_pairs(indptr):
+    """Every pair (k1, k2), k1 >= k2, of entry positions within one row of
+    a CSR pattern: the lower-triangle terms of u'u for each row u."""
+    lengths = np.diff(indptr)
+    p1, p2 = [np.zeros(0, dtype=np.int32)], [np.zeros(0, dtype=np.int32)]
+    for L in np.unique(lengths):
+        a, b = np.tril_indices(L)
+        start = indptr[:-1][lengths == L][:, None]
+        p1.append((start + a).ravel().astype(np.int32))
+        p2.append((start + b).ravel().astype(np.int32))
+    return np.concatenate(p1), np.concatenate(p2)
 
 
 def cross(a, b):
     """The cross products a_l x b_l of the consecutive 3-row blocks of two
-    affine functions, as 3 rows each."""
-    if a.output_dim != b.output_dim or a.output_dim % 3:
-        raise DimensionMismatch("cross needs two functions of 3k rows")
-    return compose_affine(_cross_pairs(a.output_dim // 3), stack([a, b]))
+    affine functions a = A x + a0 and b = B x + b0, as 3 rows each.
+
+    Component c is a_s b_t - a_t b_s, (s, t) = (c+1, c+2) mod 3, and a
+    product of affine rows splits as u v = 1/4 (u + v)^2 - 1/4 (u - v)^2:
+    Q = 1/4 (A_s + B_t)'(A_s + B_t) + 1/4 (A_t - B_s)'(A_t - B_s), P the
+    sign-swapped pair, the linear part a0_s B_t + b0_t A_s - a0_t B_s -
+    b0_s A_t and the constant a0_s b0_t - a0_t b0_s."""
+    if a.output_dim != b.output_dim or a.output_dim % 3 or a.input_dim != b.input_dim:
+        raise DimensionMismatch("cross needs two functions of 3k rows on one input")
+    if not (a.is_affine() and b.is_affine()):
+        raise ValueError("cross needs two affine functions")
+    m = a.output_dim
+    row = np.arange(m)
+    s, t = row - row % 3 + (row + 1) % 3, row - row % 3 + (row + 2) % 3
+    src = np.stack([s, t + m, t, s + m])  # the rows A_s, B_t, A_t, B_s of (A; B)
+    AB = sp.vstack([a.A, b.A], format="csr")
+    a0s, b0t, a0t, b0s = np.concatenate([a.b, b.b])[src]
+
+    def combine(coef):
+        """Row g m + r: the sum over k of coef[g, k, r] AB[src[k, r]]."""
+        coef = np.broadcast_to(coef, coef.shape[:2] + (m,))
+        g, k, r = np.nonzero(coef)
+        shape = (coef.shape[0] * m, 2 * m)
+        return sp.csr_matrix((coef[g, k, r], (g * m + r, src[k, r])), shape=shape) @ AB
+
+    # the rows u of the squares 1/4 u'u: two per component for Q, then two for P
+    signs = np.array([[1.0, 1, 0, 0], [0, 0, 1, -1], [1, -1, 0, 0], [0, 0, 1, 1]])
+    U = combine(signs[..., None])
+    U.sort_indices()  # so that every pair k1 >= k2 lies on or below the diagonal
+    p1, p2 = row_pairs(U.indptr)
+    u = np.repeat(np.arange(4 * m), np.diff(U.indptr))[p1]
+    entries = (u % m, U.indices[p1], U.indices[p2], 0.25 * U.data[p1] * U.data[p2])
+    Q, P = ([e[part] for e in entries] for part in (u < 2 * m, u >= 2 * m))
+    lin = combine(np.array([[b0t, a0s, -b0s, -a0t]]))
+    return QpmFunction(a.input_dim, lin, a0s * b0t - a0t * b0s, Q, P)
 
 
 # ---------------------------------------------------------------------------

@@ -419,10 +419,11 @@ def make_standing_scenario(T=20, delta=0.1, **solver_kw):
     )
 
 
-def stepping_schedule(T, switch, stride=0.1):
+def stepping_schedule(T, switch):
     """Alternating-gait phase boundaries: double support for ``switch``
-    steps, then one foot swings forward by ``stride`` for ``switch`` steps,
-    and so on, starting with the right foot."""
+    steps, then one foot swings 0.1 m forward for ``switch`` steps, and so
+    on, starting with the right foot."""
+    stride = 0.1
     t = 0
     k = 0
     lx = rx = 0.0

@@ -57,7 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from . import linalg
+from . import linalg, qpm
 # The IPM packs and factorizes through linalg.BandStorage; the two
 # factorization names stay importable from here, where perfbench/tracing.py
 # wraps them.
@@ -114,7 +114,7 @@ class SolveResult:
     y: np.ndarray  # equality duals
     status: str  # Converged | MaxIter | Infeasible | NumericFailure
     stats: list
-    objective: float
+    objective: float  # sum w (r(x) - y)^2 at x
     kkt: tuple  # (stationarity, primal, dual, complementarity)
 
     @property
@@ -163,34 +163,20 @@ def _evaluate(obj, ineq, eq, x, z, y):
     return f, grad, r_d, g_i, A_i, g_e, A_e
 
 
+def _objective(p: NlpProblem, x):
+    """The reported objective sum w (r(x) - y)^2 as a sum of squares: the
+    compiled c + 0.5 x'(g + q) cancels, and can read below zero, near 0."""
+    r, y, w = p.objective
+    e = r(x) - y
+    return float(w @ (e * e))
+
+
 def kkt_residual(p: NlpProblem, x, z, y):
     """Infinity norms of the four KKT blocks under the sign convention
     L = J - z g_I - y g_E: (stationarity, primal, dual, complementarity)."""
     z, y = np.asarray(z), np.asarray(y)
     _, _, r_d, g_i, _, g_e, _ = _evaluate(*_compiled_parts(p), x, z, y)
     return _kkt_norms(r_d, g_i, z, g_e)
-
-
-def _sorted_unique(a):
-    """np.unique by one sort: numpy's hash-based unique is several times
-    slower on these key arrays."""
-    a = np.sort(a)
-    keep = np.ones(a.size, dtype=bool)
-    keep[1:] = a[1:] != a[:-1]
-    return a[keep]
-
-
-def _row_pairs(indptr):
-    """Every pair (k1, k2), k1 >= k2, of entry positions within one row of
-    a CSR pattern: the terms of A^T diag(sigma) A."""
-    lengths = np.diff(indptr)
-    p1, p2 = [np.zeros(0, dtype=np.int32)], [np.zeros(0, dtype=np.int32)]
-    for L in np.unique(lengths):
-        a, b = np.tril_indices(L)
-        start = indptr[:-1][lengths == L][:, None]
-        p1.append((start + a).ravel().astype(np.int32))
-        p2.append((start + b).ravel().astype(np.int32))
-    return np.concatenate(p1), np.concatenate(p2)
 
 
 class KKTSystem:
@@ -255,7 +241,7 @@ class KKTSystem:
             keys[part] = np.concatenate(k)
             curv[part] = np.concatenate(c), np.concatenate(v)
         if m_i:
-            p1, p2 = _row_pairs(ineq.indptr)
+            p1, p2 = qpm.row_pairs(ineq.indptr)  # the terms of A_I^T Sigma A_I
             keys["pairs"] = ineq.indices[p1] * N + ineq.indices[p2]
             self._row_len = np.diff(ineq.indptr)
         keys["diag"] = np.arange(n, dtype=np.int64) * (N + 1)
@@ -263,7 +249,7 @@ class KKTSystem:
             eq_rows = n + np.repeat(np.arange(m_e, dtype=np.int64), np.diff(eq.indptr))
             keys["ae"] = eq_rows * N + eq.indices
             keys["eq_diag"] = np.arange(n, N, dtype=np.int64) * (N + 1)
-        pattern = _sorted_unique(np.concatenate([_sorted_unique(k) for k in keys.values()]))
+        pattern = qpm.sorted_unique(np.concatenate([qpm.sorted_unique(k) for k in keys.values()]))
         slot = {k: np.searchsorted(pattern, v).astype(np.int32) for k, v in keys.items()}
         del keys  # before the matrices below are built
         S = pattern.size
@@ -449,7 +435,7 @@ def solve_ipm(p: NlpProblem, opts: SolverOptions = None) -> SolveResult:
             except NotPositiveDefinite:
                 delta *= 10.0
                 if delta > 1e-2:
-                    return SolveResult(x, z, y, "NumericFailure", stats, f, res)
+                    return SolveResult(x, z, y, "NumericFailure", stats, _objective(p, x), res)
         # row 1 of the simultaneous system reads K dx + A_e^T w = rhs while
         # the Newton system wants K dx - A_e^T dy = rhs, hence dy = -w
         dx, dy = sol[:n], -sol[n:]
@@ -485,7 +471,7 @@ def solve_ipm(p: NlpProblem, opts: SolverOptions = None) -> SolveResult:
             status = "Infeasible" if res[1] > 1e-4 else "MaxIter"
             break
         x, s, z, y = x_t, s_t, z_t, y_t
-    return SolveResult(x, z, y, status, stats, f, res)
+    return SolveResult(x, z, y, status, stats, _objective(p, x), res)
 
 
 # ---------------------------------------------------------------------------
@@ -642,7 +628,7 @@ def solve_sqp_dense(p: NlpProblem, opts: SolverOptions = None) -> SolveResult:
                           "convexified")
         )
     res = kkt_residual(p, x, z, y)
-    f = obj.value(x)
+    f = _objective(p, x)
     if not np.isfinite([f, *res]).all():
         status = "NumericFailure"
     elif max(res) <= opts.kkt_tol:

@@ -171,7 +171,7 @@ class CompiledVectorFunction:
         rows = np.concatenate([A.row, qr, qr, pr, pr]).astype(np.int64)
         # row-major keys of the CSR pattern, ascending: the entry (row, col)
         # sits where its key falls among them
-        keys = np.unique(rows * n + np.concatenate([A.col, qi, qj, pi, pj]))
+        keys = qpm.sorted_unique(rows * n + np.concatenate([A.col, qi, qj, pi, pj]))
         self.indices = (keys % n).astype(np.intp)
         self.indptr = np.searchsorted(keys, np.arange(m + 1, dtype=np.int64) * n)
         nnz = keys.size

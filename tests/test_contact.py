@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from test_qpm import cross6
+from test_qpm import cross_of
 
 from kinomo import contact, qpm
 
@@ -262,9 +262,7 @@ class TestCopQpmConstraints:
 
     def test_rejects_nonaffine_maps(self):
         phase = make_phase()
-        cross = qpm.compose_affine(
-            cross6(), qpm.make_affine(np.random.default_rng(0).normal(size=(6, 9)), np.zeros(6))
-        )
+        cross = cross_of(np.random.default_rng(0).normal(size=(6, 9)), np.zeros(6))
         r_map, f_map, k_map = identity_maps()
         with pytest.raises(ValueError):
             contact.build_cop_qpm_constraints([phase], r_map, cross, k_map)

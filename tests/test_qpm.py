@@ -28,6 +28,13 @@ def cross6():
     return qpm.cross(qpm.make_affine(I[:3], np.zeros(3)), qpm.make_affine(I[3:], np.zeros(3)))
 
 
+def cross_of(A, a):
+    """qpm.cross of the two 3-row halves of the affine map x -> A x + a:
+    x -> (A x + a)[:3] x (A x + a)[3:]."""
+    A, a = np.asarray(A, dtype=float), np.asarray(a, dtype=float)
+    return qpm.cross(qpm.make_affine(A[:3], a[:3]), qpm.make_affine(A[3:], a[3:]))
+
+
 def scalar_square():
     """y -> y^2: one row, Q = [[1]] and no linear part."""
     return qpm.QpmFunction(1, np.zeros((1, 1)), [0.0], Q=([0], [0], [0], [1.0]))
@@ -57,15 +64,6 @@ class TestMakeAffine:
 
 
 class TestCrossProduct:
-    def test_cross6_is_the_one_pair_constant(self):
-        """cross6 holds the same arrays as the constant one-pair map."""
-        s, ref = cross6(), qpm._cross_pairs(1)
-        assert s.output_dim == ref.output_dim and s.input_dim == ref.input_dim
-        assert (s.A != ref.A).nnz == 0 and np.array_equal(s.b, ref.b)
-        for got, want in ((s.Q, ref.Q), (s.P, ref.P)):
-            for a, b in zip(got, want):
-                assert np.array_equal(a, b)
-
     def test_canonical_basis(self):
         s = cross6()
         z = np.array([1.0, 0, 0, 0, 1.0, 0])  # (e1, e2)
@@ -115,48 +113,34 @@ class TestCrossProduct:
 
 
 class TestComposeAffine:
-    def test_identity_composition(self):
-        v = cross6()
-        s = qpm.make_affine(np.eye(6), np.zeros(6))
-        r = qpm.compose_affine(v, s)
-        for _ in range(100):
-            z = rng.normal(size=6)
-            assert np.allclose(r(z), v(z))
-
-    def test_scalar_square_through_affine(self):
-        # v(y) = y^2, s(x) = 2x + 1, v(s(1)) = 9
-        v = scalar_square()
-        s = qpm.make_affine(np.array([[2.0]]), np.array([1.0]))
-        r = qpm.compose_affine(v, s)
-        assert np.isclose(r(np.array([1.0]))[0], 9.0)
-        for _ in range(50):
-            x = rng.normal(size=1)
-            assert np.isclose(r(x)[0], (2 * x[0] + 1) ** 2)
+    """The cross product composed with an affine map: qpm.cross of the two
+    halves of x -> A x + a."""
 
     def test_cross_with_constant_is_affine(self):
-        v = cross6()
         b0 = np.array([0.3, -1.2, 2.0])
         A = np.vstack([np.eye(3), np.zeros((3, 3))])
         a = np.concatenate([np.zeros(3), b0])
-        r = qpm.compose_affine(v, qpm.make_affine(A, a))
+        r = cross_of(A, a)
         assert r.is_affine()
         for _ in range(100):
             x = rng.normal(size=3)
             assert np.allclose(r(x), np.cross(x, b0), atol=1e-12)
 
     def test_rejects_nonaffine_inner(self):
-        v = cross6()
+        v = cross_of(rng.normal(size=(6, 4)), rng.normal(size=6))
+        u = qpm.make_affine(rng.normal(size=(3, 4)), np.zeros(3))
         with pytest.raises(ValueError):
-            qpm.compose_affine(qpm.make_affine(np.ones((1, 3)), [0.0]), v)
+            qpm.cross(v, u)
+        with pytest.raises(ValueError):
+            qpm.cross(u, v)
 
     def test_psd_preserved(self):
-        v = cross6()
-        s = qpm.make_affine(rng.normal(size=(6, 4)), rng.normal(size=6))
-        r = qpm.compose_affine(v, s)
+        A, a = rng.normal(size=(6, 4)), rng.normal(size=6)
+        r = cross_of(A, a)
         assert qpm.min_quad_eigenvalue(r) >= -qpm.PSD_TOL
         for _ in range(200):
             x = rng.normal(size=4)
-            z = s(x)
+            z = A @ x + a
             assert np.allclose(r(x), np.cross(z[:3], z[3:]), atol=1e-10)
 
 
@@ -178,7 +162,7 @@ class TestLinearCombine:
 
     def test_pointwise_combination(self):
         v1 = cross6()
-        v2 = qpm.compose_affine(v1, qpm.make_affine(rng.normal(size=(6, 6)), rng.normal(size=6)))
+        v2 = cross_of(rng.normal(size=(6, 6)), rng.normal(size=6))
         comb = qpm.linear_combine([(0.5, v1), (0.25, v2)])
         for _ in range(50):
             x = rng.normal(size=6)
@@ -208,9 +192,7 @@ class TestEvaluationOps:
             qpm.hessian_parts(cross6(), 3)
 
     def test_gradient_fd_on_composed(self):
-        v = cross6()
-        s = qpm.make_affine(rng.normal(size=(6, 4)), rng.normal(size=6))
-        r = qpm.compose_affine(v, s)
+        r = cross_of(rng.normal(size=(6, 4)), rng.normal(size=6))
         for _ in range(10):
             x = rng.uniform(-2, 2, size=4)
             assert np.allclose(qpm.gradient(r, x), fd_gradient(r, x), atol=1e-6)
@@ -223,8 +205,7 @@ def test_ops_commute_with_evaluation(vals):
     v = cross6()
     A = np.arange(36, dtype=float).reshape(6, 6) / 10.0 - 1.0
     a = np.linspace(-1, 1, 6)
-    s = qpm.make_affine(A, a)
-    r = qpm.linear_combine([(2.0, qpm.compose_affine(v, s)), (-0.5, v)])
+    r = qpm.linear_combine([(2.0, cross_of(A, a)), (-0.5, v)])
     direct = 2.0 * np.cross((A @ x + a)[:3], (A @ x + a)[3:]) - 0.5 * np.cross(
         x[:3], x[3:]
     )

@@ -228,6 +228,23 @@ class TestNonFinite:
         assert res.status == "NumericFailure"
 
 
+class TestObjective:
+    @pytest.mark.parametrize("backend", ["ipm", "sqp_dense"])
+    @pytest.mark.parametrize("build", [build_sequential, build_simultaneous])
+    def test_reported_objective_is_a_sum_of_squares(self, build, backend):
+        # stand.json tracks its references almost exactly; the compiled
+        # c + 0.5 x'(g + q) read -6.1e-9 there (sequential IPM)
+        scn = load_scenario("scenarios/stand.json")
+        state = initialize_references(scn)
+        p = build(scn.momentum_scenario(state.h_bar, state.lambda_bar))
+        res = solve(p, dataclasses.replace(scn.solver, backend=backend))
+        assert res.converged
+        r, y, w = p.objective
+        direct = float(np.sum(w * (qpm.evaluate(r, res.x) - y) ** 2))
+        assert res.objective >= 0.0
+        assert res.objective == pytest.approx(direct, rel=1e-12, abs=0.0)
+
+
 class TestLineSearch:
     def test_each_trial_point_evaluated_once(self, monkeypatch):
         # every point the IPM visits is evaluated once, values and
