@@ -131,7 +131,7 @@ def cop_to_com(w: ContactWrenchCop, s: ContactSurface, r):
     return ContactWrenchCom(f, kappa)
 
 
-def com_to_cop(w: ContactWrenchCom, s: ContactSurface, r, eps=NORMAL_FORCE_EPS):
+def com_to_cop(w: ContactWrenchCom, s: ContactSurface, r):
     """Invert cop_to_com; requires strictly positive normal force.
 
     The tangential torque at the CoP vanishes, so the 2d CoP solves
@@ -140,8 +140,8 @@ def com_to_cop(w: ContactWrenchCom, s: ContactSurface, r, eps=NORMAL_FORCE_EPS):
     """
     r = np.asarray(r, dtype=float)
     fz = float(s.R_z @ w.f)
-    if not fz > eps:
-        raise NormalForceNonPositive(f"normal force {fz} <= {eps}")
+    if not fz > NORMAL_FORCE_EPS:
+        raise NormalForceNonPositive(f"normal force {fz} <= {NORMAL_FORCE_EPS}")
     m = s.R_xy.T @ (w.kappa + np.cross(r - s.t, w.f))
     p_hat = -(_J90 @ m) / fz
     # remaining torque is purely along the surface normal

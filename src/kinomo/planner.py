@@ -5,14 +5,15 @@ current momentum reference, re-extracts the achieved momentum profile,
 then solves the momentum sub-problem against that profile. The exchanged
 references (h_bar, c_bar) are exactly the sub-problem outputs; the force
 reference lambda_bar keeps its initial even-gravity split throughout.
-The loop stops when neither reference moved more than ``tol`` between
-consecutive passes, the momentum reference measured as momentum_mismatch
-measures it (positions in m, momenta over the total mass in m/s).
+The loop stops when neither reference moved more than REFERENCE_TOL
+between consecutive passes, the momentum reference measured as
+momentum_mismatch measures it (positions in m, momenta over the total mass
+in m/s).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,6 +31,11 @@ from .transcription import build_sequential, build_simultaneous, extract
 
 # Height (m) of the sine arc of a swing reference path at mid-swing.
 SWING_LIFT = 0.03
+# Reference-delta convergence threshold in m and m/s: path and CoM moves
+# in m, momentum moves divided by the total mass.
+REFERENCE_TOL = 1e-4
+# The kinematic sub-problem's tracking weights.
+KINEMATIC_WEIGHTS = KinematicWeights(posture=0.01, momentum=[20, 20, 20, 2, 2, 2, 2, 2, 2])
 
 
 class PlannerError(RuntimeError):
@@ -41,15 +47,7 @@ class PlannerError(RuntimeError):
 @dataclass
 class PlanOptions:
     max_outer: int = 10
-    # reference-delta convergence threshold in m and m/s: path and CoM
-    # moves in m, momentum moves divided by the total mass
-    tol: float = 1e-4
     formulation: str = "sequential"  # "sequential" | "simultaneous"
-    kinematic_weights: KinematicWeights = field(
-        default_factory=lambda: KinematicWeights(
-            posture=0.01, momentum=[20, 20, 20, 2, 2, 2, 2, 2, 2]
-        )
-    )
     kinematic_max_iter: int = 30
 
     def __post_init__(self):
@@ -197,7 +195,7 @@ def plan(scn, opts=None):
         )
         try:
             traj, _ = solve_kinematic_subproblem(
-                scn.model, refs, scn.T, scn.delta, opts.kinematic_weights,
+                scn.model, refs, scn.T, scn.delta, KINEMATIC_WEIGHTS,
                 scn.q0, max_iter=opts.kinematic_max_iter,
             )
         except Exception as e:  # propagate with the pass index attached
@@ -232,7 +230,7 @@ def plan(scn, opts=None):
         state.forces = sol["forces"]
         state.kappas = sol["kappas"]
         report["passes"] = outer
-        if max(delta_h, delta_c) <= opts.tol:
+        if max(delta_h, delta_c) <= REFERENCE_TOL:
             report["converged"] = True
             break
 

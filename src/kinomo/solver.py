@@ -51,6 +51,7 @@ baseline solver for cross-checking on small instances.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 
@@ -138,29 +139,33 @@ def _kkt_norms(r_d, g_i, z, g_e):
 
 
 def _compiled_parts(p: NlpProblem):
-    """The compiled objective, inequalities and equalities of p, None for
-    an absent constraint family."""
-    ineq = p.compiled_ineq() if p.n_ineq else None
-    eq = p.compiled_eq() if p.n_eq else None
-    return p.compiled_objective(), ineq, eq
+    """The compiled objective, inequalities and equalities of p."""
+    return p.compiled_objective(), p.compiled_ineq(), p.compiled_eq()
+
+
+@functools.lru_cache(maxsize=8)
+def _no_rows(n):
+    """The Jacobian of a family without rows over n variables."""
+    return sp.csr_matrix((0, n))
 
 
 def _evaluate(obj, ineq, eq, x, z, y):
     """(f, grad f, r_d, g_I, A_I, g_E, A_E) at x, with the stationarity
-    residual r_d = grad f - A_I^T z - A_E^T y; an absent family (None)
-    gives empty values and no Jacobian."""
+    residual r_d = grad f - A_I^T z - A_E^T y."""
     grad = obj.gradient(x)
     f = obj.value(x, grad)
-    r_d, g_i, A_i, g_e, A_e = grad, np.zeros(0), None, np.zeros(0), None
-    if ineq is not None:
-        A_i = ineq.jacobian(x)
-        g_i = ineq.value(x, A_i)
-        r_d = r_d - A_i.T @ z
-    if eq is not None:
-        A_e = eq.jacobian(x)
-        g_e = eq.value(x, A_e)
-        r_d = r_d - A_e.T @ y
-    return f, grad, r_d, g_i, A_i, g_e, A_e
+    r_d, parts = grad, []
+    for fn, dual in ((ineq, z), (eq, y)):
+        # a family without rows, as the sequential form's equalities, is
+        # not evaluated: its value, Jacobian and A^T dual would cost each
+        # trial point about 80 us, 5% of a sequential solve
+        if not fn.m:
+            parts += [fn.b, _no_rows(fn.n)]
+            continue
+        A = fn.jacobian(x)
+        parts += [fn.value(x, A), A]
+        r_d = r_d - A.T @ dual
+    return (f, grad, r_d, *parts)
 
 
 def _objective(p: NlpProblem, x):
@@ -205,18 +210,17 @@ class KKTSystem:
     banded LU of [[K + delta I, A_E^T], [A_E, -gamma I]] (simultaneous).
     The Cholesky fails unless K + delta I is positive definite;
     ``curvature`` gives dx^T K dx, the test that stands in for inertia
-    where the LU shows none. ``ineq`` and ``eq`` are the problem's
-    compiled constraint functions, None where it has none.
+    where the LU shows none. The constraint functions are p's compiled
+    ones; a family the form lacks, as the sequential form's equalities,
+    has zero rows and adds no entry.
     """
 
     gamma = 1e-8
 
-    def __init__(self, p: NlpProblem, ineq, eq):
+    def __init__(self, p: NlpProblem):
         n = p.n
-        m_i = ineq.m if ineq is not None else 0
-        m_e = eq.m if eq is not None else 0
-        N = n + m_e
-        self.m_i, self.m_e = m_i, m_e
+        ineq, eq = p.compiled_ineq(), p.compiled_eq()
+        N = n + eq.m
 
         # (i, j) keys, i >= j, of every contribution, source by source
         H = p.compiled_objective().H.tocoo()
@@ -231,24 +235,21 @@ class KKTSystem:
         }
         col0 = 0
         for fn in (ineq, eq):
-            if fn is not None:
-                for part, (rows, ii, jj, vv) in zip("QP", fn.curvature_entries()):
-                    key = ii.astype(np.int64) * N + jj
-                    for lst, a in zip(curv[part], (key, rows + col0, vv)):
-                        lst.append(a)
-                col0 += fn.m
+            for part, (rows, ii, jj, vv) in zip("QP", fn.curvature_entries()):
+                key = ii.astype(np.int64) * N + jj
+                for lst, a in zip(curv[part], (key, rows + col0, vv)):
+                    lst.append(a)
+            col0 += fn.m
         for part, (k, c, v) in curv.items():
             keys[part] = np.concatenate(k)
             curv[part] = np.concatenate(c), np.concatenate(v)
-        if m_i:
-            p1, p2 = qpm.row_pairs(ineq.indptr)  # the terms of A_I^T Sigma A_I
-            keys["pairs"] = ineq.indices[p1] * N + ineq.indices[p2]
-            self._row_len = np.diff(ineq.indptr)
+        p1, p2 = qpm.row_pairs(ineq.indptr)  # the terms of A_I^T Sigma A_I
+        keys["pairs"] = ineq.indices[p1] * N + ineq.indices[p2]
+        self._row_len = np.diff(ineq.indptr)
         keys["diag"] = np.arange(n, dtype=np.int64) * (N + 1)
-        if m_e:
-            eq_rows = n + np.repeat(np.arange(m_e, dtype=np.int64), np.diff(eq.indptr))
-            keys["ae"] = eq_rows * N + eq.indices
-            keys["eq_diag"] = np.arange(n, N, dtype=np.int64) * (N + 1)
+        eq_rows = n + np.repeat(np.arange(eq.m, dtype=np.int64), np.diff(eq.indptr))
+        keys["ae"] = eq_rows * N + eq.indices
+        keys["eq_diag"] = np.arange(n, N, dtype=np.int64) * (N + 1)
         pattern = qpm.sorted_unique(np.concatenate([qpm.sorted_unique(k) for k in keys.values()]))
         slot = {k: np.searchsorted(pattern, v).astype(np.int32) for k, v in keys.items()}
         del keys  # before the matrices below are built
@@ -260,25 +261,23 @@ class KKTSystem:
         self._k_weight = np.where(self._k_row == self._k_col, 1.0, 2.0)
 
         self._const = np.bincount(slot["obj"], const_val, minlength=S)
-        if m_e:
-            self._const[slot["eq_diag"]] -= self.gamma
-            self._ae_slot = slot["ae"]
+        self._const[slot["eq_diag"]] -= self.gamma
+        self._ae_slot = slot["ae"]
         self._G = {
-            part: sp.csr_matrix((v, (slot[part], c)), shape=(S, m_i + m_e))
+            part: sp.csr_matrix((v, (slot[part], c)), shape=(S, col0))
             for part, (c, v) in curv.items()
         }
-        if m_i:
-            # A_I^T Sigma A_I as a matrix-vector product: row `slot` of
-            # _AtA holds J[k2] at column k1 for each pair of that slot, so
-            # that _AtA @ (sigma J) sums sigma_r J[k1] J[k2]; only the data
-            # J[k2] changes between iterations
-            order = np.argsort(slot["pairs"], kind="stable")
-            indptr = np.zeros(S + 1, dtype=np.int32)
-            np.cumsum(np.bincount(slot["pairs"], minlength=S), out=indptr[1:])
-            self._p2 = p2[order].astype(np.intp)
-            self._AtA = sp.csr_matrix(
-                (np.zeros(order.size), p1[order], indptr), shape=(S, ineq.indices.size)
-            )
+        # A_I^T Sigma A_I as a matrix-vector product: row `slot` of _AtA
+        # holds J[k2] at column k1 for each pair of that slot, so that
+        # _AtA @ (sigma J) sums sigma_r J[k1] J[k2]; only the data J[k2]
+        # changes between iterations
+        order = np.argsort(slot["pairs"], kind="stable")
+        indptr = np.zeros(S + 1, dtype=np.int32)
+        np.cumsum(np.bincount(slot["pairs"], minlength=S), out=indptr[1:])
+        self._p2 = p2[order].astype(np.intp)
+        self._AtA = sp.csr_matrix(
+            (np.zeros(order.size), p1[order], indptr), shape=(S, ineq.indices.size)
+        )
 
         # the time-step order: variables of step t (key 2t) before the
         # equality rows of step t (key 2t + 1), the arrow last, each group
@@ -288,7 +287,7 @@ class KKTSystem:
         key = np.concatenate([2 * p.layout.var_block, 2 * eq_step + 1])
         key[arrow] = key.max(initial=0) + 1
         order = np.argsort(key, kind="stable")
-        self.band = linalg.BandStorage(row, col, order, None if m_e else arrow.size)
+        self.band = linalg.BandStorage(row, col, order, None if p.n_eq else arrow.size)
         self._diag = slot["diag"]
 
     def assemble(self, c_i, sigma, J_i, c_e, J_e, *, exact):
@@ -299,7 +298,7 @@ class KKTSystem:
         curvature (c >= 0 keeps c Q, c < 0 keeps |c| P, as in
         convexified_lagrangian_hessian), ``sigma`` is the diagonal Z S^-1
         and ``J_i``, ``J_e`` the data arrays of the Jacobians in their fixed
-        CSR patterns. An absent family takes empty arrays and None."""
+        CSR patterns. A family without rows takes empty arrays."""
         c = np.concatenate([c_i, c_e])
         cq, cp = (c, -c) if exact else (np.maximum(c, 0.0), np.maximum(-c, 0.0))
         v = self._const.copy()
@@ -308,11 +307,9 @@ class KKTSystem:
         for part, coeffs in (("Q", cq), ("P", cp)):
             if coeffs.any():
                 v += self._G[part] @ coeffs
-        if self.m_i:
-            np.take(J_i, self._p2, out=self._AtA.data)
-            v += self._AtA @ (J_i * np.repeat(sigma, self._row_len))
-        if self.m_e:
-            v[self._ae_slot] = J_e
+        np.take(J_i, self._p2, out=self._AtA.data)
+        v += self._AtA @ (J_i * np.repeat(sigma, self._row_len))
+        v[self._ae_slot] = J_e
         self._v = v
 
     def curvature(self, dx):
@@ -367,17 +364,14 @@ def solve_ipm(p: NlpProblem, opts: SolverOptions = None) -> SolveResult:
     """
     opts = opts or SolverOptions()
     n = p.n
-    m_i = p.n_ineq
-    m_e = p.n_eq
     obj, ineq, eq = _compiled_parts(p)
-    empty = np.zeros(0)
     x = p.x0.copy()
     mu = MU0
-    s = np.maximum(ineq.value(x), 1.0) if m_i else empty
+    s = np.maximum(ineq.value(x), 1.0)
     z = mu / s
-    y = np.zeros(m_e)
+    y = np.zeros(p.n_eq)
     ev = _evaluate(obj, ineq, eq, x, z, y)
-    kkt = KKTSystem(p, ineq, eq)
+    kkt = KKTSystem(p)
     hessian = "exact"  # until the first rejected exact matrix (module docstring)
 
     stats = []
@@ -406,22 +400,18 @@ def solve_ipm(p: NlpProblem, opts: SolverOptions = None) -> SolveResult:
         # reduced system: K = H + A_I^T Sigma A_I (+ delta I)
         sigma = z / s
         r_i = g_i - s
-        terms = (-2.0 * z, sigma, A_i.data if m_i else None,
-                 -2.0 * y, A_e.data if m_e else None)
+        terms = (-2.0 * z, sigma, A_i.data, -2.0 * y, A_e.data)
         kkt.assemble(*terms, exact=hessian == "exact")
-        rhs = -r_d
-        if m_i:
-            rhs = rhs + A_i.T @ (mu / s - z - sigma * r_i)
-        if m_e:
-            rhs = np.concatenate([rhs, -g_e])
+        rhs = np.concatenate([-r_d + A_i.T @ (mu / s - z - sigma * r_i), -g_e])
 
         sol = None
         if hessian == "exact":
             try:
                 sol = kkt.factor(REG_FLOOR).solve(rhs)
-                # the LU shows no inertia: the step's curvature stands in
+                # the simultaneous form's LU shows no inertia: the step's
+                # curvature stands in
                 dx = sol[:n]
-                if m_e and not kkt.curvature(dx) > CURVATURE_MIN * float(dx @ dx):
+                if p.n_eq and not kkt.curvature(dx) > CURVATURE_MIN * float(dx @ dx):
                     sol = None
             except NotPositiveDefinite:
                 pass
@@ -439,7 +429,7 @@ def solve_ipm(p: NlpProblem, opts: SolverOptions = None) -> SolveResult:
         # row 1 of the simultaneous system reads K dx + A_e^T w = rhs while
         # the Newton system wants K dx - A_e^T dy = rhs, hence dy = -w
         dx, dy = sol[:n], -sol[n:]
-        ds = A_i @ dx + r_i if m_i else empty
+        ds = A_i @ dx + r_i
         dz = mu / s - z - sigma * ds
         alpha_max = min(_fraction_to_boundary(s, ds), _fraction_to_boundary(z, dz))
 
@@ -481,67 +471,45 @@ def solve_ipm(p: NlpProblem, opts: SolverOptions = None) -> SolveResult:
 def _solve_dense_qp(H, c, A_i, b_i, A_e, b_e, tol=1e-10, max_iter=100):
     """min 0.5 d'Hd + c'd  s.t.  A_i d + b_i >= 0, A_e d + b_e = 0.
 
-    Small dense primal-dual IPM; returns (d, z, y)."""
-    n = c.size
-    m_i = b_i.size
-    m_e = b_e.size
+    Small dense primal-dual IPM; returns (d, z, y). Every step solves the
+    bordered system [[K, A_e^T], [A_e, -eps I]], which is K itself when
+    there are no equality rows."""
+    n, m_e = c.size, b_e.size
     d = np.zeros(n)
-    s = np.maximum(A_i @ d + b_i, 1.0) if m_i else np.zeros(0)
-    z = np.ones(m_i)
+    s = np.maximum(A_i @ d + b_i, 1.0)
+    z = np.ones(b_i.size)
     y = np.zeros(m_e)
     mu = 1.0
     for _ in range(max_iter):
-        g_i = A_i @ d + b_i if m_i else np.zeros(0)
-        g_e = A_e @ d + b_e if m_e else np.zeros(0)
-        r_d = H @ d + c
-        if m_i:
-            r_d = r_d - A_i.T @ z
-        if m_e:
-            r_d = r_d - A_e.T @ y
-        comp = np.abs(s * z).max(initial=0.0) if m_i else 0.0
+        g_i = A_i @ d + b_i
+        g_e = A_e @ d + b_e
+        r_d = H @ d + c - A_i.T @ z - A_e.T @ y
         err = max(
             np.abs(r_d).max(initial=0.0),
             np.abs(g_e).max(initial=0.0),
-            np.abs(g_i - s).max(initial=0.0) if m_i else 0.0,
-            comp,
+            np.abs(g_i - s).max(initial=0.0),
+            np.abs(s * z).max(initial=0.0),
         )
         if err <= tol:
             break
         if err <= 10 * mu:
             mu = max(0.1 * mu, 1e-14)
-        rhs = -r_d
-        K = H + 1e-12 * np.eye(n)
-        if m_i:
-            sigma = z / s
-            K = K + A_i.T @ (sigma[:, None] * A_i)
-            rhs = rhs + A_i.T @ (mu / s - z - sigma * (g_i - s))
-        if m_e:
-            kkt = np.block([[K, A_e.T], [A_e, -1e-12 * np.eye(m_e)]])
-            try:
-                sol = np.linalg.solve(kkt, np.concatenate([rhs, -g_e]))
-            except np.linalg.LinAlgError as exc:
-                raise QPSubproblemInfeasible("singular QP KKT system") from exc
-            dd, lam = sol[:n], sol[n:]
-            dy = -lam
-        else:
-            try:
-                dd = np.linalg.solve(K, rhs)
-            except np.linalg.LinAlgError as exc:
-                raise QPSubproblemInfeasible("singular QP system") from exc
-            dy = np.zeros(0)
-        if m_i:
-            ds = A_i @ dd + (g_i - s)
-            dz = mu / s - z - sigma * ds
-            alpha = min(_fraction_to_boundary(s, ds), _fraction_to_boundary(z, dz))
-        else:
-            ds = dz = np.zeros(0)
-            alpha = 1.0
+        sigma = z / s
+        K = H + 1e-12 * np.eye(n) + A_i.T @ (sigma[:, None] * A_i)
+        rhs = -r_d + A_i.T @ (mu / s - z - sigma * (g_i - s))
+        kkt = np.block([[K, A_e.T], [A_e, -1e-12 * np.eye(m_e)]])
+        try:
+            sol = np.linalg.solve(kkt, np.concatenate([rhs, -g_e]))
+        except np.linalg.LinAlgError as exc:
+            raise QPSubproblemInfeasible("singular QP KKT system") from exc
+        dd, dy = sol[:n], -sol[n:]
+        ds = A_i @ dd + (g_i - s)
+        dz = mu / s - z - sigma * ds
+        alpha = min(_fraction_to_boundary(s, ds), _fraction_to_boundary(z, dz))
         d = d + alpha * dd
-        if m_i:
-            s = s + alpha * ds
-            z = np.maximum(z + alpha * dz, 1e-16)
-        if m_e:
-            y = y + alpha * dy
+        s = s + alpha * ds
+        z = np.maximum(z + alpha * dz, 1e-16)
+        y = y + alpha * dy
     return d, z, y
 
 
@@ -569,31 +537,18 @@ def solve_sqp_dense(p: NlpProblem, opts: SolverOptions = None) -> SolveResult:
         H = convexified_lagrangian_hessian(p, (-2.0 * z, -2.0 * y)).toarray()
         H = H + REG_FLOOR * np.eye(n)
         c = obj.gradient(x)
-        if p.n_ineq:
-            A_i = ineq.jacobian(x).toarray()
-            b_i = ineq.value(x)
-        else:
-            A_i = np.zeros((0, n))
-            b_i = np.zeros(0)
-        if p.n_eq:
-            A_e = eq.jacobian(x).toarray()
-            b_e = eq.value(x)
-        else:
-            A_e = np.zeros((0, n))
-            b_e = np.zeros(0)
+        A_i, A_e = ineq.jacobian(x).toarray(), eq.jacobian(x).toarray()
         # the subproblem must be solved a couple of orders tighter than the
         # outer tolerance or its dual noise caps the achievable accuracy
         qp_tol = min(1e-10, 1e-2 * opts.kkt_tol)
-        d, z_qp, y_qp = _solve_dense_qp(H, c, A_i, b_i, A_e, b_e, tol=qp_tol)
+        d, z_qp, y_qp = _solve_dense_qp(H, c, A_i, ineq.value(x), A_e, eq.value(x), tol=qp_tol)
 
         nu = 1.0 + 2.0 * max(
             np.abs(z_qp).max(initial=0.0), np.abs(y_qp).max(initial=0.0)
         )
 
         def penalty(xv):
-            g_i = ineq.value(xv) if p.n_ineq else np.zeros(0)
-            g_e = eq.value(xv) if p.n_eq else np.zeros(0)
-            return nu * (np.maximum(-g_i, 0.0).sum() + np.abs(g_e).sum())
+            return nu * (np.maximum(-ineq.value(xv), 0.0).sum() + np.abs(eq.value(xv)).sum())
 
         # the merit change along d, with the quadratic objective's part in
         # closed form: a difference of objective values would cancel down

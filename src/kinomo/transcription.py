@@ -103,7 +103,6 @@ class DecisionLayout:
     """
 
     kind: str  # "sequential" | "simultaneous"
-    T: int
     n_vars: int
     var_block: np.ndarray
     arrow_indices: np.ndarray
@@ -143,7 +142,7 @@ def _layout(scn, kind):
     for t1, b in state.items():
         var_block[b : b + 9] = t1  # h_{t+1} belongs to block t+1
     var_block[arrow] = -1
-    return DecisionLayout(kind, scn.T, k, var_block, arrow, tuple(active), base, state)
+    return DecisionLayout(kind, k, var_block, arrow, tuple(active), base, state)
 
 
 # ---------------------------------------------------------------------------
@@ -322,12 +321,8 @@ def convexified_lagrangian_hessian(p: NlpProblem, duals):
     Lagrangian sign convention onto these curvature coefficients.
     """
     c_ineq, c_eq = duals
-    H = p.compiled_objective().H.copy()
-    if p.n_ineq:
-        H = H + p.compiled_ineq().hessian_combo(np.asarray(c_ineq))
-    if p.n_eq:
-        H = H + p.compiled_eq().hessian_combo(np.asarray(c_eq))
-    return H
+    H = p.compiled_objective().H + p.compiled_ineq().hessian_combo(c_ineq)
+    return H + p.compiled_eq().hessian_combo(c_eq)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from kinomo.kinematics import (
     point_jacobian,
     solve_kinematic_subproblem,
 )
-from kinomo.planner import PlanOptions, initialize_references
+from kinomo.planner import KINEMATIC_WEIGHTS, initialize_references
 from kinomo.scenario import make_stepping_scenario
 
 MODEL = default_biped()
@@ -245,11 +245,10 @@ class TestBatched:
         # the cost of the planner's first kinematic pass on the benchmark's
         # one-step instance, as computed before the kinematics were batched
         scn = make_stepping_scenario(T=21)
-        opts = PlanOptions()
         state = initialize_references(scn)
         refs = KinematicRefs(state.h_bar, state.c_bar, scn.q0.copy())
         _, cost = solve_kinematic_subproblem(
-            scn.model, refs, scn.T, scn.delta, opts.kinematic_weights, scn.q0, max_iter=10
+            scn.model, refs, scn.T, scn.delta, KINEMATIC_WEIGHTS, scn.q0, max_iter=10
         )
         assert cost == pytest.approx(0.7810224205592, rel=1e-8)
 

@@ -291,6 +291,31 @@ class TestConvexSubclass:
             assert np.abs(res.x - d_ref).max() < 1e-8, backend
 
 
+class TestNoInequalityRows:
+    @pytest.mark.parametrize("build", [build_sequential, build_simultaneous])
+    def test_backends_agree(self, build):
+        """With ineq cut to zero rows, as convex_variant cuts rows, the IPM
+        and the dense SQP both take the empty family as it is and reach
+        the same minimizer: the reference is reachable, so the objective
+        reads 0."""
+        scn = dataclasses.replace(
+            one_contact_scenario(T=8), weights=TrackingWeights(force=1.0)
+        )
+        full = build(scn)
+        p = NlpProblem(
+            full.layout, full.objective, qpm.select_rows(full.ineq, []), full.eq, full.h,
+            full.f, full.kappa, full.x0, full.scenario, [], full.eq_meta,
+        )
+        assert p.n_ineq == 0 and p.n_eq == full.n_eq
+        xs = []
+        for backend in ("ipm", "sqp_dense"):
+            res = solve(p, SolverOptions(backend=backend))
+            assert res.converged, backend
+            assert res.z.size == 0 and res.objective < 1e-12, backend
+            xs.append(res.x)
+        assert np.abs(xs[0] - xs[1]).max() < 1e-8
+
+
 class TestBackendsAgree:
     def test_objective_agreement(self):
         p = build_sequential(stepping_scenario())
@@ -365,33 +390,29 @@ class TestKKTSystem:
             scn = rescale_horizon(load_scenario("scenarios/step_stones.json"), 12)
         state = initialize_references(scn)
         p = build(scn.momentum_scenario(state.h_bar, state.lambda_bar))
-        ineq = p.compiled_ineq()
-        eq = p.compiled_eq() if p.n_eq else None
-        if eq is None:
+        ineq, eq = p.compiled_ineq(), p.compiled_eq()
+        if not p.n_eq:
             # the step_stones instance uses the W and C blocks, the standing one none
             assert bool(p.layout.arrow_indices.size) != standing
-        kkt = KKTSystem(p, ineq, eq)
+        kkt = KKTSystem(p)
         rng = np.random.default_rng(7)
         for _ in range(2):  # the second assembly overwrites the first
             x = rng.normal(size=p.n)
             z = rng.uniform(0.1, 10.0, size=p.n_ineq)
             sigma = z / rng.uniform(0.1, 10.0, size=p.n_ineq)
             y = rng.normal(size=p.n_eq)
-            A_i = ineq.jacobian(x)
-            A_e = eq.jacobian(x) if eq else None
-            kkt.assemble(-2.0 * z, sigma, A_i.data, -2.0 * y, A_e.data if eq else None,
-                         exact=exact)
+            A_i, A_e = ineq.jacobian(x), eq.jacobian(x)
+            kkt.assemble(-2.0 * z, sigma, A_i.data, -2.0 * y, A_e.data, exact=exact)
         if exact:
             K = p.compiled_objective().H + ineq.hessian_combo(-2.0 * z, convexify=False)
-            if eq is not None:
-                K = K + eq.hessian_combo(-2.0 * y, convexify=False)
+            K = K + eq.hessian_combo(-2.0 * y, convexify=False)
         else:
             K = convexified_lagrangian_hessian(p, (-2.0 * z, -2.0 * y))
         K = K + A_i.T @ sp.diags(sigma) @ A_i
         dx = rng.normal(size=p.n)
         dKd = dx @ (K @ dx)
         assert abs(kkt.curvature(dx) - dKd) <= 1e-12 * abs(K).max() * (dx @ dx)
-        if eq is not None:
+        if p.n_eq:
             K = sp.bmat([[K, A_e.T], [A_e, -KKTSystem.gamma * sp.eye(p.n_eq)]])
         K = K.toarray()
         shift = np.zeros(K.shape[0])
@@ -410,7 +431,7 @@ class TestKKTSystem:
         the arrow."""
         for scn in (stepping_scenario(20), biped_scenario(10)):
             p = build_sequential(scn)
-            band = KKTSystem(p, p.compiled_ineq(), None).band
+            band = KKTSystem(p).band
             arrow = p.layout.arrow_indices
             rest = np.setdiff1d(np.arange(p.n), arrow)
             assert np.array_equal(band.order, np.concatenate([rest, arrow]))
@@ -420,9 +441,9 @@ class TestKKTSystem:
         """Simultaneous: each step's equality rows sit directly after h_t
         and that step's wrenches."""
         p = build_simultaneous(stepping_scenario(20))
-        order = KKTSystem(p, p.compiled_ineq(), p.compiled_eq()).band.order.tolist()
+        order = KKTSystem(p).band.order.tolist()
         lay = p.layout
-        for t in range(lay.T):
+        for t in range(p.scenario.T):
             step = list(range(lay.state_base[t], lay.state_base[t] + 9)) if t else []
             step += [lay.contact_base[i, t] + k for i in lay.active[t] for k in range(6)]
             rows = [p.n + r for r, (s, _, _) in enumerate(p.eq_meta) if s == t]

@@ -445,12 +445,12 @@ class TestPatterns:
         arrow = 12 if scenario is stepping_scenario else 0
         for T in horizons:
             p = build_sequential(scenario(T))
-            band = KKTSystem(p, p.compiled_ineq(), None).band
+            band = KKTSystem(p).band
             ab, W, C = band.blocks
             assert ab.shape[0] == 35
             assert band.n_arrow == W.shape[1] == C.shape[0] == arrow
             p = build_simultaneous(scenario(T))
-            band = KKTSystem(p, p.compiled_ineq(), p.compiled_eq()).band
+            band = KKTSystem(p).band
             assert band.bw == 29
 
 
