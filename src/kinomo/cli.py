@@ -152,10 +152,10 @@ def cmd_plan(args):
     )
     _write_csv(
         base + "_passes.csv",
-        ["outer", "mismatch", "delta_h", "delta_c", "momentum_status"],
+        ["outer", "mismatch", "delta_h", "delta_c", "momentum_status", "momentum_iters"],
         [
             [k + 1, report["mismatch"][k], report["delta_h"][k],
-             report["delta_c"][k], report["momentum_status"][k]]
+             report["delta_c"][k], report["momentum_status"][k], report["momentum_iters"][k]]
             for k in range(report["passes"])
         ],
     )

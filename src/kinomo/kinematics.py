@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import BlockTridiagCholesky, NotPositiveDefinite
+from .linalg import BlockTridiagCholesky, NotPositiveDefinite, block_tridiag_band
 
 # Gauss-Newton stopping rule of the kinematic sub-problem: a step that
 # moves no joint by more than STEP_TOL, or lowers the cost by no more than
@@ -57,6 +57,7 @@ class KinematicModel:
     link_coms: np.ndarray = field(init=False, repr=False, compare=False)  # (n, 3)
     inertias: np.ndarray = field(init=False, repr=False, compare=False)  # (n, 3, 3)
     axes: np.ndarray = field(init=False, repr=False, compare=False)  # (n, 3)
+    offsets: np.ndarray = field(init=False, repr=False, compare=False)  # (n, 3)
     # revolute joints: cross-product matrix K of the axis and K @ K
     skews: np.ndarray = field(init=False, repr=False, compare=False)  # (n, 2, 3, 3)
     revolute: np.ndarray = field(init=False, repr=False, compare=False)  # (n,) bool
@@ -75,7 +76,7 @@ class KinematicModel:
         if self.upper is None:
             object.__setattr__(self, "upper", np.full(n, np.nan))
         axes = np.array([ln.axis for ln in self.links]).reshape(n, 3)
-        K = np.swapaxes(np.cross(axes[:, None, :], np.eye(3)), 1, 2)  # K e_j = a x e_j
+        K = np.swapaxes(_cross(axes[:, None, :], np.eye(3)), 1, 2)  # K e_j = a x e_j
         support = np.eye(n)
         for i, ln in enumerate(self.links):
             if ln.parent >= 0:
@@ -85,6 +86,7 @@ class KinematicModel:
             ("link_coms", np.array([ln.com for ln in self.links]).reshape(n, 3)),
             ("inertias", np.array([ln.inertia for ln in self.links]).reshape(n, 3, 3)),
             ("axes", axes),
+            ("offsets", np.array([ln.offset for ln in self.links]).reshape(n, 3)),
             ("skews", np.stack([K, K @ K], axis=1)),
             ("revolute", np.array([ln.kind == "revolute" for ln in self.links])),
             ("support", support),
@@ -123,6 +125,14 @@ def _apply(R, v):
     return (R @ v[..., None])[..., 0]
 
 
+def _cross(a, b):
+    """np.cross(a, b) of (..., 3) arrays, to the last bit, without its axis
+    moves: on (22, 16, 3) inputs it takes half the time."""
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
+
+
 def forward_kinematics(model: KinematicModel, q):
     """World rotation/origin per link, link CoM positions and the total CoM:
     R (..., n, 3, 3), p (..., n, 3), CoMs (..., n, 3), x_com (..., 3)."""
@@ -130,21 +140,24 @@ def forward_kinematics(model: KinematicModel, q):
     n = model.dof
     if q.shape[-1:] != (n,):
         raise ValueError(f"expected {n} joint values")
+    # every joint's own motion in one pass: the rotation about a revolute
+    # axis (Rodrigues' formula; the identity for a prismatic joint) and the
+    # offset from the parent, moved along a prismatic axis
+    rev = model.revolute
+    angle = np.where(rev, q, 0.0)[..., None, None]
+    K, K2 = model.skews[:, 0], model.skews[:, 1]
+    local_R = np.eye(3) + np.sin(angle) * K + (1 - np.cos(angle)) * K2
+    local_p = model.offsets + model.axes * np.where(rev, 0.0, q)[..., None]
     R = np.empty(q.shape[:-1] + (n, 3, 3))
     p = np.empty(q.shape[:-1] + (n, 3))
-    eye = np.eye(3)
     for i, ln in enumerate(model.links):
-        Rp = eye if ln.parent < 0 else R[..., ln.parent, :, :]
-        pp = 0.0 if ln.parent < 0 else p[..., ln.parent, :]
-        if ln.kind == "revolute":
-            # Rodrigues' formula about the joint axis
-            qi = q[..., i, None, None]
-            K, K2 = model.skews[i]
-            R[..., i, :, :] = Rp @ (eye + np.sin(qi) * K + (1 - np.cos(qi)) * K2)
-            p[..., i, :] = pp + Rp @ ln.offset
+        if ln.parent < 0:
+            R[..., i, :, :] = local_R[..., i, :, :]
+            p[..., i, :] = local_p[..., i, :]
         else:
-            R[..., i, :, :] = Rp
-            p[..., i, :] = pp + _apply(Rp, ln.offset + ln.axis * q[..., i, None])
+            Rp = R[..., ln.parent, :, :]
+            R[..., i, :, :] = Rp @ local_R[..., i, :, :]
+            p[..., i, :] = p[..., ln.parent, :] + _apply(Rp, local_p[..., i, :])
     coms = p + _apply(R, model.link_coms)
     x_com = (model.masses[:, None] * coms).sum(axis=-2) / model.masses.sum()
     return R, p, coms, x_com
@@ -173,7 +186,7 @@ def _twists(model, R, p, qdot):
     one (0, a), and V_i = V_parent + S_i qdot_i."""
     a = _joint_axes(model, R)
     rev = model.revolute[:, None]
-    S = np.concatenate([a * rev, np.where(rev, np.cross(p, a), a)], axis=-1)
+    S = np.concatenate([a * rev, np.where(rev, _cross(p, a), a)], axis=-1)
     return S, model.support @ (S * qdot[..., None])
 
 
@@ -184,11 +197,11 @@ def centroidal_momentum(model, q, qdot, fk=None):
     R, p, coms, x_com = fk if fk is not None else forward_kinematics(model, q)
     _, V = _twists(model, R, p, qdot)
     omega = V[..., :3]
-    v_c = V[..., 3:] + np.cross(omega, coms)
+    v_c = V[..., 3:] + _cross(omega, coms)
     m = model.masses[:, None]
     l = (m * v_c).sum(axis=-2)
     spin = _apply(R, _apply(model.inertias, _apply(np.swapaxes(R, -1, -2), omega)))
-    k = (spin + m * np.cross(coms - x_com[..., None, :], v_c)).sum(axis=-2)
+    k = (spin + m * _cross(coms - x_com[..., None, :], v_c)).sum(axis=-2)
     return l, k
 
 
@@ -231,8 +244,8 @@ def momentum_jacobian(model, q, qdot, fk=None):
     cc = coms[..., :, None] * coms[..., None, :]
     J = (R @ model.inertias @ np.swapaxes(R, -1, -2)
          + m[..., None] * ((coms * coms).sum(axis=-1)[..., None, None] * np.eye(3) - cc))
-    l_link = m * v + np.cross(omega, s)
-    k_link = _apply(J, omega) + np.cross(s, v)
+    l_link = m * v + _cross(omega, s)
+    k_link = _apply(J, omega) + _cross(s, v)
     # subtree sums
     sub = model.support.T
     m_sub = sub @ m
@@ -241,19 +254,19 @@ def momentum_jacobian(model, q, qdot, fk=None):
     l_sub = sub @ l_link
     k_sub = sub @ k_link
     # S_j x V_j as (angular, linear)
-    X_w = np.cross(w_S, omega)
-    X_v = np.cross(w_S, v) + np.cross(v_S, omega)
-    dl = np.cross(w_S, l_sub) - m_sub * X_v - np.cross(X_w, s_sub)
-    dk = (np.cross(w_S, k_sub) + np.cross(v_S, l_sub)
-          - _apply(J_sub, X_w) - np.cross(s_sub, X_v))
-    Hl = m_sub * v_S + np.cross(w_S, s_sub)
-    Hk = _apply(J_sub, w_S) + np.cross(s_sub, v_S)
+    X_w = _cross(w_S, omega)
+    X_v = _cross(w_S, v) + _cross(v_S, omega)
+    dl = _cross(w_S, l_sub) - m_sub * X_v - _cross(X_w, s_sub)
+    dk = (_cross(w_S, k_sub) + _cross(v_S, l_sub)
+          - _apply(J_sub, X_w) - _cross(s_sub, X_v))
+    Hl = m_sub * v_S + _cross(w_S, s_sub)
+    Hk = _apply(J_sub, w_S) + _cross(s_sub, v_S)
     # to the CoM
     x = x_com[..., None, :]
     dx = Hl / model.masses.sum()
     l = l_link.sum(axis=-2)[..., None, :]
-    dq = np.concatenate([dx, dl, dk - np.cross(dx, l) - np.cross(x, dl)], axis=-1)
-    dq_dot = np.concatenate([np.zeros_like(dx), Hl, Hk - np.cross(x, Hl)], axis=-1)
+    dq = np.concatenate([dx, dl, dk - _cross(dx, l) - _cross(x, dl)], axis=-1)
+    dq_dot = np.concatenate([np.zeros_like(dx), Hl, Hk - _cross(x, Hl)], axis=-1)
     return np.swapaxes(dq, -1, -2), np.swapaxes(dq_dot, -1, -2)
 
 
@@ -268,7 +281,7 @@ def point_jacobian(model, q, link_index, local_offset, fk=None):
     while i >= 0:
         ln = model.links[i]
         if ln.kind == "revolute":
-            J[..., :, i] = np.cross(a_w[..., i, :], x - p[..., i, :])
+            J[..., :, i] = _cross(a_w[..., i, :], x - p[..., i, :])
         else:
             J[..., :, i] = a_w[..., i, :]
         i = ln.parent
@@ -388,12 +401,11 @@ def _limit_residual(model, q, w):
     return np.sqrt(w) * r
 
 
-def _residuals(model, q, delta, refs, weights, with_jac=True):
-    """Residuals (T+1, m) of all steps of the trajectory q (T+1, n) and
-    their Jacobians (T+1, m, n) with respect to the step's own
-    configuration q_t and to the next one. Step T reuses the last velocity:
-    its next configuration is the extrapolated 2 q_T - q_{T-1}."""
-    n = model.dof
+def _residuals(model, q, delta, refs, weights):
+    """Residuals (T+1, m) of all steps of the trajectory q (T+1, n), and the
+    velocities and forward kinematics they were computed from, which
+    _jacobians reuses at the same q. Step T reuses the last velocity: its
+    next configuration is the extrapolated 2 q_T - q_{T-1}."""
     q_next = np.concatenate([q[1:], 2 * q[-1:] - q[-2:-1]])
     qdot = (q_next - q) / delta
     fk = forward_kinematics(model, q)
@@ -401,50 +413,66 @@ def _residuals(model, q, delta, refs, weights, with_jac=True):
     h = np.concatenate([fk[3], l, k], axis=-1)
     wm = np.sqrt(weights.momentum)
     we = np.sqrt(weights.effector)
-    effs = [model.effectors[name] for name in refs.effector_ref]
     res = [wm * (h - refs.h_ref)]
-    for (idx, off), target in zip(effs, refs.effector_ref.values()):
-        res.append(we * (_point(fk, idx, off) - target))
+    for name, target in refs.effector_ref.items():
+        res.append(we * (_point(fk, *model.effectors[name]) - target))
     res.append(np.sqrt(weights.posture) * (q - refs.posture_ref))
     res.append(_limit_residual(model, q, weights.joint_limit))
-    r = np.concatenate(res, axis=-1)
-    if not with_jac:
-        return r, None, None
+    return np.concatenate(res, axis=-1), (qdot, fk)
+
+
+def _jacobians(model, q, qdot, fk, delta, refs, weights):
+    """Jacobians (T+1, m, n) of the residuals of _residuals at q, given the
+    qdot and fk it returned, with respect to the step's own configuration
+    q_t and to the next one."""
+    n = model.dof
+    wm = np.sqrt(weights.momentum)
+    we = np.sqrt(weights.effector)
     dq, dqd = momentum_jacobian(model, q, qdot, fk=fk)
     eye = np.eye(n)
     with np.errstate(invalid="ignore"):
         outside = (q < model.lower) | (q > model.upper)
     Jt = np.concatenate(
         [wm[:, None] * (dq - dqd / delta)]
-        + [we * point_jacobian(model, q, idx, off, fk=fk) for idx, off in effs]
+        + [we * point_jacobian(model, q, *model.effectors[name], fk=fk)
+           for name in refs.effector_ref]
         + [np.broadcast_to(np.sqrt(weights.posture) * eye, q.shape + (n,)),
            np.sqrt(weights.joint_limit) * outside[..., None] * eye],
         axis=-2,
     )
     Jn = np.zeros_like(Jt)
     Jn[:, :9] = wm[:, None] * (dqd / delta)
-    return r, Jt, Jn
+    return Jt, Jn
 
 
-def _trajectory_cost(model, q, delta, refs, weights):
-    r, _, _ = _residuals(model, q, delta, refs, weights, with_jac=False)
-    return 0.5 * float(np.sum(r * r))
+def _add_hi(blocks, per_step):
+    """Add step t's term to block hi_t = t for t < T, and step T's to block
+    T - 1, in step order."""
+    T = per_step.shape[0] - 1
+    blocks += per_step[:T]
+    blocks[T - 1] += per_step[T]
+
+
+def _add_lo(blocks, per_step):
+    """Add step t's term to block lo_t = t - 1 for 0 < t < T, and step T's
+    to block T - 2, in step order; step 0's block is the fixed q_0 and
+    takes nothing, and so does step T's when T = 1."""
+    T = per_step.shape[0] - 1
+    blocks[: T - 1] += per_step[1:T]
+    if T > 1:
+        blocks[T - 2] += per_step[T]
 
 
 def _normal_equations(r, Jt, Jn):
     """Gradient (T*n,) and the block tridiagonal Gauss-Newton matrix,
     diagonal blocks (T, n, n) and sub-diagonal blocks (T-1, n, n), over the
-    decision variables q_1..q_T from the per-step residuals and Jacobians of
-    ``_residuals``."""
+    decision variables q_1..q_T from the per-step residuals of _residuals
+    and the Jacobians of _jacobians."""
     T = r.shape[0] - 1
     n = Jt.shape[-1]
     # Step t couples decision blocks lo_t and hi_t = lo_t + 1, where block b
     # holds q_{b+1}; block -1 is the fixed q_0. Step t < T pairs q_t with
     # q_{t+1}; step T pairs q_{T-1} and q_T through its extrapolation.
-    lo = np.arange(-1, T)
-    lo[T] = T - 2
-    hi = lo + 1
-    keep = lo >= 0
     J_lo = np.concatenate([Jt[:T], -Jn[T:]])
     J_hi = np.concatenate([Jn[:T], Jt[T:] + 2 * Jn[T:]])
     J_loT = np.swapaxes(J_lo, 1, 2)
@@ -452,11 +480,11 @@ def _normal_equations(r, Jt, Jn):
     grad = np.zeros((T, n))
     diag = np.zeros((T, n, n))
     off = np.zeros((T - 1, n, n))
-    np.add.at(grad, hi, _apply(J_hiT, r))
-    np.add.at(grad, lo[keep], _apply(J_loT[keep], r[keep]))
-    np.add.at(diag, hi, J_hiT @ J_hi)
-    np.add.at(diag, lo[keep], J_loT[keep] @ J_lo[keep])
-    np.add.at(off, lo[keep], J_hiT[keep] @ J_lo[keep])
+    _add_hi(grad, _apply(J_hiT, r))
+    _add_lo(grad, _apply(J_loT, r))
+    _add_hi(diag, J_hiT @ J_hi)
+    _add_lo(diag, J_loT @ J_lo)
+    _add_lo(off, J_hiT @ J_lo)
     return grad.ravel(), diag, off
 
 
@@ -474,17 +502,25 @@ def solve_kinematic_subproblem(
     ``converged`` is True only when the STEP_TOL/COST_TOL rule fired;
     ``trials`` counts the line search's cost evaluations."""
     n = model.dof
+    band = block_tridiag_band(T, n)
+
+    def evaluate(q):
+        r, kin = _residuals(model, q, delta, refs, weights)
+        return 0.5 * float(np.sum(r * r)), r, kin
+
     q = np.tile(np.asarray(q0, dtype=float), (T + 1, 1))
-    cost = _trajectory_cost(model, q, delta, refs, weights)
+    cost, r, kin = evaluate(q)
     converged = False
     trials = 0
     damping = 0.0
     for _ in range(max_iter):
-        grad, diag, off = _normal_equations(*_residuals(model, q, delta, refs, weights))
+        # the accepted trial's residuals and kinematics serve the Jacobians
+        grad, diag, off = _normal_equations(
+            r, *_jacobians(model, q, *kin, delta, refs, weights))
         step = None
         while step is None:
             try:
-                fac = BlockTridiagCholesky(diag + (1e-10 + damping) * np.eye(n), off)
+                fac = BlockTridiagCholesky(diag + (1e-10 + damping) * np.eye(n), off, band)
                 step = -fac.solve(grad)
             except NotPositiveDefinite:
                 damping = max(1e-6, damping * 10)
@@ -496,7 +532,7 @@ def solve_kinematic_subproblem(
         for _ in range(25):
             q_new = q.copy()
             q_new[1:] = q[1:] + alpha * step.reshape(T, n)
-            new_cost = _trajectory_cost(model, q_new, delta, refs, weights)
+            new_cost, r_new, kin_new = evaluate(q_new)
             trials += 1
             if new_cost <= cost + 1e-4 * alpha * gTs or new_cost < cost:
                 improved = True
@@ -506,7 +542,7 @@ def solve_kinematic_subproblem(
             break
         moved = alpha * np.abs(step).max()
         decreased = cost - new_cost
-        q, cost = q_new, new_cost
+        q, cost, r, kin = q_new, new_cost, r_new, kin_new
         damping *= 0.25
         if moved <= STEP_TOL or decreased <= COST_TOL:
             converged = True

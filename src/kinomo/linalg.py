@@ -26,24 +26,35 @@ class BlockTridiagCholesky:
     tridiagonal matrix given as equal-size diagonal blocks D_0..D_{N-1}
     and lower off-diagonal blocks B_0..B_{N-2} (B_i couples block i+1 with
     block i). The blocks are packed in their own order, bandwidth 2b - 1
-    for blocks of size b, through BandStorage into the banded Cholesky.
-    Raises NotPositiveDefinite."""
+    for blocks of size b, through ``band``, the BandStorage of
+    block_tridiag_band(N, b), into the banded Cholesky; a caller that
+    factorizes many matrices of one shape builds that storage once and
+    passes it to each. Raises NotPositiveDefinite."""
 
-    def __init__(self, diag, off):
+    def __init__(self, diag, off, band=None):
         if len(off) != len(diag) - 1:
             raise ValueError("need one off-diagonal block per adjacent pair")
         diag = np.asarray(diag, dtype=float)
         N, b = diag.shape[:2]
-        first = b * np.arange(N)[:, None]
-        i, j = np.tril_indices(b)  # the lower triangle of each diagonal block
-        oi, oj = np.divmod(np.arange(b * b), b)  # every entry of each B
-        row = np.concatenate([(first + i).ravel(), (first[1:] + oi).ravel()])
-        col = np.concatenate([(first + j).ravel(), (first[:-1] + oj).ravel()])
+        band = band if band is not None else block_tridiag_band(N, b)
+        i, j = np.tril_indices(b)
         values = np.concatenate([diag[:, i, j].ravel(), np.asarray(off, dtype=float).ravel()])
-        self._fac = BandStorage(row, col, np.arange(N * b), 0).factor(values)
+        self._fac = band.factor(values)
 
     def solve(self, rhs):
         return self._fac.solve(rhs)
+
+
+def block_tridiag_band(N, b):
+    """The BandStorage of N diagonal blocks of size b and the N - 1 blocks
+    below them, in BlockTridiagCholesky's value order: the lower triangle
+    of each diagonal block, then every entry of each off-diagonal block."""
+    first = b * np.arange(N)[:, None]
+    i, j = np.tril_indices(b)  # the lower triangle of each diagonal block
+    oi, oj = np.divmod(np.arange(b * b), b)  # every entry of each B
+    row = np.concatenate([(first + i).ravel(), (first[1:] + oi).ravel()])
+    col = np.concatenate([(first + j).ravel(), (first[:-1] + oj).ravel()])
+    return BandStorage(row, col, np.arange(N * b), 0)
 
 
 class BandStorage:

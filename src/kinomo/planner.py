@@ -9,6 +9,14 @@ The loop stops when neither reference moved more than REFERENCE_TOL
 between consecutive passes, the momentum reference measured as
 momentum_mismatch measures it (positions in m, momenta over the total mass
 in m/s).
+
+Between passes only the momentum sub-problem's targets move: the
+schedule, the initial state and the weights are the scenario's. A plan
+therefore builds and compiles one momentum problem, at pass 1, and
+retargets it in place on every later pass (NlpProblem.retarget), which
+gives the same problem as a fresh build. From pass 2 on, the interior-point
+solve is warm-started at the previous pass's solution (solver.solve's
+``start``); the report lists each pass's IPM iterations.
 """
 
 from __future__ import annotations
@@ -128,14 +136,6 @@ def momentum_problem(scn, state, formulation):
     return build(ms)
 
 
-def _solve_momentum(scn, state, opts):
-    p = momentum_problem(scn, state, opts.formulation)
-    res = solve(p, scn.solver)
-    if res.status == "NumericFailure":
-        return res, None
-    return res, extract(p, res.x)
-
-
 def _check_dynamics_feasible(scn, sol, outer):
     """The momentum plan must be reproducible by integrating its forces."""
     from .contact import ContactWrenchCom
@@ -181,12 +181,14 @@ def plan(scn, opts=None):
         "delta_h": [],
         "delta_c": [],
         "momentum_status": [],
+        "momentum_iters": [],
         "kinematic_converged": [],
         "kinematic_trials": [],
         "com_y_range_init": float(np.ptp(forward_kinematics(scn.model, state.q)[3][:, 1])),
     }
     traj = None
     h_dyn = None
+    p = res = None  # the momentum problem, built at pass 1 and retargeted after
     for outer in range(1, opts.max_outer + 1):
         refs = KinematicRefs(
             h_ref=state.h_bar,
@@ -205,12 +207,19 @@ def plan(scn, opts=None):
         h_kin = momentum_state(scn.model, traj.q, traj.qdot)
         c_new = effector_positions(scn.model, traj.q)
 
-        res, sol = _solve_momentum(
-            scn, PlanState(h_kin, state.lambda_bar, c_new, traj.q), opts
-        )
+        if p is None:
+            p = momentum_problem(
+                scn, PlanState(h_kin, state.lambda_bar, c_new, traj.q), opts.formulation
+            )
+        else:
+            p.retarget(h_kin, state.lambda_bar)
+        # from pass 2 on, the last pass's solution starts the solve
+        res = solve(p, scn.solver, res)
+        report["momentum_iters"].append(len(res.stats))
         report["momentum_status"].append(res.status)
         if res.status in ("NumericFailure", "Infeasible"):
             raise PlannerError(outer, f"momentum sub-problem failed: {res.status}")
+        sol = extract(p, res.x)
         if opts.formulation == "sequential":
             _check_dynamics_feasible(scn, sol, outer)
         h_dyn = sol["h"]

@@ -75,6 +75,10 @@ class QPSubproblemInfeasible(RuntimeError):
 # delta (also the dense SQP's Hessian shift) and the least curvature
 # kappa an exact simultaneous step must show per unit of |dx|^2.
 MU0 = 1.0
+# The barrier parameter a warm-started solve begins with: its slacks are
+# pushed to at least sqrt(MU0_WARM) and its inequality duals to at least
+# MU0_WARM / s (Yildirim and Wright, SIAM J. Optim. 12, 2002).
+MU0_WARM = 1e-3
 MU_REDUCTION = 0.2
 FRACTION_TO_BOUNDARY = 0.995
 REG_FLOOR = 1e-8
@@ -348,7 +352,7 @@ def _perturbed_residual(r_d, s, z, g_i, g_e, mu):
     return float(np.linalg.norm(np.concatenate([r_d, g_i - s, s * z - mu, g_e])))
 
 
-def solve_ipm(p: NlpProblem, opts: SolverOptions = None) -> SolveResult:
+def solve_ipm(p: NlpProblem, opts: SolverOptions = None, start: SolveResult = None) -> SolveResult:
     """Structure-exploiting primal-dual interior-point method.
 
     The step is globalized by one backtracking line search from the
@@ -359,17 +363,27 @@ def solve_ipm(p: NlpProblem, opts: SolverOptions = None) -> SolveResult:
     filter entry. Each trial point is evaluated once, and the accepted
     one's evaluations serve the next iteration. When no trial is accepted
     the solve ends: Infeasible above a primal residual of 1e-4, else MaxIter.
-    A non-finite objective or KKT norm ends it as NumericFailure. The solve
-    starts at the builder's p.x0.
+    A non-finite objective or KKT norm ends it as NumericFailure.
+
+    A cold solve starts at the builder's p.x0 with mu = MU0, slacks
+    max(g_I, 1), z = mu / s and y = 0. Given ``start``, the result of a
+    solve of a problem with the same variables and rows (as a retargeted
+    one), the solve is warm-started at its (x, z, y) with mu = MU0_WARM,
+    slacks max(g_I, sqrt(mu)) and z raised to at least mu / s.
     """
     opts = opts or SolverOptions()
     n = p.n
     obj, ineq, eq = _compiled_parts(p)
-    x = p.x0.copy()
-    mu = MU0
-    s = np.maximum(ineq.value(x), 1.0)
-    z = mu / s
-    y = np.zeros(p.n_eq)
+    if start is None:
+        x, mu = p.x0.copy(), MU0
+        s = np.maximum(ineq.value(x), 1.0)
+        z = mu / s
+        y = np.zeros(p.n_eq)
+    else:
+        x, mu = start.x.copy(), MU0_WARM
+        s = np.maximum(ineq.value(x), np.sqrt(mu))
+        z = np.maximum(start.z, mu / s)
+        y = start.y.copy()
     ev = _evaluate(obj, ineq, eq, x, z, y)
     kkt = KKTSystem(p)
     hessian = "exact"  # until the first rejected exact matrix (module docstring)
@@ -591,8 +605,10 @@ def solve_sqp_dense(p: NlpProblem, opts: SolverOptions = None) -> SolveResult:
     return SolveResult(x, z, y, status, stats, f, res)
 
 
-def solve(p: NlpProblem, opts: SolverOptions = None) -> SolveResult:
+def solve(p: NlpProblem, opts: SolverOptions = None, start: SolveResult = None) -> SolveResult:
+    """Solve p with the backend of opts. ``start`` warm-starts the IPM (see
+    solve_ipm); the dense SQP baseline always starts at p.x0."""
     opts = opts or SolverOptions()
     if opts.backend == "sqp_dense":
         return solve_sqp_dense(p, opts)
-    return solve_ipm(p, opts)
+    return solve_ipm(p, opts, start)

@@ -32,7 +32,7 @@ is linear-time in the horizon.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -236,18 +236,22 @@ class CompiledObjective:
     stacked affine map r(x) = A x + a, compiled to 0.5 x'Hx + q'x + c with
     H = 2 A'WA, q = 2 A'W(a - y) and c = (a - y)'W(a - y). A and W are
     fixed by the schedule and the weights; the references y enter q and c
-    only."""
+    only, and ``retarget`` recomputes just those two."""
 
     def __init__(self, objective):
         fn, y, w = objective
-        A = fn.A
+        self._map, self._w = fn, w
         # H = 2 B'B with B = W^(1/2) A, symmetric to the last bit
-        B = sp.diags(np.sqrt(w)) @ A
+        B = sp.diags(np.sqrt(w)) @ fn.A
         self.H = sp.csr_matrix(2.0 * (B.T @ B))
         self.H.eliminate_zeros()
-        e = fn.b - y
-        self.q = 2.0 * (A.T @ (w * e))
-        self.c = float(e @ (w * e))
+        self.retarget(y)
+
+    def retarget(self, y):
+        """Track the targets y: q and c of the new targets, H kept."""
+        e = self._map.b - y
+        self.q = 2.0 * (self._map.A.T @ (self._w * e))
+        self.c = float(e @ (self._w * e))
 
     def value(self, x, grad=None):
         """J(x); given grad = gradient(x), J = c + 0.5 x'(grad + q)."""
@@ -296,6 +300,20 @@ class NlpProblem:
     @property
     def n_ineq(self):
         return self.ineq.output_dim
+
+    def retarget(self, h_ref, force_ref):
+        """Track the references h_ref and force_ref on the same schedule,
+        in place, as a fresh build at them would: the scenario takes them,
+        and the objective's targets y and its compiled q and c follow.
+        Nothing else a builder makes reads the references, so the
+        constraints, their compiled forms and x0 stay."""
+        self.scenario = replace(self.scenario, h_ref=h_ref, force_ref=force_ref)
+        r, _, w = self.objective
+        _, ph, st, _, _ = _samples(self.scenario, self.layout)
+        y = _tracking_targets(self.scenario, ph, st)
+        self.objective = (r, y, w)
+        if "obj" in self._compiled:
+            self._compiled["obj"].retarget(y)
 
     def compiled_objective(self):
         if "obj" not in self._compiled:
@@ -357,12 +375,17 @@ def _tracking_objective(scn, ph, st, h, f):
     rows of h_1..h_T against h_ref weighted by w_m, then the world forces
     f of the samples against force_ref weighted by w_f."""
     r = qpm.stack([qpm.select_rows(h, np.arange(9, 9 * (scn.T + 1))), f])
-    force_ref = np.array([scn.force_ref[i] for i in range(len(scn.phases))]).reshape(-1, scn.T, 3)
-    y = np.concatenate([scn.h_ref[1:].ravel(), force_ref[ph, st].ravel()])
     w = np.concatenate([
         np.tile(scn.weights.momentum, scn.T), np.full(f.output_dim, scn.weights.force)
     ])
-    return r, y, w
+    return r, _tracking_targets(scn, ph, st), w
+
+
+def _tracking_targets(scn, ph, st):
+    """The targets y of the tracking objective: h_ref at steps 1..T, then
+    force_ref of each sample (phase ph, step st)."""
+    force_ref = np.array([scn.force_ref[i] for i in range(len(scn.phases))]).reshape(-1, scn.T, 3)
+    return np.concatenate([scn.h_ref[1:].ravel(), force_ref[ph, st].ravel()])
 
 
 def _ballistic(scn):

@@ -7,7 +7,6 @@ import statistics
 import time
 
 import numpy as np
-import pytest
 
 from test_dynamics import built, rollout_states, with_integrals
 from test_qpm import cross6

@@ -185,8 +185,10 @@ class TestPlan:
             assert abs(float(r[3])) <= float(r[5])
 
         _, pcols, prows = read_csv(tmp_path / "stand_passes.csv")
-        assert pcols == ["outer", "mismatch", "delta_h", "delta_c", "momentum_status"]
+        assert pcols == ["outer", "mismatch", "delta_h", "delta_c", "momentum_status",
+                         "momentum_iters"]
         assert all(r[4] == "Converged" for r in prows)
+        assert all(int(r[5]) >= 1 for r in prows)
 
 
 class TestBench:

@@ -1,5 +1,4 @@
 import numpy as np
-import pytest
 
 from kinomo import contact, dynamics
 from kinomo.dynamics import MomentumState, RobotConstants

@@ -1,15 +1,17 @@
-"""Source hygiene: every name a kinomo module imports is read somewhere in
-that module (re-imports kept on purpose carry ``# noqa: F401``), and so is
-every private module-level function, class and constant it defines. Every
-public module-level function and class is read somewhere in the package,
-or is on ALLOWED_UNREAD with its reason."""
+"""Source hygiene: every name a kinomo module or a test module imports is
+read somewhere in that module (re-imports kept on purpose carry
+``# noqa: F401``). Every private module-level function, class and
+constant of a kinomo module is read in that module. Every public
+module-level function and class is read somewhere in the package, or is
+on ALLOWED_UNREAD with its reason."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "kinomo"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "kinomo"
 
 
 def names_read(tree):
@@ -37,7 +39,8 @@ def unused_imports(path):
     return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in read)
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path", sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_import(path):
     assert unused_imports(path) == []
 

@@ -194,6 +194,16 @@ class TestMomentum:
             assert np.allclose(J[:, j], (xp - xm) / (2 * eps), atol=1e-6)
 
 
+@pytest.mark.parametrize("shapes", [
+    ((22, 16, 3), (22, 16, 3)), ((22, 1, 3), (22, 16, 3)), ((16, 3), (3,)), ((4, 1, 3), (3, 3)),
+])
+def test_cross_is_numpy_cross(shapes):
+    rng = np.random.default_rng(3)
+    a, b = (rng.normal(size=s) for s in shapes)
+    a[..., 0] = -0.0  # the sign of a zero product too
+    assert kinematics._cross(a, b).tobytes() == np.cross(a, b).tobytes()
+
+
 class TestBatched:
     """Every kinematics function on a batch equals its row-by-row calls."""
 
@@ -247,10 +257,11 @@ class TestBatched:
         scn = make_stepping_scenario(T=21)
         state = initialize_references(scn)
         refs = KinematicRefs(state.h_bar, state.c_bar, scn.q0.copy())
-        _, cost = solve_kinematic_subproblem(
+        traj, cost = solve_kinematic_subproblem(
             scn.model, refs, scn.T, scn.delta, KINEMATIC_WEIGHTS, scn.q0, max_iter=10
         )
         assert cost == pytest.approx(0.7810224205592, rel=1e-8)
+        assert traj.trials == 45
 
 
 def standing_refs(T, model=MODEL, q0=Q_STAND):
@@ -322,10 +333,11 @@ class TestSubproblem:
         def residuals(dx):
             qx = q.copy()
             qx[1:] += dx.reshape(T, n)
-            return kinematics._residuals(MODEL, qx, delta, refs, w, with_jac=False)[0]
+            return kinematics._residuals(MODEL, qx, delta, refs, w)[0]
 
+        r, kin = kinematics._residuals(MODEL, q, delta, refs, w)
         grad, diag, off = kinematics._normal_equations(
-            *kinematics._residuals(MODEL, q, delta, refs, w)
+            r, *kinematics._jacobians(MODEL, q, *kin, delta, refs, w)
         )
         eps = 1e-6
         fd = np.array([
@@ -338,6 +350,62 @@ class TestSubproblem:
         quad = sum(d[b] @ diag[b] @ d[b] for b in range(T))
         quad += 2 * sum(d[b + 1] @ off[b] @ d[b] for b in range(T - 1))
         assert quad == pytest.approx(np.sum(Jd ** 2), rel=1e-6)
+
+    @pytest.mark.parametrize("T", [1, 2, 3, 21])
+    def test_normal_equations_match_scatter_reference(self, T):
+        # the slice adds sum each block's terms in the order np.add.at
+        # would, so the result is the same to the last bit
+        rng = np.random.default_rng(T)
+        n, m = 5, 7
+        r = rng.normal(size=(T + 1, m))
+        Jt, Jn = rng.normal(size=(2, T + 1, m, n))
+        lo = np.arange(-1, T)
+        lo[T] = T - 2
+        hi, keep = lo + 1, lo >= 0
+        J_lo = np.concatenate([Jt[:T], -Jn[T:]])
+        J_hi = np.concatenate([Jn[:T], Jt[T:] + 2 * Jn[T:]])
+        J_loT, J_hiT = np.swapaxes(J_lo, 1, 2), np.swapaxes(J_hi, 1, 2)
+        grad, diag, off = np.zeros((T, n)), np.zeros((T, n, n)), np.zeros((T - 1, n, n))
+        np.add.at(grad, hi, (J_hiT @ r[..., None])[..., 0])
+        np.add.at(grad, lo[keep], (J_loT[keep] @ r[keep][..., None])[..., 0])
+        np.add.at(diag, hi, J_hiT @ J_hi)
+        np.add.at(diag, lo[keep], J_loT[keep] @ J_lo[keep])
+        np.add.at(off, lo[keep], J_hiT[keep] @ J_lo[keep])
+        got = kinematics._normal_equations(r, Jt, Jn)
+        for a, b in zip(got, (grad.ravel(), diag, off)):
+            assert a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+
+    def test_each_configuration_evaluated_once(self, monkeypatch):
+        # one forward-kinematics pass for the start and one per line-search
+        # trial: the accepted trial's pass serves the next Jacobians
+        T = 8
+        refs = standing_refs(T)
+        refs.effector_ref["r_foot"][4:] += np.array([0.06, 0.0, 0.0])
+        calls = []
+
+        def counting(model, q):
+            calls.append(q)
+            return forward_kinematics(model, q)
+
+        monkeypatch.setattr(kinematics, "forward_kinematics", counting)
+        traj, _ = solve_kinematic_subproblem(
+            MODEL, refs, T, 0.1, KinematicWeights(), Q_STAND, max_iter=5
+        )
+        assert len(calls) == traj.trials + 1
+
+    def test_one_band_storage_per_solve(self, monkeypatch):
+        bands, build = [], kinematics.block_tridiag_band
+
+        def recording(N, b):
+            bands.append(build(N, b))
+            return bands[-1]
+
+        monkeypatch.setattr(kinematics, "block_tridiag_band", recording)
+        refs = standing_refs(6)
+        refs.effector_ref["r_foot"][3:] += np.array([0.06, 0.0, 0.0])
+        solve_kinematic_subproblem(MODEL, refs, 6, 0.1, KinematicWeights(), Q_STAND, max_iter=4)
+        assert len(bands) == 1
 
     def test_qdot_convention(self):
         traj = kinematics.JointTrajectory(np.arange(12.0).reshape(4, 3), 0.5)

@@ -3,17 +3,16 @@ import dataclasses
 import numpy as np
 import pytest
 
-from kinomo.contact import ContactPhase, ContactSurface
+from kinomo import planner, solver
+from kinomo.contact import ContactPhase
 from kinomo.kinematics import effector_positions, forward_kinematics
 from kinomo.planner import (
     PlanOptions,
-    PlannerError,
     initialize_references,
     momentum_mismatch,
     plan,
 )
 from kinomo.scenario import Scenario, make_standing_scenario, make_stepping_scenario
-from kinomo.solver import SolverOptions
 
 G = 9.81
 
@@ -149,6 +148,38 @@ class TestPlan:
         _, h_seq, _, _ = plan(scn)
         assert rep["momentum_status"][-1] == "Converged"
         assert np.abs(h_sim - h_seq).max() < 1e-3
+
+    def test_one_problem_per_plan(self, monkeypatch):
+        builds = []
+        build = planner.build_sequential
+        monkeypatch.setattr(planner, "build_sequential", lambda ms: builds.append(ms) or build(ms))
+        _, _, _, report = plan(make_stepping_scenario(T=21), PlanOptions(max_outer=3))
+        assert report["passes"] == 3
+        assert len(builds) == 1
+
+    @pytest.mark.parametrize("formulation", ["sequential", "simultaneous"])
+    def test_warm_start_matches_cold(self, formulation, monkeypatch):
+        # each pass's solve, and a cold solve of the same retargeted problem
+        solves = []
+
+        def warm_and_cold(p, opts, start=None):
+            res = solver.solve(p, opts, start)
+            solves.append((res, solver.solve(p, opts)))
+            return res
+
+        monkeypatch.setattr(planner, "solve", warm_and_cold)
+        opts = PlanOptions(max_outer=3, formulation=formulation, kinematic_max_iter=10)
+        _, _, _, report = plan(make_stepping_scenario(T=21), opts)
+        assert report["passes"] == len(solves) == 3
+        assert report["momentum_iters"] == [len(warm.stats) for warm, _ in solves]
+        first, cold = solves[0]
+        assert first.x.tobytes() == cold.x.tobytes()  # pass 1 starts cold
+        for warm, cold in solves[1:]:
+            assert warm.converged and cold.converged
+            assert abs(warm.objective - cold.objective) <= 1e-5 * (1 + abs(cold.objective))
+        if formulation == "sequential":
+            warm, cold = solves[1]
+            assert len(warm.stats) <= len(cold.stats) / 2
 
     def test_options_validation(self):
         with pytest.raises(ValueError):

@@ -29,7 +29,6 @@ from kinomo.solver import (
     kkt_residual,
     solve,
     solve_ipm,
-    solve_sqp_dense,
 )
 from kinomo.transcription import (
     MomentumScenario,

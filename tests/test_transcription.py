@@ -1,3 +1,4 @@
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -5,15 +6,14 @@ import pytest
 
 from test_dynamics import rollout_states, sample_wrenches
 
-from kinomo import contact, dynamics, qpm, transcription
+from kinomo import contact, dynamics, qpm
 from kinomo.contact import ContactPhase, ContactSurface, ContactWrenchCop, com_to_cop
 from kinomo.dynamics import MomentumState, RobotConstants
 from kinomo.planner import initialize_references
 from kinomo.scenario import load_scenario, make_stepping_scenario
-from kinomo.solver import KKTSystem
+from kinomo.solver import KKTSystem, solve
 from kinomo.transcription import (
     MomentumScenario,
-    TrackingWeights,
     build_sequential,
     build_simultaneous,
     convexified_lagrangian_hessian,
@@ -525,6 +525,29 @@ class TestCompiled:
             p = build(biped_scenario(5))
             H = p.compiled_objective().H.toarray()
             assert np.linalg.eigvalsh(H)[0] >= -1e-10
+
+
+class TestRetarget:
+    @pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "uncompiled"])
+    @pytest.mark.parametrize("build", [build_sequential, build_simultaneous])
+    def test_equals_fresh_build(self, build, compiled):
+        scn = stepping_scenario()
+        rng = np.random.default_rng(4)
+        h_ref = scn.h_ref + 0.01 * rng.normal(size=scn.h_ref.shape)
+        force_ref = {i: v + rng.normal(size=v.shape) for i, v in scn.force_ref.items()}
+        p = build(scn)
+        if compiled:  # as after a solve: the compiled q and c are retargeted
+            p.compiled_objective()
+        p.retarget(h_ref, force_ref)
+        fresh = build(dataclasses.replace(scn, h_ref=h_ref, force_ref=dict(force_ref)))
+        assert p.scenario.h_ref.tobytes() == h_ref.tobytes()
+        assert p.objective[1].tobytes() == fresh.objective[1].tobytes()
+        got, want = p.compiled_objective(), fresh.compiled_objective()
+        assert got.q.tobytes() == want.q.tobytes()
+        assert got.c == want.c
+        for attr in ("indptr", "indices", "data"):
+            assert getattr(got.H, attr).tobytes() == getattr(want.H, attr).tobytes()
+        assert solve(p).x.tobytes() == solve(fresh).x.tobytes()
 
 
 class TestConvexifiedHessian:
