@@ -16,7 +16,9 @@ therefore builds and compiles one momentum problem, at pass 1, and
 retargets it in place on every later pass (NlpProblem.retarget), which
 gives the same problem as a fresh build. From pass 2 on, the interior-point
 solve is warm-started at the previous pass's solution (solver.solve's
-``start``); the report lists each pass's IPM iterations.
+``start``); the report lists each pass's IPM iterations. The Newton
+matrix's symbolic work (solver.KKTSystem) is done once, at pass 1, and
+every pass's solve assembles on it.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .kinematics import (
     forward_kinematics,
     momentum_state,
 )
-from .solver import solve
+from .solver import KKTSystem, solve
 from .transcription import build_sequential, build_simultaneous, extract
 
 
@@ -188,7 +190,9 @@ def plan(scn, opts=None):
     }
     traj = None
     h_dyn = None
-    p = res = None  # the momentum problem, built at pass 1 and retargeted after
+    # the momentum problem, built at pass 1 and retargeted after, and its
+    # Newton matrix, whose pattern retargeting leaves as it is
+    p = kkt = res = None
     for outer in range(1, opts.max_outer + 1):
         refs = KinematicRefs(
             h_ref=state.h_bar,
@@ -211,10 +215,11 @@ def plan(scn, opts=None):
             p = momentum_problem(
                 scn, PlanState(h_kin, state.lambda_bar, c_new, traj.q), opts.formulation
             )
+            kkt = KKTSystem(p)
         else:
             p.retarget(h_kin, state.lambda_bar)
         # from pass 2 on, the last pass's solution starts the solve
-        res = solve(p, scn.solver, res)
+        res = solve(p, scn.solver, res, kkt)
         report["momentum_iters"].append(len(res.stats))
         report["momentum_status"].append(res.status)
         if res.status in ("NumericFailure", "Infeasible"):

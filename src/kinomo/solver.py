@@ -14,14 +14,15 @@ Sigma = Z S^-1 and factorizes
 by the banded-plus-arrow Cholesky (sequential formulation, no equality
 rows) or, with the dynamics equalities appended, as a quasi-definite
 banded KKT system (simultaneous formulation). Both are ordered by time
-step, the order Rao, Wright and Rawlings (J. Optim. Theory Appl. 99,
-1998) give the MPC KKT system: the variables of step t, then the
-equality rows of step t, and the arrow last. KKTSystem assembles that
+step, as Rao, Wright and Rawlings (J. Optim. Theory Appl. 99, 1998) order
+the MPC KKT system: step t's variables and equality rows before step
+t + 1's, and the arrow last. Within a step the simultaneous form orders
+them by their couplings (transcription._layout). KKTSystem assembles that
 matrix: the sparsity pattern and the slot of every entry are worked out
-once per solve, and each iteration only computes the slot values. A
-linalg.BandStorage made from the same pattern packs them into LAPACK band
-storage and factorizes it. Both factorizations cost O(T) per iteration
-for a fixed effector count.
+once per problem pattern, and each iteration only computes the slot
+values. A linalg.BandStorage made from the same pattern packs them into
+LAPACK band storage and factorizes it. Both factorizations cost O(T) per
+iteration for a fixed effector count.
 
 H is first the exact Lagrangian Hessian, which makes each step a Newton
 step. The exact matrix is rejected when the Cholesky of K + REG_FLOOR I
@@ -191,14 +192,22 @@ def kkt_residual(p: NlpProblem, x, z, y):
 class KKTSystem:
     """The IPM's Newton matrix, assembled on a fixed pattern.
 
-    The constructor does the symbolic work, once per solve: it takes the
+    The constructor does the symbolic work, once for every problem of one
+    pattern (a plan's retargeted problem keeps its pattern): it takes the
     union pattern of every entry the matrix can hold (objective Hessian,
     each stored Q and P entry, A_I^T A_I from the Jacobian's fixed CSR
     pattern, the diagonal and, in the simultaneous form, A_E and the
     -gamma I block), numbers its lower-triangle entries ("slots") and
-    hands the pattern to a linalg.BandStorage (``band``) in time-step
-    order: index j sorts by 2 var_block[j] for a variable and by 2 t + 1
-    for an equality row of step t, stably, with the arrow last.
+    hands the pattern to a linalg.BandStorage (``band``) in the time-step
+    order of p.layout.newton_key. In the sequential form that is the
+    variables by step block, in index order, the arrow last. In the
+    simultaneous form, step t holds k_t, the (p, tau) half of every
+    wrench, r_t and l_t; then its k dynamics rows and the f half of every
+    wrench; then its r rows and l rows. The k rows couple k_t, k_{t+1},
+    r_t and every wrench entry, so they sit in the middle, and the widest
+    coupling left, a sample's p to its own f across r_t, l_t and the k
+    rows, gives kl = ku = 3 S + 11 for at most S samples per step: 17 with
+    two feet, at every horizon (29 in plain index order).
     ``assemble`` then only computes the slot values, for the stacked
     curvature coefficients c either exactly,
 
@@ -283,15 +292,9 @@ class KKTSystem:
             (np.zeros(order.size), p1[order], indptr), shape=(S, ineq.indices.size)
         )
 
-        # the time-step order: variables of step t (key 2t) before the
-        # equality rows of step t (key 2t + 1), the arrow last, each group
-        # in index order
-        arrow = p.layout.arrow_indices
-        eq_step = np.array([t for t, _, _ in p.eq_meta], dtype=np.intp)
-        key = np.concatenate([2 * p.layout.var_block, 2 * eq_step + 1])
-        key[arrow] = key.max(initial=0) + 1
-        order = np.argsort(key, kind="stable")
-        self.band = linalg.BandStorage(row, col, order, None if p.n_eq else arrow.size)
+        order = np.argsort(p.layout.newton_key, kind="stable")
+        n_arrow = None if p.n_eq else p.layout.arrow_indices.size
+        self.band = linalg.BandStorage(row, col, order, n_arrow)
         self._diag = slot["diag"]
 
     def assemble(self, c_i, sigma, J_i, c_e, J_e, *, exact):
@@ -352,7 +355,10 @@ def _perturbed_residual(r_d, s, z, g_i, g_e, mu):
     return float(np.linalg.norm(np.concatenate([r_d, g_i - s, s * z - mu, g_e])))
 
 
-def solve_ipm(p: NlpProblem, opts: SolverOptions = None, start: SolveResult = None) -> SolveResult:
+def solve_ipm(
+    p: NlpProblem, opts: SolverOptions = None, start: SolveResult = None,
+    kkt: KKTSystem = None,
+) -> SolveResult:
     """Structure-exploiting primal-dual interior-point method.
 
     The step is globalized by one backtracking line search from the
@@ -370,6 +376,11 @@ def solve_ipm(p: NlpProblem, opts: SolverOptions = None, start: SolveResult = No
     solve of a problem with the same variables and rows (as a retargeted
     one), the solve is warm-started at its (x, z, y) with mu = MU0_WARM,
     slacks max(g_I, sqrt(mu)) and z raised to at least mu / s.
+
+    ``kkt`` is a KKTSystem of p, or of a problem with the same variables,
+    rows and objective Hessian (as a retargeted one); a caller that solves
+    such problems in turn builds it once and passes it to each solve.
+    Without it, the solve builds its own.
     """
     opts = opts or SolverOptions()
     n = p.n
@@ -385,7 +396,8 @@ def solve_ipm(p: NlpProblem, opts: SolverOptions = None, start: SolveResult = No
         z = np.maximum(start.z, mu / s)
         y = start.y.copy()
     ev = _evaluate(obj, ineq, eq, x, z, y)
-    kkt = KKTSystem(p)
+    if kkt is None:
+        kkt = KKTSystem(p)
     hessian = "exact"  # until the first rejected exact matrix (module docstring)
 
     stats = []
@@ -605,10 +617,14 @@ def solve_sqp_dense(p: NlpProblem, opts: SolverOptions = None) -> SolveResult:
     return SolveResult(x, z, y, status, stats, f, res)
 
 
-def solve(p: NlpProblem, opts: SolverOptions = None, start: SolveResult = None) -> SolveResult:
-    """Solve p with the backend of opts. ``start`` warm-starts the IPM (see
-    solve_ipm); the dense SQP baseline always starts at p.x0."""
+def solve(
+    p: NlpProblem, opts: SolverOptions = None, start: SolveResult = None,
+    kkt: KKTSystem = None,
+) -> SolveResult:
+    """Solve p with the backend of opts. ``start`` warm-starts the IPM and
+    ``kkt`` gives it its Newton matrix (see solve_ipm); the dense SQP
+    baseline always starts at p.x0 and builds its matrices itself."""
     opts = opts or SolverOptions()
     if opts.backend == "sqp_dense":
         return solve_sqp_dense(p, opts)
-    return solve_ipm(p, opts, start)
+    return solve_ipm(p, opts, start, kkt)

@@ -97,29 +97,52 @@ class DecisionLayout:
 
     ``var_block[j]`` is the step-block label of variable j, or -1 when j
     belongs to the arrow block (frozen phase-boundary phi/psi shared by
-    every later step); the solver orders its Newton matrix by these
-    labels. Arrow entries alias into x; they are not duplicated
+    every later step). Arrow entries alias into x; they are not duplicated
     variables.
+
+    ``newton_key`` orders the solver's Newton matrix: its indices, the
+    variables and then the equality rows, sort stably by it (_layout
+    states the order of each form).
     """
 
     kind: str  # "sequential" | "simultaneous"
     n_vars: int
     var_block: np.ndarray
     arrow_indices: np.ndarray
+    newton_key: np.ndarray  # per variable, then per equality row
     active: tuple  # per step, tuple of active phase indices
     contact_base: dict  # (phase, t) -> first of 6 contiguous indices
     state_base: dict  # t -> first of 9 indices for h_t (simultaneous only)
 
 
+# The simultaneous Newton matrix in time-step order: an index of step t
+# sorts by 6 t + its group below, stably, so that each group keeps index
+# order. Step t's variables are h_t and the wrenches (f, p, tau) of its
+# samples; its equality rows are the nine dynamics rows h_{t+1} - h_t - ...
+# in build_simultaneous, (r, l, k). In order:
+#   0 k_t;  1 the (p, tau) half of every wrench;  2 r_t, l_t;
+#   3 the k rows;  4 the f half of every wrench;  5 the r rows, the l rows.
+# The k rows are coupled to nearly all of the step: to k_t and k_{t+1},
+# to every wrench entry and, through (p - r_t) x f, to r_t. With them in
+# the middle, p, tau and r_t above and f below, the widest coupling is a
+# sample's p to its own f, across r_t, l_t and the k rows: the band is
+# 3 S + 11 for at most S samples per step, 17 with two feet, at every T.
+_WRENCH_GROUP = np.repeat([4, 1], 3)  # f | p, tau
+_STATE_GROUP = np.repeat([2, 2, 0], 3)  # r, l | k
+_ROW_GROUP = np.repeat([5, 5, 3], 3)  # r rows, l rows | k rows
+
+
 def _layout(scn, kind):
     """Six contact indices per active (phase, step), in step order. The
-    simultaneous form adds the nine indices of h_{t+1} after step t; the
-    sequential form marks the last two steps of every phase that ends
-    inside the horizon as the arrow."""
+    simultaneous form adds the nine indices of h_{t+1} after step t, and
+    orders its Newton matrix by the groups above; the sequential form marks
+    the last two steps of every phase that ends inside the horizon as the
+    arrow, and orders by step block, in index order, the arrow last."""
     base = {}
     state = {}
     k = 0
     active = []
+    group = []  # simultaneous: each variable's group within its step
     for t in range(scn.T):
         act = tuple(scn.active_at(t))
         active.append(act)
@@ -129,6 +152,7 @@ def _layout(scn, kind):
         if kind == "simultaneous":
             state[t + 1] = k
             k += 9
+            group += [_WRENCH_GROUP] * len(act) + [_STATE_GROUP]
     arrow = []
     if kind == "sequential":
         for i, ph in enumerate(scn.phases):
@@ -142,7 +166,13 @@ def _layout(scn, kind):
     for t1, b in state.items():
         var_block[b : b + 9] = t1  # h_{t+1} belongs to block t+1
     var_block[arrow] = -1
-    return DecisionLayout(kind, k, var_block, arrow, tuple(active), base, state)
+    if kind == "sequential":
+        key = var_block.copy()
+        key[arrow] = scn.T
+    else:
+        rows = 6 * np.arange(scn.T)[:, None] + _ROW_GROUP
+        key = np.concatenate([6 * var_block + np.concatenate(group), rows.ravel()])
+    return DecisionLayout(kind, k, var_block, arrow, key, tuple(active), base, state)
 
 
 # ---------------------------------------------------------------------------

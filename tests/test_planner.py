@@ -25,6 +25,22 @@ def one_foot_scenario(T=6):
     )
 
 
+def _bits(obj):
+    """obj with every array, float and nested container replaced by what
+    compares equal only when the two are bit for bit the same."""
+    if isinstance(obj, np.ndarray):
+        return obj.dtype.str, obj.shape, obj.tobytes()
+    if isinstance(obj, float):
+        return np.float64(obj).tobytes()
+    if isinstance(obj, dict):
+        return sorted((k, _bits(v)) for k, v in obj.items())
+    if isinstance(obj, (list, tuple)):
+        return [_bits(v) for v in obj]
+    if dataclasses.is_dataclass(obj):
+        return type(obj).__name__, _bits(vars(obj))
+    return obj
+
+
 class TestInitialization:
     def test_standing_references(self):
         scn = make_standing_scenario(T=8)
@@ -158,12 +174,35 @@ class TestPlan:
         assert len(builds) == 1
 
     @pytest.mark.parametrize("formulation", ["sequential", "simultaneous"])
+    def test_one_kkt_system_per_plan(self, formulation, monkeypatch):
+        """A plan builds one KKTSystem, at pass 1, and every pass's solve
+        assembles on it. The plan is bit for bit the one whose solves each
+        build their own."""
+        opts = PlanOptions(max_outer=3, formulation=formulation, kinematic_max_iter=10)
+        runs, base = [], solver.KKTSystem
+        for shared in (True, False):
+            built = []
+
+            class Counted(base):
+                def __init__(self, p):
+                    built.append(p)
+                    super().__init__(p)
+
+            monkeypatch.setattr(solver, "KKTSystem", Counted)
+            monkeypatch.setattr(planner, "KKTSystem", Counted if shared else lambda p: None)
+            runs.append((plan(make_stepping_scenario(T=21), opts), built))
+        (out, built), (ref, ref_built) = runs
+        assert out[3]["passes"] == ref[3]["passes"] == 3
+        assert len(built) == 1 and len(ref_built) == 3
+        assert _bits(out) == _bits(ref)
+
+    @pytest.mark.parametrize("formulation", ["sequential", "simultaneous"])
     def test_warm_start_matches_cold(self, formulation, monkeypatch):
         # each pass's solve, and a cold solve of the same retargeted problem
         solves = []
 
-        def warm_and_cold(p, opts, start=None):
-            res = solver.solve(p, opts, start)
+        def warm_and_cold(p, opts, start=None, kkt=None):
+            res = solver.solve(p, opts, start, kkt)
             solves.append((res, solver.solve(p, opts)))
             return res
 

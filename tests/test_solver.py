@@ -371,6 +371,60 @@ def _unpacked(band, blocks):
     return out
 
 
+def flight_and_hand_scenario(T=8):
+    """Two feet, a hand added at step 2, every contact off at step 4,
+    both feet down again from step 5."""
+    phases = (
+        ContactPhase("l_foot", 0, 3, foot_surface(0.09)),
+        ContactPhase("r_foot", 0, 3, foot_surface(-0.09)),
+        ContactPhase("hand", 2, 4, foot_surface(0.4)),
+        ContactPhase("l_foot", 5, T, foot_surface(0.09)),
+        ContactPhase("r_foot", 5, T, foot_surface(-0.09)),
+    )
+    h0 = MomentumState(np.array([0.0, 0.0, 0.5]), np.zeros(3), np.zeros(3))
+    return MomentumScenario(phases, T, 0.1, h0, RobotConstants(M=30.0),
+                            np.tile(h0.as_vector(), (T + 1, 1)), {})
+
+
+def _check_against_oracle(p, exact):
+    """Assemble p's KKTSystem twice at random points and check the matrix
+    it packs, its curvature and its factorization against the sparse
+    assembly and a dense solve. Returns the KKTSystem."""
+    ineq, eq = p.compiled_ineq(), p.compiled_eq()
+    kkt = KKTSystem(p)
+    rng = np.random.default_rng(7)
+    for _ in range(2):  # the second assembly overwrites the first
+        x = rng.normal(size=p.n)
+        z = rng.uniform(0.1, 10.0, size=p.n_ineq)
+        sigma = z / rng.uniform(0.1, 10.0, size=p.n_ineq)
+        y = rng.normal(size=p.n_eq)
+        A_i, A_e = ineq.jacobian(x), eq.jacobian(x)
+        kkt.assemble(-2.0 * z, sigma, A_i.data, -2.0 * y, A_e.data, exact=exact)
+    if exact:
+        K = p.compiled_objective().H + ineq.hessian_combo(-2.0 * z, convexify=False)
+        K = K + eq.hessian_combo(-2.0 * y, convexify=False)
+    else:
+        K = convexified_lagrangian_hessian(p, (-2.0 * z, -2.0 * y))
+    K = K + A_i.T @ sp.diags(sigma) @ A_i
+    dx = rng.normal(size=p.n)
+    dKd = dx @ (K @ dx)
+    assert abs(kkt.curvature(dx) - dKd) <= 1e-12 * abs(K).max() * (dx @ dx)
+    if p.n_eq:
+        K = sp.bmat([[K, A_e.T], [A_e, -KKTSystem.gamma * sp.eye(p.n_eq)]])
+    K = K.toarray()
+    shift = np.zeros(K.shape[0])
+    shift[: p.n] = 1.0
+    rhs = rng.normal(size=K.shape[0])
+    for delta in (1e-4, 1e-2):  # the second as after a rejected factorization
+        Kd = K + np.diag(delta * shift)
+        packed = _unpacked(kkt.band, kkt.pack(delta))
+        assert np.abs(packed - Kd).max() <= 1e-12 * np.abs(Kd).max()
+        ref = np.linalg.solve(Kd, rhs)
+        sol = kkt.factor(delta).solve(rhs)
+        assert np.linalg.norm(sol - ref) <= 1e-8 * np.linalg.norm(ref)
+    return kkt
+
+
 class TestKKTSystem:
     @pytest.mark.parametrize("build, exact, standing", [
         # the convexified cases keep their ids from before the exact mode
@@ -389,41 +443,22 @@ class TestKKTSystem:
             scn = rescale_horizon(load_scenario("scenarios/step_stones.json"), 12)
         state = initialize_references(scn)
         p = build(scn.momentum_scenario(state.h_bar, state.lambda_bar))
-        ineq, eq = p.compiled_ineq(), p.compiled_eq()
         if not p.n_eq:
             # the step_stones instance uses the W and C blocks, the standing one none
             assert bool(p.layout.arrow_indices.size) != standing
-        kkt = KKTSystem(p)
-        rng = np.random.default_rng(7)
-        for _ in range(2):  # the second assembly overwrites the first
-            x = rng.normal(size=p.n)
-            z = rng.uniform(0.1, 10.0, size=p.n_ineq)
-            sigma = z / rng.uniform(0.1, 10.0, size=p.n_ineq)
-            y = rng.normal(size=p.n_eq)
-            A_i, A_e = ineq.jacobian(x), eq.jacobian(x)
-            kkt.assemble(-2.0 * z, sigma, A_i.data, -2.0 * y, A_e.data, exact=exact)
-        if exact:
-            K = p.compiled_objective().H + ineq.hessian_combo(-2.0 * z, convexify=False)
-            K = K + eq.hessian_combo(-2.0 * y, convexify=False)
-        else:
-            K = convexified_lagrangian_hessian(p, (-2.0 * z, -2.0 * y))
-        K = K + A_i.T @ sp.diags(sigma) @ A_i
-        dx = rng.normal(size=p.n)
-        dKd = dx @ (K @ dx)
-        assert abs(kkt.curvature(dx) - dKd) <= 1e-12 * abs(K).max() * (dx @ dx)
-        if p.n_eq:
-            K = sp.bmat([[K, A_e.T], [A_e, -KKTSystem.gamma * sp.eye(p.n_eq)]])
-        K = K.toarray()
-        shift = np.zeros(K.shape[0])
-        shift[: p.n] = 1.0
-        rhs = rng.normal(size=K.shape[0])
-        for delta in (1e-4, 1e-2):  # the second as after a rejected factorization
-            Kd = K + np.diag(delta * shift)
-            packed = _unpacked(kkt.band, kkt.pack(delta))
-            assert np.abs(packed - Kd).max() <= 1e-12 * np.abs(Kd).max()
-            ref = np.linalg.solve(Kd, rhs)
-            sol = kkt.factor(delta).solve(rhs)
-            assert np.linalg.norm(sol - ref) <= 1e-8 * np.linalg.norm(ref)
+        _check_against_oracle(p, exact)
+
+    @pytest.mark.parametrize("exact", [False, True], ids=["convexified", "exact"])
+    def test_flight_and_three_contacts(self, exact):
+        """Simultaneous, on a schedule with a step without contact and a
+        step with three: the band is 3 S + 11 for the S = 3 samples of
+        the widest step, at every horizon, and the factorization solves the
+        matrix."""
+        p = build_simultaneous(flight_and_hand_scenario())
+        assert () in p.layout.active and max(map(len, p.layout.active)) == 3
+        kkt = _check_against_oracle(p, exact)
+        assert kkt.band.bw == 3 * 3 + 11
+        assert KKTSystem(build_simultaneous(flight_and_hand_scenario(T=40))).band.bw == 20
 
     def test_sequential_order_is_band_then_arrow(self):
         """Sequential: the variables outside the arrow in index order, then
@@ -437,17 +472,20 @@ class TestKKTSystem:
             assert band.n_arrow == arrow.size
 
     def test_simultaneous_order_groups_each_step(self):
-        """Simultaneous: each step's equality rows sit directly after h_t
-        and that step's wrenches."""
-        p = build_simultaneous(stepping_scenario(20))
-        order = KKTSystem(p).band.order.tolist()
-        lay = p.layout
-        for t in range(p.scenario.T):
-            step = list(range(lay.state_base[t], lay.state_base[t] + 9)) if t else []
-            step += [lay.contact_base[i, t] + k for i in lay.active[t] for k in range(6)]
-            rows = [p.n + r for r, (s, _, _) in enumerate(p.eq_meta) if s == t]
-            start = order.index(rows[0]) - len(step)
-            assert order[start : start + len(step) + len(rows)] == sorted(step) + rows
+        """Simultaneous: step after step, each step in its coupling order:
+        k_t, the (p, tau) half of every wrench, r_t and l_t; the k dynamics
+        rows, the f half of every wrench; the r rows, the l rows."""
+        for scn in (stepping_scenario(20), flight_and_hand_scenario()):
+            p = build_simultaneous(scn)
+            lay, T = p.layout, scn.T
+            expected = []
+            for t in range(T + 1):  # step T holds h_T alone
+                h = list(range(lay.state_base[t], lay.state_base[t] + 9)) if t else []
+                bases = [lay.contact_base[i, t] for i in lay.active[t]] if t < T else []
+                rows = list(range(p.n + 9 * t, p.n + 9 * t + 9)) if t < T else []
+                expected += h[6:] + [b + k for b in bases for k in range(3, 6)] + h[:6]
+                expected += rows[6:] + [b + k for b in bases for k in range(3)] + rows[:6]
+            assert KKTSystem(p).band.order.tolist() == expected
 
     def test_step_seq_objective(self):
         # step_stones cut at T=49 (instance 0 of perfbench's step-seq

@@ -449,9 +449,10 @@ class TestPatterns:
             ab, W, C = band.blocks
             assert ab.shape[0] == 35
             assert band.n_arrow == W.shape[1] == C.shape[0] == arrow
+            # the simultaneous band: 3 S + 11 for the S = 2 feet
             p = build_simultaneous(scenario(T))
             band = KKTSystem(p).band
-            assert band.bw == 29
+            assert band.bw == 17
 
 
 class TestCompiled:
