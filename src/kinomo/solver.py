@@ -22,7 +22,11 @@ matrix: the sparsity pattern and the slot of every entry are worked out
 once per problem pattern, and each iteration only computes the slot
 values. A linalg.BandStorage made from the same pattern packs them into
 LAPACK band storage and factorizes it. Both factorizations cost O(T) per
-iteration for a fixed effector count.
+iteration for a fixed effector count. The constraint Jacobians keep a
+fixed pattern too: an evaluation gives their values on it
+(transcription.CompiledVectorFunction), the products A v and A^T y take
+those values, and KKTSystem reads them as they are, so no sparse matrix
+is built per iteration or trial point.
 
 H is first the exact Lagrangian Hessian, which makes each step a Newton
 step. The exact matrix is rejected when the Cholesky of K + REG_FLOOR I
@@ -52,7 +56,6 @@ baseline solver for cross-checking on small instances.
 
 from __future__ import annotations
 
-import functools
 import time
 from dataclasses import dataclass
 
@@ -148,28 +151,17 @@ def _compiled_parts(p: NlpProblem):
     return p.compiled_objective(), p.compiled_ineq(), p.compiled_eq()
 
 
-@functools.lru_cache(maxsize=8)
-def _no_rows(n):
-    """The Jacobian of a family without rows over n variables."""
-    return sp.csr_matrix((0, n))
-
-
 def _evaluate(obj, ineq, eq, x, z, y):
-    """(f, grad f, r_d, g_I, A_I, g_E, A_E) at x, with the stationarity
-    residual r_d = grad f - A_I^T z - A_E^T y."""
+    """(f, grad f, r_d, g_I, J_I, g_E, J_E) at x, with the stationarity
+    residual r_d = grad f - A_I^T z - A_E^T y; J_I and J_E are the
+    Jacobians' values on their fixed patterns."""
     grad = obj.gradient(x)
     f = obj.value(x, grad)
     r_d, parts = grad, []
     for fn, dual in ((ineq, z), (eq, y)):
-        # a family without rows, as the sequential form's equalities, is
-        # not evaluated: its value, Jacobian and A^T dual would cost each
-        # trial point about 80 us, 5% of a sequential solve
-        if not fn.m:
-            parts += [fn.b, _no_rows(fn.n)]
-            continue
-        A = fn.jacobian(x)
-        parts += [fn.value(x, A), A]
-        r_d = r_d - A.T @ dual
+        J = fn.jacobian(x)
+        parts += [fn.value(x, J), J]
+        r_d = r_d - fn.rmatvec(J, dual)
     return (f, grad, r_d, *parts)
 
 
@@ -304,8 +296,9 @@ class KKTSystem:
         and equality rows, ``exact`` selects the exact or the convexified
         curvature (c >= 0 keeps c Q, c < 0 keeps |c| P, as in
         convexified_lagrangian_hessian), ``sigma`` is the diagonal Z S^-1
-        and ``J_i``, ``J_e`` the data arrays of the Jacobians in their fixed
-        CSR patterns. A family without rows takes empty arrays."""
+        and ``J_i``, ``J_e`` the Jacobians' value arrays on their fixed
+        CSR patterns, as CompiledVectorFunction.jacobian returns them. A
+        family without rows takes empty arrays."""
         c = np.concatenate([c_i, c_e])
         cq, cp = (c, -c) if exact else (np.maximum(c, 0.0), np.maximum(-c, 0.0))
         v = self._const.copy()
@@ -404,7 +397,7 @@ def solve_ipm(
     status = "MaxIter"
     for it in range(opts.max_iter + 1):
         it_t0 = time.perf_counter()
-        f, grad, r_d, g_i, A_i, g_e, A_e = ev
+        f, grad, r_d, g_i, J_i, g_e, J_e = ev
         res = _kkt_norms(r_d, g_i, z, g_e)
         # all four norms: max(res) hides a NaN that is not in first place
         if not np.isfinite([f, *res]).all():
@@ -426,9 +419,9 @@ def solve_ipm(
         # reduced system: K = H + A_I^T Sigma A_I (+ delta I)
         sigma = z / s
         r_i = g_i - s
-        terms = (-2.0 * z, sigma, A_i.data, -2.0 * y, A_e.data)
+        terms = (-2.0 * z, sigma, J_i, -2.0 * y, J_e)
         kkt.assemble(*terms, exact=hessian == "exact")
-        rhs = np.concatenate([-r_d + A_i.T @ (mu / s - z - sigma * r_i), -g_e])
+        rhs = np.concatenate([-r_d + ineq.rmatvec(J_i, mu / s - z - sigma * r_i), -g_e])
 
         sol = None
         if hessian == "exact":
@@ -455,7 +448,7 @@ def solve_ipm(
         # row 1 of the simultaneous system reads K dx + A_e^T w = rhs while
         # the Newton system wants K dx - A_e^T dy = rhs, hence dy = -w
         dx, dy = sol[:n], -sol[n:]
-        ds = A_i @ dx + r_i
+        ds = ineq.matvec(J_i, dx) + r_i
         dz = mu / s - z - sigma * ds
         alpha_max = min(_fraction_to_boundary(s, ds), _fraction_to_boundary(z, dz))
 
@@ -563,7 +556,7 @@ def solve_sqp_dense(p: NlpProblem, opts: SolverOptions = None) -> SolveResult:
         H = convexified_lagrangian_hessian(p, (-2.0 * z, -2.0 * y)).toarray()
         H = H + REG_FLOOR * np.eye(n)
         c = obj.gradient(x)
-        A_i, A_e = ineq.jacobian(x).toarray(), eq.jacobian(x).toarray()
+        A_i, A_e = (fn.to_csr(fn.jacobian(x)).toarray() for fn in (ineq, eq))
         # the subproblem must be solved a couple of orders tighter than the
         # outer tolerance or its dual noise caps the achievable accuracy
         qp_tol = min(1e-10, 1e-2 * opts.kkt_tol)

@@ -182,12 +182,18 @@ def _layout(scn, kind):
 class CompiledVectorFunction:
     """A Q+/- function compiled for the solver.
 
-    value(x) and jacobian(x) reuse one fixed CSR pattern: per row, the
-    columns of A and the indices of the row's Q and P entries. The
-    Jacobian data is affine in x (J = A + reshape(M x)), where M holds
-    2 (Q - P)_ij at (i, j) and, off the diagonal, at its mirror (j, i),
-    and stores no entry where Q and P cancel. The function's Q and P
-    entry arrays are shared as they are; hessian_combo assembles
+    The Jacobian has one fixed CSR pattern (``indices``, ``indptr``): per
+    row, the columns of A and the indices of the row's Q and P entries.
+    jacobian(x) returns only its values on that pattern, J = base + M x,
+    where M holds 2 (Q - P)_ij at (i, j) and, off the diagonal, at its
+    mirror (j, i), and stores no entry where Q and P cancel. No sparse
+    matrix is built per point: value(x, J), matvec(J, v) = A v and
+    rmatvec(J, y) = A^T y take the value array, and to_csr(J) builds the
+    matrix for the callers that want one (the dense SQP baseline and the
+    tests). Both products sum each output entry in ascending row order,
+    as scipy's CSR and CSC products do, so they equal to_csr(J) @ v and
+    to_csr(J).T @ y to the last bit. The function's Q and P entry arrays
+    are shared as they are; hessian_combo assembles
     sum_i psd_part(c_i (Q_i - P_i)) from them without ever merging Q - P.
     """
 
@@ -221,16 +227,37 @@ class CompiledVectorFunction:
         )
         self._M.eliminate_zeros()
         self._rowsum = sp.csr_matrix((np.ones(nnz), np.arange(nnz), self.indptr), shape=(m, nnz))
+        # matvec lends J to this one matrix; rmatvec sums by column with the
+        # row of every entry
+        self._A = self.to_csr(self.base)
+        self._row_len = np.diff(self.indptr)
 
-    def value(self, x, jac=None):
-        """Row values at x. Given jac = jacobian(x), its data stands in for
-        the product M x: s(x) = b + 0.5 rowsum(x[idx] (base + J.data))."""
-        data = self.base + self._M @ x if jac is None else jac.data
+    def value(self, x, J=None):
+        """Row values at x. Given J = jacobian(x), it stands in for
+        base + M x: s(x) = b + 0.5 rowsum(x[idx] (base + J))."""
+        data = self.base + self._M @ x if J is None else J
         return self.b + 0.5 * (self._rowsum @ (x[self.indices] * (self.base + data)))
 
     def jacobian(self, x):
-        data = self.base + self._M @ x
-        return sp.csr_matrix((data, self.indices, self.indptr), shape=(self.m, self.n))
+        """The Jacobian at x: its values on the fixed CSR pattern."""
+        return self.base + self._M @ x
+
+    def matvec(self, J, v):
+        """A v for the Jacobian values J."""
+        self._A.data = J
+        Av = self._A @ v
+        self._A.data = self.base  # holds no caller's array past the call
+        return Av
+
+    def rmatvec(self, J, y):
+        """A^T y for the Jacobian values J."""
+        # bincount of empty weights (a family without rows) counts in int64
+        Aty = np.bincount(self.indices, J * np.repeat(y, self._row_len), minlength=self.n)
+        return Aty.astype(float, copy=False)
+
+    def to_csr(self, J):
+        """The Jacobian values J as a CSR matrix."""
+        return sp.csr_matrix((J, self.indices, self.indptr), shape=(self.m, self.n))
 
     def curvature_entries(self):
         """The stored Q and P entries, each as (row, i, j, value) arrays

@@ -160,7 +160,7 @@ def test_criterion_05_solver_correctness():
     obj, ineq = p.compiled_objective(), p.compiled_ineq()
     x0 = np.zeros(p.n)
     d_ref, _, _ = _solve_dense_qp(
-        obj.H.toarray(), obj.gradient(x0), ineq.jacobian(x0).toarray(),
+        obj.H.toarray(), obj.gradient(x0), ineq.to_csr(ineq.jacobian(x0)).toarray(),
         ineq.value(x0), np.zeros((0, p.n)), np.zeros(0),
     )
     errs = {}
@@ -287,7 +287,7 @@ def test_criterion_10_numerical_hygiene():
     eps = 1e-3
     for _ in range(60):  # transcription constraint/objective gradients
         x = rng.normal(size=p.n) * 20.0
-        J = ineq.jacobian(x).toarray()
+        J = ineq.to_csr(ineq.jacobian(x)).toarray()
         g = obj.gradient(x)
         for _ in range(3):
             j = int(rng.integers(p.n))

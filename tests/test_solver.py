@@ -263,6 +263,29 @@ class TestLineSearch:
         assert calls["jacobian"] >= len(res.stats)
         assert calls["value"] <= calls["jacobian"] + 1
 
+    @pytest.mark.parametrize("build", [build_sequential, build_simultaneous])
+    def test_no_sparse_matrix_per_iteration(self, build, monkeypatch):
+        # the Jacobians stay value arrays through the solve: k and 3 k
+        # iterations construct the same number of CSR and CSC matrices
+        built = []
+        for cls in (sp.csr_matrix, sp.csc_matrix):
+            init = cls.__init__
+
+            def counted(self, *args, _init=init, **kwargs):
+                built.append(type(self))
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counted)
+        p = build(stepping_scenario())
+        counts = []
+        for k in (4, 12):
+            kkt = KKTSystem(p)
+            built.clear()
+            res = solve_ipm(p, SolverOptions(max_iter=k), kkt=kkt)
+            assert len(res.stats) == k
+            counts.append(len(built))
+        assert counts[0] == counts[1]
+
 
 class TestConvexSubclass:
     def test_matches_dense_reference(self):
@@ -280,7 +303,7 @@ class TestConvexSubclass:
         d_ref, _, _ = _solve_dense_qp(
             obj.H.toarray(),
             obj.gradient(x0),
-            ineq.jacobian(x0).toarray(),
+            ineq.to_csr(ineq.jacobian(x0)).toarray(),
             ineq.value(x0),
             np.zeros((0, p.n)),
             np.zeros(0),
@@ -398,8 +421,9 @@ def _check_against_oracle(p, exact):
         z = rng.uniform(0.1, 10.0, size=p.n_ineq)
         sigma = z / rng.uniform(0.1, 10.0, size=p.n_ineq)
         y = rng.normal(size=p.n_eq)
-        A_i, A_e = ineq.jacobian(x), eq.jacobian(x)
-        kkt.assemble(-2.0 * z, sigma, A_i.data, -2.0 * y, A_e.data, exact=exact)
+        J_i, J_e = ineq.jacobian(x), eq.jacobian(x)
+        kkt.assemble(-2.0 * z, sigma, J_i, -2.0 * y, J_e, exact=exact)
+    A_i, A_e = ineq.to_csr(J_i), eq.to_csr(J_e)
     if exact:
         K = p.compiled_objective().H + ineq.hessian_combo(-2.0 * z, convexify=False)
         K = K + eq.hessian_combo(-2.0 * y, convexify=False)

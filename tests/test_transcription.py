@@ -466,7 +466,7 @@ class TestCompiled:
                 ref = qpm.evaluate(p.ineq, x)
                 assert np.allclose(comp.value(x), ref, atol=1e-10)
                 Jref = qpm.gradient(p.ineq, x)
-                assert np.allclose(comp.jacobian(x).toarray(), Jref, atol=1e-10)
+                assert np.allclose(comp.to_csr(comp.jacobian(x)).toarray(), Jref, atol=1e-10)
 
     def test_no_stored_zero_in_jacobians(self):
         rng = np.random.default_rng(10)
@@ -475,7 +475,7 @@ class TestCompiled:
             x = rng.normal(size=p.n)
             fns = [p.compiled_ineq()] + ([p.compiled_eq()] if p.n_eq else [])
             for fn in fns:
-                assert np.all(fn.jacobian(x).data != 0)
+                assert np.all(fn.to_csr(fn.jacobian(x)).data != 0)
                 assert np.all(fn._M.data != 0)
                 for _, i, j, v in fn.curvature_entries():
                     assert np.all(v != 0) and np.all(i >= j)
@@ -499,12 +499,35 @@ class TestCompiled:
                     fd = (obj.value(x + e) - obj.value(x - e)) / (2 * eps)
                     assert g[j] == pytest.approx(fd, abs=1e-4)
 
+    @pytest.mark.parametrize("build", [build_sequential, build_simultaneous])
+    def test_products_match_csr(self, build):
+        """matvec and rmatvec on the Jacobian values equal the products of
+        to_csr to the last bit, and value(x, J) equals value(x), on both
+        families, the sequential form's 0-row equalities included; two
+        points in turn, so that a product left on the first point's
+        values would show."""
+        def same(a, b):
+            return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+        p = build(stepping_scenario())
+        assert (p.compiled_eq().m == 0) == (build is build_sequential)
+        rng = np.random.default_rng(11)
+        for fn in (p.compiled_ineq(), p.compiled_eq()):
+            for _ in range(2):
+                x, v = rng.normal(size=fn.n) * 3, rng.normal(size=fn.n)
+                y = rng.normal(size=fn.m)
+                J = fn.jacobian(x)
+                A = fn.to_csr(J)
+                assert same(fn.matvec(J, v), A @ v)
+                assert same(fn.rmatvec(J, y), A.T @ y)
+                assert same(fn.value(x, J), fn.value(x))
+
     def test_jacobian_matches_fd(self):
         rng = np.random.default_rng(8)
         p = build_sequential(biped_scenario(5))
         comp = p.compiled_ineq()
         x = rng.normal(size=p.n)
-        J = comp.jacobian(x).toarray()
+        J = comp.to_csr(comp.jacobian(x)).toarray()
         eps = 1e-6
         for j in rng.choice(p.n, size=8, replace=False):
             e = np.zeros(p.n)
