@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import BlockTridiagCholesky, NotPositiveDefinite, block_tridiag_band
+from .linalg import BlockTridiagCholesky, block_tridiag_band
 
 # Gauss-Newton stopping rule of the kinematic sub-problem: a step that
 # moves no joint by more than STEP_TOL, or lowers the cost by no more than
@@ -381,6 +381,12 @@ class KinematicWeights:
         self.momentum = np.broadcast_to(
             np.asarray(self.momentum, dtype=float), (9,)
         ).copy()
+        # every step's residual holds sqrt(posture) (q_t - q_ref), so the
+        # Gauss-Newton matrix is at least posture I: positive definite
+        if not self.posture > 0:
+            raise ValueError("the posture weight must be positive")
+        if not (np.all(self.momentum >= 0) and self.effector >= 0 and self.joint_limit >= 0):
+            raise ValueError("weights must be non-negative")
 
 
 @dataclass
@@ -512,20 +518,13 @@ def solve_kinematic_subproblem(
     cost, r, kin = evaluate(q)
     converged = False
     trials = 0
-    damping = 0.0
     for _ in range(max_iter):
         # the accepted trial's residuals and kinematics serve the Jacobians
         grad, diag, off = _normal_equations(
             r, *_jacobians(model, q, *kin, delta, refs, weights))
-        step = None
-        while step is None:
-            try:
-                fac = BlockTridiagCholesky(diag + (1e-10 + damping) * np.eye(n), off, band)
-                step = -fac.solve(grad)
-            except NotPositiveDefinite:
-                damping = max(1e-6, damping * 10)
-                if damping > 1e6:
-                    raise
+        # diag + off is at least posture I (KinematicWeights), so the
+        # Cholesky succeeds on finite input
+        step = -BlockTridiagCholesky(diag + 1e-10 * np.eye(n), off, band).solve(grad)
         alpha = 1.0
         improved = False
         gTs = float(grad @ step)
@@ -543,7 +542,6 @@ def solve_kinematic_subproblem(
         moved = alpha * np.abs(step).max()
         decreased = cost - new_cost
         q, cost, r, kin = q_new, new_cost, r_new, kin_new
-        damping *= 0.25
         if moved <= STEP_TOL or decreased <= COST_TOL:
             converged = True
             break

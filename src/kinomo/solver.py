@@ -35,13 +35,13 @@ the step dx fails the curvature test dx^T K dx > kappa |dx|^2
 (simultaneous form; Chiang and Zavala, Comput. Optim. Appl. 64, 2016).
 On the first rejection the solve switches for good to the convexified
 Hessian, which keeps only the PSD part of each row's curvature: the
-objective Hessian plus c Q_i for c >= 0 and |c| P_i for c < 0, as
-convexified_lagrangian_hessian assembles it. That matrix is positive
-semidefinite, so K is positive definite for a small delta and every step
-is a descent direction of the barrier merit function; from the switch on,
-the solve is the globally convergent convexified method, with delta
-raised tenfold while the factorization fails. The rule costs at most one
-extra assembly and factorization. Trying the exact Hessian again after
+objective Hessian plus c Q_i for c >= 0 and |c| P_i for c < 0. That
+matrix is positive semidefinite, so K is positive definite for a small
+delta and every step is a descent direction of the barrier merit
+function; from the switch on, the solve is the globally convergent
+convexified method, with delta raised tenfold while the factorization
+fails. The rule costs at most one extra assembly and factorization.
+Trying the exact Hessian again after
 a convexified step does not converge reliably: on step_stones rescaled
 to T=400 (sequential form) such a per-iteration fallback stalls at the
 iteration limit. Nor can the exact Hessian alone, regularized by a delta
@@ -51,7 +51,11 @@ fallback: on the same instance it ends at MaxIter after 800 iterations
 as in IPOPT), where the one-way fallback converges in 292.
 
 A dense line-search SQP with the convexified Hessian serves as the
-baseline solver for cross-checking on small instances.
+baseline solver for cross-checking on small instances. It reads that
+Hessian from a KKTSystem too (convexified_lagrangian_hessian), so
+KKTSystem is the only code that assembles Lagrangian curvature. Both
+solvers read the tracking objective from CompiledObjective.value, a sum of
+squares.
 """
 
 from __future__ import annotations
@@ -67,7 +71,7 @@ from . import linalg, qpm
 # factorization names stay importable from here, where perfbench/tracing.py
 # wraps them.
 from .linalg import BandedLU, NotPositiveDefinite, factorize_banded_arrow  # noqa: F401
-from .transcription import NlpProblem, convexified_lagrangian_hessian
+from .transcription import NlpProblem
 
 
 class QPSubproblemInfeasible(RuntimeError):
@@ -156,21 +160,13 @@ def _evaluate(obj, ineq, eq, x, z, y):
     residual r_d = grad f - A_I^T z - A_E^T y; J_I and J_E are the
     Jacobians' values on their fixed patterns."""
     grad = obj.gradient(x)
-    f = obj.value(x, grad)
+    f = obj.value(x)
     r_d, parts = grad, []
     for fn, dual in ((ineq, z), (eq, y)):
         J = fn.jacobian(x)
         parts += [fn.value(x, J), J]
         r_d = r_d - fn.rmatvec(J, dual)
     return (f, grad, r_d, *parts)
-
-
-def _objective(p: NlpProblem, x):
-    """The reported objective sum w (r(x) - y)^2 as a sum of squares: the
-    compiled c + 0.5 x'(g + q) cancels, and can read below zero, near 0."""
-    r, y, w = p.objective
-    e = r(x) - y
-    return float(w @ (e * e))
 
 
 def kkt_residual(p: NlpProblem, x, z, y):
@@ -182,7 +178,8 @@ def kkt_residual(p: NlpProblem, x, z, y):
 
 
 class KKTSystem:
-    """The IPM's Newton matrix, assembled on a fixed pattern.
+    """The IPM's Newton matrix, assembled on a fixed pattern; the one code
+    that assembles Lagrangian curvature, for the dense SQP as well.
 
     The constructor does the symbolic work, once for every problem of one
     pattern (a plan's retargeted problem keeps its pattern): it takes the
@@ -209,10 +206,12 @@ class KKTSystem:
 
         K = H_obj + G_Q max(c, 0) + G_P max(-c, 0) + A_I^T Sigma A_I,
 
-    on the same slots. ``pack`` writes them into the band storage with
-    delta added to the diagonal of K, and ``factor`` factorizes the storage
-    in place: banded-plus-arrow Cholesky of K + delta I (sequential), or
-    banded LU of [[K + delta I, A_E^T], [A_E, -gamma I]] (simultaneous).
+    on the same slots. ``hessian`` reads K out as a CSR matrix; with
+    Sigma = 0 that is the dense SQP's convexified Hessian. ``factor``
+    packs the slots into the band storage with delta added to the
+    diagonal of K and factorizes it in place: banded-plus-arrow Cholesky
+    of K + delta I (sequential), or banded LU of
+    [[K + delta I, A_E^T], [A_E, -gamma I]] (simultaneous).
     The Cholesky fails unless K + delta I is positive definite;
     ``curvature`` gives dx^T K dx, the test that stands in for inertia
     where the LU shows none. The constraint functions are p's compiled
@@ -260,6 +259,7 @@ class KKTSystem:
         del keys  # before the matrices below are built
         S = pattern.size
         row, col = np.divmod(pattern, N)
+        self._n = n
         # the slots of K, the primal block, come first: their keys are below n N
         n_k = int(np.searchsorted(pattern, n * N))
         self._k_row, self._k_col = row[:n_k].astype(np.int32), col[:n_k].astype(np.int32)
@@ -294,11 +294,10 @@ class KKTSystem:
 
         ``c_i``, ``c_e`` are the curvature coefficients of the inequality
         and equality rows, ``exact`` selects the exact or the convexified
-        curvature (c >= 0 keeps c Q, c < 0 keeps |c| P, as in
-        convexified_lagrangian_hessian), ``sigma`` is the diagonal Z S^-1
-        and ``J_i``, ``J_e`` the Jacobians' value arrays on their fixed
-        CSR patterns, as CompiledVectorFunction.jacobian returns them. A
-        family without rows takes empty arrays."""
+        curvature (c >= 0 keeps c Q, c < 0 keeps |c| P), ``sigma`` is the
+        diagonal Z S^-1 and ``J_i``, ``J_e`` the Jacobians' value arrays on
+        their fixed CSR patterns, as CompiledVectorFunction.jacobian returns
+        them. A family without rows takes empty arrays."""
         c = np.concatenate([c_i, c_e])
         cq, cp = (c, -c) if exact else (np.maximum(c, 0.0), np.maximum(-c, 0.0))
         v = self._const.copy()
@@ -319,10 +318,14 @@ class KKTSystem:
         terms *= self._k_weight
         return float(terms @ self._v[: terms.size])
 
-    def pack(self, delta):
-        """Write the assembled matrix, with delta added to the diagonal of
-        K, into the band storage and return its blocks (BandStorage)."""
-        return self.band.pack(self._v, delta, self._diag)
+    def hessian(self):
+        """The assembled K, without delta, as a symmetric CSR matrix: the
+        slots of the primal block and their mirrors."""
+        r, c = self._k_row, self._k_col
+        v = self._v[: r.size]
+        off = r != c
+        rows, cols = np.concatenate([r, c[off]]), np.concatenate([c, r[off]])
+        return sp.csr_matrix((np.concatenate([v, v[off]]), (rows, cols)), shape=(self._n,) * 2)
 
     def factor(self, delta):
         """Pack with delta and factorize the storage in place; the
@@ -444,7 +447,7 @@ def solve_ipm(
             except NotPositiveDefinite:
                 delta *= 10.0
                 if delta > 1e-2:
-                    return SolveResult(x, z, y, "NumericFailure", stats, _objective(p, x), res)
+                    return SolveResult(x, z, y, "NumericFailure", stats, f, res)
         # row 1 of the simultaneous system reads K dx + A_e^T w = rhs while
         # the Newton system wants K dx - A_e^T dy = rhs, hence dy = -w
         dx, dy = sol[:n], -sol[n:]
@@ -480,7 +483,8 @@ def solve_ipm(
             status = "Infeasible" if res[1] > 1e-4 else "MaxIter"
             break
         x, s, z, y = x_t, s_t, z_t, y_t
-    return SolveResult(x, z, y, status, stats, _objective(p, x), res)
+    # every way out of the loop leaves f, res and the iterate at one point
+    return SolveResult(x, z, y, status, stats, f, res)
 
 
 # ---------------------------------------------------------------------------
@@ -532,11 +536,22 @@ def _solve_dense_qp(H, c, A_i, b_i, A_e, b_e, tol=1e-10, max_iter=100):
     return d, z, y
 
 
+def convexified_lagrangian_hessian(kkt: KKTSystem, c_i, J_i, c_e, J_e):
+    """The objective Hessian plus sum_i psd_part(c_i (Q_i - P_i)) over the
+    inequality and equality rows, as a CSR matrix: the convexified
+    assembly of ``kkt`` with Sigma = 0, so that A_I^T Sigma A_I adds
+    nothing. ``J_i``, ``J_e`` are Jacobian values as KKTSystem.assemble
+    takes them; they do not enter K."""
+    kkt.assemble(c_i, np.zeros(c_i.size), J_i, c_e, J_e, exact=False)
+    return kkt.hessian()
+
+
 def solve_sqp_dense(p: NlpProblem, opts: SolverOptions = None) -> SolveResult:
     """Line-search SQP with convexified-Hessian QP subproblems, all dense."""
     opts = opts or SolverOptions()
     n = p.n
     obj, ineq, eq = _compiled_parts(p)
+    kkt = KKTSystem(p)
     x = p.x0.copy()
     z = np.zeros(p.n_ineq)
     y = np.zeros(p.n_eq)
@@ -553,10 +568,11 @@ def solve_sqp_dense(p: NlpProblem, opts: SolverOptions = None) -> SolveResult:
             stats.append(IterationStat(it, kkt_norm, 0.0, 0.0,
                                        (time.perf_counter() - t0) * 1e3, "convexified"))
             break
-        H = convexified_lagrangian_hessian(p, (-2.0 * z, -2.0 * y)).toarray()
+        J_i, J_e = ineq.jacobian(x), eq.jacobian(x)
+        H = convexified_lagrangian_hessian(kkt, -2.0 * z, J_i, -2.0 * y, J_e).toarray()
         H = H + REG_FLOOR * np.eye(n)
         c = obj.gradient(x)
-        A_i, A_e = (fn.to_csr(fn.jacobian(x)).toarray() for fn in (ineq, eq))
+        A_i, A_e = ineq.to_csr(J_i).toarray(), eq.to_csr(J_e).toarray()
         # the subproblem must be solved a couple of orders tighter than the
         # outer tolerance or its dual noise caps the achievable accuracy
         qp_tol = min(1e-10, 1e-2 * opts.kkt_tol)
@@ -602,7 +618,7 @@ def solve_sqp_dense(p: NlpProblem, opts: SolverOptions = None) -> SolveResult:
                           "convexified")
         )
     res = kkt_residual(p, x, z, y)
-    f = _objective(p, x)
+    f = obj.value(x)
     if not np.isfinite([f, *res]).all():
         status = "NumericFailure"
     elif max(res) <= opts.kkt_tol:

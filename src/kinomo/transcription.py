@@ -26,8 +26,9 @@ with per-step variable blocks plus the "arrow" block of frozen
 phase-boundary variables. A compiled form sharing the functions' Q/P
 arrays is attached lazily for the solver; its patterns carry the block
 structure (a row's step blocks are the var_block labels of its columns),
-and evaluating constraints, Jacobians and convexified Lagrangian Hessians
-is linear-time in the horizon.
+and evaluating constraints and Jacobians is linear-time in the horizon;
+solver.KKTSystem assembles the Lagrangian curvature from the stored Q and
+P entries.
 """
 
 from __future__ import annotations
@@ -193,8 +194,9 @@ class CompiledVectorFunction:
     tests). Both products sum each output entry in ascending row order,
     as scipy's CSR and CSC products do, so they equal to_csr(J) @ v and
     to_csr(J).T @ y to the last bit. The function's Q and P entry arrays
-    are shared as they are; hessian_combo assembles
-    sum_i psd_part(c_i (Q_i - P_i)) from them without ever merging Q - P.
+    are shared as they are, and Q - P is never merged: curvature_entries
+    hands them to solver.KKTSystem, the one place that assembles the
+    Lagrangian curvature.
     """
 
     def __init__(self, fn):
@@ -261,39 +263,19 @@ class CompiledVectorFunction:
 
     def curvature_entries(self):
         """The stored Q and P entries, each as (row, i, j, value) arrays
-        with i >= j and value != 0: the fixed data that hessian_combo
+        with i >= j and value != 0: the fixed data that solver.KKTSystem
         scales by the row coefficients."""
         return self._curv
-
-    def hessian_combo(self, coeffs, convexify=True):
-        """sum_i c_i * (Q_i - P_i), convexified to its PSD part per row:
-        c >= 0 keeps c*Q, c < 0 keeps |c|*P."""
-        coeffs = np.asarray(coeffs, dtype=float)
-        if coeffs.shape != (self.m,):
-            raise qpm.DimensionMismatch(f"expected {self.m} coefficients")
-        if convexify:
-            cq, cp = np.maximum(coeffs, 0.0), np.maximum(-coeffs, 0.0)
-        else:
-            cq, cp = coeffs, -coeffs
-        (qr, qi, qj, qv), (pr, pi, pj, pv) = self._curv
-        i, j = np.concatenate([qi, pi]), np.concatenate([qj, pj])
-        v = np.concatenate([cq[qr] * qv, cp[pr] * pv])
-        off = i != j  # the lower triangle, mirrored
-        return sp.coo_matrix(
-            (
-                np.concatenate([v, v[off]]),
-                (np.concatenate([i, j[off]]), np.concatenate([j, i[off]])),
-            ),
-            shape=(self.n, self.n),
-        ).tocsr()
 
 
 class CompiledObjective:
     """The tracking objective J(x) = sum_k w_k (r_k(x) - y_k)^2 over the
-    stacked affine map r(x) = A x + a, compiled to 0.5 x'Hx + q'x + c with
-    H = 2 A'WA, q = 2 A'W(a - y) and c = (a - y)'W(a - y). A and W are
-    fixed by the schedule and the weights; the references y enter q and c
-    only, and ``retarget`` recomputes just those two."""
+    stacked affine map r(x) = A x + a. value(x) evaluates it as that sum
+    of squares, which stays exact near exact tracking, where the expanded
+    quadratic 0.5 x'Hx + q'x + c cancels. Its derivatives are those of the
+    quadratic: H = 2 A'WA and q = 2 A'W(a - y). A and W are fixed by the
+    schedule and the weights; the references y enter q only, and
+    ``retarget`` recomputes the targets and q."""
 
     def __init__(self, objective):
         fn, y, w = objective
@@ -305,15 +287,14 @@ class CompiledObjective:
         self.retarget(y)
 
     def retarget(self, y):
-        """Track the targets y: q and c of the new targets, H kept."""
-        e = self._map.b - y
-        self.q = 2.0 * (self._map.A.T @ (self._w * e))
-        self.c = float(e @ (self._w * e))
+        """Track the targets y: y and q of the new targets, H kept."""
+        self.y = y
+        self.q = 2.0 * (self._map.A.T @ (self._w * (self._map.b - y)))
 
-    def value(self, x, grad=None):
-        """J(x); given grad = gradient(x), J = c + 0.5 x'(grad + q)."""
-        g = self.H @ x + self.q if grad is None else grad
-        return float(self.c + 0.5 * x @ (g + self.q))
+    def value(self, x):
+        """J(x) as the sum of squares: e = r(x) - y, then w'(e e)."""
+        e = (self._map.A @ x + self._map.b) - self.y
+        return float(self._w @ (e * e))
 
     def gradient(self, x):
         return self.H @ x + self.q
@@ -361,7 +342,7 @@ class NlpProblem:
     def retarget(self, h_ref, force_ref):
         """Track the references h_ref and force_ref on the same schedule,
         in place, as a fresh build at them would: the scenario takes them,
-        and the objective's targets y and its compiled q and c follow.
+        and the objective's targets y and its compiled y and q follow.
         Nothing else a builder makes reads the references, so the
         constraints, their compiled forms and x0 stay."""
         self.scenario = replace(self.scenario, h_ref=h_ref, force_ref=force_ref)
@@ -386,18 +367,6 @@ class NlpProblem:
         if "eq" not in self._compiled:
             self._compiled["eq"] = CompiledVectorFunction(self.eq)
         return self._compiled["eq"]
-
-
-def convexified_lagrangian_hessian(p: NlpProblem, duals):
-    """Objective Hessian plus sum_i psd_part(dual_i (Q_i - P_i)).
-
-    ``duals`` is (ineq_coeffs, eq_coeffs); a coefficient c >= 0
-    contributes c*Q_i, c < 0 contributes |c|*P_i. The caller maps its
-    Lagrangian sign convention onto these curvature coefficients.
-    """
-    c_ineq, c_eq = duals
-    H = p.compiled_objective().H + p.compiled_ineq().hessian_combo(c_ineq)
-    return H + p.compiled_eq().hessian_combo(c_eq)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,8 @@ OWNERS = (
 EXPECTED_SPANS = {
     "planner.plan", "kinematics.subproblem", "kinematics.jacobian",
     "linalg.blocktridiag", "linalg.blocktridiag_solve", "transcription.build",
-    "transcription.compile", "transcription.eval", "solver.solve", "linalg.backsolve",
+    "transcription.compile", "transcription.eval", "transcription.hessian", "solver.solve",
+    "linalg.backsolve",
 }
 
 
@@ -44,6 +45,10 @@ def test_patched_names_exist_and_are_restored():
         state = pl.initialize_references(scn)
         p = trn.build_sequential(scn.momentum_scenario(state.h_bar, state.lambda_bar))
         assert kinomo.solver.solve(p, scn.solver).converged
+        # the dense SQP is the one caller of the wrapped
+        # convexified_lagrangian_hessian, the transcription.hessian span
+        sqp = kinomo.solver.SolverOptions(backend="sqp_dense")
+        assert kinomo.solver.solve(p, sqp).converged
         pl.plan(make_standing_scenario(T=6), pl.PlanOptions(max_outer=1))
     names = {span[1] for span in tracer.spans}
     assert EXPECTED_SPANS <= names, EXPECTED_SPANS - names

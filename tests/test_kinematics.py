@@ -351,6 +351,34 @@ class TestSubproblem:
         quad += 2 * sum(d[b + 1] @ off[b] @ d[b] for b in range(T - 1))
         assert quad == pytest.approx(np.sum(Jd ** 2), rel=1e-6)
 
+    @pytest.mark.parametrize("T", [1, 4])
+    def test_gauss_newton_matrix_at_least_posture(self, T):
+        # every step's own Jacobian holds the rows sqrt(posture) I, so the
+        # Gauss-Newton matrix is at least posture I and its Cholesky needs
+        # no damping
+        rng = np.random.default_rng(T)
+        n, delta, w = MODEL.dof, 0.1, KINEMATIC_WEIGHTS
+        refs = standing_refs(T)
+        refs.effector_ref["r_foot"][1:] += np.array([0.06, 0.0, 0.0])
+        q = Q_STAND + rng.normal(size=(T + 1, n)) * 0.3
+        r, kin = kinematics._residuals(MODEL, q, delta, refs, w)
+        _, diag, off = kinematics._normal_equations(
+            r, *kinematics._jacobians(MODEL, q, *kin, delta, refs, w)
+        )
+        G = np.zeros((T * n, T * n))
+        for b in range(T):
+            G[b * n:(b + 1) * n, b * n:(b + 1) * n] = diag[b]
+        for b in range(T - 1):
+            G[(b + 1) * n:(b + 2) * n, b * n:(b + 1) * n] = off[b]
+            G[b * n:(b + 1) * n, (b + 1) * n:(b + 2) * n] = off[b].T
+        lam = np.linalg.eigvalsh(G)
+        assert lam[0] >= w.posture - 1e-12 * np.abs(lam).max()
+
+    @pytest.mark.parametrize("bad", [{"posture": 0.0}, {"posture": -0.01}, {"effector": -1.0}])
+    def test_weights_rejected(self, bad):
+        with pytest.raises(ValueError):
+            KinematicWeights(**bad)
+
     @pytest.mark.parametrize("T", [1, 2, 3, 21])
     def test_normal_equations_match_scatter_reference(self, T):
         # the slice adds sum each block's terms in the order np.add.at

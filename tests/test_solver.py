@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from test_transcription import biped_scenario, foot_surface, stepping_scenario
+from test_transcription import biped_scenario, dense_curvature, foot_surface, stepping_scenario
 
 from kinomo import qpm, solver, transcription
 from kinomo.contact import (
@@ -36,7 +36,6 @@ from kinomo.transcription import (
     TrackingWeights,
     build_sequential,
     build_simultaneous,
-    convexified_lagrangian_hessian,
     extract,
 )
 
@@ -243,6 +242,20 @@ class TestObjective:
         assert res.objective >= 0.0
         assert res.objective == pytest.approx(direct, rel=1e-12, abs=0.0)
 
+    @pytest.mark.parametrize("name", ["stand", "step_stones"])
+    def test_line_search_reads_the_reported_objective(self, name):
+        # the compiled value is the one the line search reads; it must be
+        # the reported sum of squares, not an expansion that cancels near
+        # exact tracking (it read -6.05e-9 against 1.85e-14 on stand.json)
+        scn = load_scenario(f"scenarios/{name}.json")
+        state = initialize_references(scn)
+        p = build_sequential(scn.momentum_scenario(state.h_bar, state.lambda_bar))
+        res = solve(p, scn.solver)
+        assert res.converged
+        f = p.compiled_objective().value(res.x)
+        assert f >= 0.0
+        assert np.float64(f).tobytes() == np.float64(res.objective).tobytes()
+
 
 class TestLineSearch:
     def test_each_trial_point_evaluated_once(self, monkeypatch):
@@ -369,31 +382,6 @@ class TestDiagnostics:
         assert res.stats[-1].kkt <= 1e-6
 
 
-def _unpacked(band, blocks):
-    """The matrix held in a linalg.BandStorage, as a dense array in the
-    problem's own variable order."""
-    N = band.order.size
-    D = np.zeros((N, N))
-    if band.n_arrow is None:
-        (ab,) = blocks
-        mid = 2 * band.bw
-        for d in range(-band.bw, band.bw + 1):  # d = i - j
-            j = np.arange(max(0, -d), min(N, N - d))
-            D[j + d, j] = ab[mid + d, j]
-    else:
-        ab, W, C = blocks
-        nb = ab.shape[1]
-        for d in range(ab.shape[0]):
-            j = np.arange(nb - d)
-            D[j + d, j] = D[j, j + d] = ab[d, j]
-        D[:nb, nb:] = W
-        D[nb:, :nb] = W.T
-        D[nb:, nb:] = C
-    out = np.empty_like(D)
-    out[np.ix_(band.order, band.order)] = D
-    return out
-
-
 def flight_and_hand_scenario(T=8):
     """Two feet, a hand added at step 2, every contact off at step 4,
     both feet down again from step 5."""
@@ -411,8 +399,9 @@ def flight_and_hand_scenario(T=8):
 
 def _check_against_oracle(p, exact):
     """Assemble p's KKTSystem twice at random points and check the matrix
-    it packs, its curvature and its factorization against the sparse
-    assembly and a dense solve. Returns the KKTSystem."""
+    it reads out, its curvature and its factorization against a dense
+    assembly from qpm.hessian_parts and a dense solve. Returns the
+    KKTSystem."""
     ineq, eq = p.compiled_ineq(), p.compiled_eq()
     kkt = KKTSystem(p)
     rng = np.random.default_rng(7)
@@ -423,26 +412,22 @@ def _check_against_oracle(p, exact):
         y = rng.normal(size=p.n_eq)
         J_i, J_e = ineq.jacobian(x), eq.jacobian(x)
         kkt.assemble(-2.0 * z, sigma, J_i, -2.0 * y, J_e, exact=exact)
-    A_i, A_e = ineq.to_csr(J_i), eq.to_csr(J_e)
-    if exact:
-        K = p.compiled_objective().H + ineq.hessian_combo(-2.0 * z, convexify=False)
-        K = K + eq.hessian_combo(-2.0 * y, convexify=False)
-    else:
-        K = convexified_lagrangian_hessian(p, (-2.0 * z, -2.0 * y))
-    K = K + A_i.T @ sp.diags(sigma) @ A_i
+    A_i, A_e = ineq.to_csr(J_i).toarray(), eq.to_csr(J_e).toarray()
+    K = p.compiled_objective().H.toarray()
+    for fn, c in ((p.ineq, -2.0 * z), (p.eq, -2.0 * y)):
+        K = K + dense_curvature(fn, c, convexify=not exact)
+    K = K + A_i.T @ (sigma[:, None] * A_i)
     dx = rng.normal(size=p.n)
     dKd = dx @ (K @ dx)
-    assert abs(kkt.curvature(dx) - dKd) <= 1e-12 * abs(K).max() * (dx @ dx)
+    assert abs(kkt.curvature(dx) - dKd) <= 1e-12 * np.abs(K).max() * (dx @ dx)
+    assert np.abs(kkt.hessian().toarray() - K).max() <= 1e-12 * np.abs(K).max()
     if p.n_eq:
-        K = sp.bmat([[K, A_e.T], [A_e, -KKTSystem.gamma * sp.eye(p.n_eq)]])
-    K = K.toarray()
+        K = np.block([[K, A_e.T], [A_e, -KKTSystem.gamma * np.eye(p.n_eq)]])
     shift = np.zeros(K.shape[0])
     shift[: p.n] = 1.0
     rhs = rng.normal(size=K.shape[0])
     for delta in (1e-4, 1e-2):  # the second as after a rejected factorization
         Kd = K + np.diag(delta * shift)
-        packed = _unpacked(kkt.band, kkt.pack(delta))
-        assert np.abs(packed - Kd).max() <= 1e-12 * np.abs(Kd).max()
         ref = np.linalg.solve(Kd, rhs)
         sol = kkt.factor(delta).solve(rhs)
         assert np.linalg.norm(sol - ref) <= 1e-8 * np.linalg.norm(ref)

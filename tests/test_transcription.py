@@ -11,12 +11,11 @@ from kinomo.contact import ContactPhase, ContactSurface, ContactWrenchCop, com_t
 from kinomo.dynamics import MomentumState, RobotConstants
 from kinomo.planner import initialize_references
 from kinomo.scenario import load_scenario, make_stepping_scenario
-from kinomo.solver import KKTSystem, solve
+from kinomo.solver import KKTSystem, convexified_lagrangian_hessian, solve
 from kinomo.transcription import (
     MomentumScenario,
     build_sequential,
     build_simultaneous,
-    convexified_lagrangian_hessian,
     extract,
 )
 
@@ -567,18 +566,46 @@ class TestRetarget:
         assert p.scenario.h_ref.tobytes() == h_ref.tobytes()
         assert p.objective[1].tobytes() == fresh.objective[1].tobytes()
         got, want = p.compiled_objective(), fresh.compiled_objective()
+        assert got.y.tobytes() == want.y.tobytes()
         assert got.q.tobytes() == want.q.tobytes()
-        assert got.c == want.c
+        x = rng.normal(size=p.n)
+        assert got.value(x) == want.value(x)
         for attr in ("indptr", "indices", "data"):
             assert getattr(got.H, attr).tobytes() == getattr(want.H, attr).tobytes()
         assert solve(p).x.tobytes() == solve(fresh).x.tobytes()
 
 
+def dense_curvature(fn, c, convexify):
+    """sum_k c_k (Q_k - P_k) over the rows of the QpmFunction fn, from the
+    dense Q_k and P_k of qpm.hessian_parts; convexified, each row keeps its
+    PSD part: c_k Q_k for c_k >= 0 and |c_k| P_k for c_k < 0."""
+    ref = np.zeros((fn.input_dim, fn.input_dim))
+    for k in range(fn.output_dim):
+        Q, P = qpm.hessian_parts(fn, k)
+        if convexify:
+            ref += max(c[k], 0.0) * Q + max(-c[k], 0.0) * P
+        else:
+            ref += c[k] * (Q - P)
+    return ref
+
+
+def lagrangian_hessian(p, c_i, c_e, convexify=True):
+    """KKTSystem's curvature assembly of p with Sigma = 0, as a dense matrix:
+    convexified through convexified_lagrangian_hessian, the dense SQP's
+    path, or exact."""
+    kkt = KKTSystem(p)
+    J_i, J_e = p.compiled_ineq().jacobian(p.x0), p.compiled_eq().jacobian(p.x0)
+    if convexify:
+        return convexified_lagrangian_hessian(kkt, c_i, J_i, c_e, J_e).toarray()
+    kkt.assemble(c_i, np.zeros(c_i.size), J_i, c_e, J_e, exact=True)
+    return kkt.hessian().toarray()
+
+
 class TestConvexifiedHessian:
     def test_zero_duals(self):
         p = build_sequential(biped_scenario(4))
-        H = convexified_lagrangian_hessian(p, (np.zeros(p.n_ineq), np.zeros(0)))
-        assert np.allclose(H.toarray(), p.compiled_objective().H.toarray())
+        H = lagrangian_hessian(p, np.zeros(p.n_ineq), np.zeros(0))
+        assert np.allclose(H, p.compiled_objective().H.toarray())
 
     def test_single_positive_dual_keeps_q_part(self):
         p = build_sequential(biped_scenario(4))
@@ -587,49 +614,41 @@ class TestConvexifiedHessian:
         k = next(k for k, (t, i, fam) in enumerate(p.ineq_meta) if fam == "cop" and t >= 2)
         c = np.zeros(p.n_ineq)
         c[k] = 1.0
-        H = convexified_lagrangian_hessian(p, (c, np.zeros(0)))
+        H = lagrangian_hessian(p, c, np.zeros(0))
         Q, _ = qpm.hessian_parts(p.ineq, k)
         assert Q.any()
-        assert np.allclose(
-            (H - p.compiled_objective().H).toarray(), Q, atol=1e-12
-        )
+        assert np.allclose(H - p.compiled_objective().H.toarray(), Q, atol=1e-12)
 
     def test_random_duals_psd_and_dominant(self):
         rng = np.random.default_rng(9)
         p = build_sequential(biped_scenario(4))
-        comp = p.compiled_ineq()
+        H_obj = p.compiled_objective().H.toarray()
         for _ in range(5):
             c = rng.normal(size=p.n_ineq)
-            Ht = convexified_lagrangian_hessian(p, (c, np.zeros(0)))
-            gap = (Ht - p.compiled_objective().H) - comp.hessian_combo(c, convexify=False)
-            lam = np.linalg.eigvalsh((Ht - p.compiled_objective().H).toarray())
+            Ht = lagrangian_hessian(p, c, np.zeros(0))
+            gap = (Ht - H_obj) - dense_curvature(p.ineq, c, convexify=False)
+            lam = np.linalg.eigvalsh(Ht - H_obj)
             assert lam[0] >= -1e-9
             for _ in range(10):
                 z = rng.normal(size=p.n)
                 assert z @ (gap @ z) >= -1e-9 * (z @ z)
 
-
     @pytest.mark.parametrize("convexify", [True, False])
     def test_combo_matches_symbolic_parts(self, convexify):
-        """hessian_combo against the dense Q_i and P_i of qpm.hessian_parts,
-        summed row by row."""
+        """KKTSystem's curvature, less the objective Hessian, against the
+        dense Q_i and P_i of qpm.hessian_parts, summed row by row."""
         rng = np.random.default_rng(11)
         for build in (build_sequential, build_simultaneous):
             p = build(stepping_scenario())
+            c_i, c_e = np.zeros(p.n_ineq), np.zeros(p.n_eq)
             if build is build_sequential:
-                comp, fn = p.compiled_ineq(), p.ineq
+                c, fn = c_i, p.ineq
             else:
-                comp, fn = p.compiled_eq(), p.eq
-            c = rng.normal(size=comp.m)
-            ref = np.zeros((p.n, p.n))
-            for k in range(fn.output_dim):
-                Q, P = qpm.hessian_parts(fn, k)
-                if convexify:
-                    ref += max(c[k], 0.0) * Q + max(-c[k], 0.0) * P
-                else:
-                    ref += c[k] * (Q - P)
+                c, fn = c_e, p.eq
+            c[:] = rng.normal(size=c.size)
+            ref = dense_curvature(fn, c, convexify)
             assert np.abs(ref).max() > 0
-            H = comp.hessian_combo(c, convexify=convexify).toarray()
+            H = lagrangian_hessian(p, c_i, c_e, convexify) - p.compiled_objective().H.toarray()
             assert np.allclose(H, ref, rtol=0, atol=1e-12)
 
 
