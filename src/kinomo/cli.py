@@ -128,8 +128,9 @@ def cmd_momentum(args):
     )
     _write_csv(
         base + "_iterations.csv",
-        ["iter", "kkt", "mu", "alpha", "time_ms", "hessian"],
-        [[st.iter, st.kkt, st.mu, st.alpha, st.time_ms, st.hessian] for st in res.stats],
+        ["iter", "kkt", "mu", "alpha", "alpha_dual", "time_ms", "hessian"],
+        [[st.iter, st.kkt, st.mu, st.alpha, st.alpha_dual, st.time_ms, st.hessian]
+         for st in res.stats],
     )
     return _STATUS_EXIT[res.status]
 

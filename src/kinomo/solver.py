@@ -46,9 +46,24 @@ a convexified step does not converge reliably: on step_stones rescaled
 to T=400 (sequential form) such a per-iteration fallback stalls at the
 iteration limit. Nor can the exact Hessian alone, regularized by a delta
 raised tenfold from REG_FLOOR until K + delta I factorizes, replace the
-fallback: on the same instance it ends at MaxIter after 800 iterations
+fallback: on the same instance it ended at MaxIter after 800 iterations
 (KKT 2.0e-6; 1.1e-5 when each delta restarts at a third of the last one,
-as in IPOPT), where the one-way fallback converges in 292.
+as in IPOPT), where the one-way fallback converged in 173 (both
+measured with one step length for x, s, z and y); with the step lengths
+below it converges in 127.
+
+The primal variables (x, s) and the duals (z, y) move by separate step
+lengths (Nocedal and Wright, Numerical Optimization, 2nd ed., eq. 19.9):
+the fraction-to-boundary rule gives alpha from s alone and alpha_z from
+z alone, the line search backtracks alpha only, and every trial point
+takes z + alpha_z dz and y + alpha_z dy. At a cold start z = mu / s
+allows the duals only a small step (alpha_z = 0.007 on step_stones),
+which with one length for all four would hold x back as well: the
+shipped step_stones solve takes 17 (sequential) and 19 (simultaneous)
+iterations, against 35 and 31. The equality duals y follow alpha_z;
+IPOPT moves them by alpha, which here switched 8 of the 16 instances of
+the benchmark's step-sim pool to the convexified Hessian (430 to 543
+iterations).
 
 A dense line-search SQP with the convexified Hessian serves as the
 baseline solver for cross-checking on small instances. It reads that
@@ -115,7 +130,8 @@ class IterationStat:
     iter: int
     kkt: float
     mu: float
-    alpha: float
+    alpha: float  # primal step length: x and s
+    alpha_dual: float  # dual step length: z and y
     time_ms: float
     hessian: str  # "exact" | "convexified": the Hessian of this iteration's step
 
@@ -357,8 +373,12 @@ def solve_ipm(
 ) -> SolveResult:
     """Structure-exploiting primal-dual interior-point method.
 
-    The step is globalized by one backtracking line search from the
-    fraction-to-boundary step length. A trial point is accepted when it
+    x and s move by the primal step length alpha, z and y by the dual
+    one alpha_z (Nocedal and Wright, eq. 19.9; module docstring). Each is
+    first the fraction-to-boundary length of s and of z respectively.
+    The step is globalized by one backtracking line search on alpha
+    alone; every trial point takes the duals at alpha_z, and
+    IterationStat records both. A trial point is accepted when it
     meets Armijo on the barrier l1 merit function or shrinks the 2-norm of
     the barrier-perturbed KKT residual: the filter idea of Waechter and
     Biegler (Math. Prog. 106, 2006) with the current iterate as the only
@@ -409,7 +429,7 @@ def solve_ipm(
         kkt_norm = max(res)
         if kkt_norm <= opts.kkt_tol:
             status = "Converged"
-            stats.append(IterationStat(it, kkt_norm, mu, 0.0,
+            stats.append(IterationStat(it, kkt_norm, mu, 0.0, 0.0,
                                        (time.perf_counter() - it_t0) * 1e3, hessian))
             break
         if it == opts.max_iter:
@@ -453,17 +473,18 @@ def solve_ipm(
         dx, dy = sol[:n], -sol[n:]
         ds = ineq.matvec(J_i, dx) + r_i
         dz = mu / s - z - sigma * ds
-        alpha_max = min(_fraction_to_boundary(s, ds), _fraction_to_boundary(z, dz))
 
         nu = 1.0 + 2.0 * max(np.abs(z).max(initial=0.0), np.abs(y).max(initial=0.0))
         phi0 = _barrier_merit(f, s, g_i, g_e, mu, nu)
         dphi = float(grad @ dx) - mu * float((ds / s).sum())
         dphi -= nu * float(np.abs(r_i).sum() + np.abs(g_e).sum())
         theta0 = _perturbed_residual(r_d, s, z, g_i, g_e, mu)
-        alpha = alpha_max
+        # x and s move by alpha, which the line search backtracks; z and y
+        # by alpha_z (module docstring)
+        alpha, alpha_z = _fraction_to_boundary(s, ds), _fraction_to_boundary(z, dz)
+        z_t, y_t = np.maximum(z + alpha_z * dz, 1e-16), y + alpha_z * dy
         for _ in range(40):
             x_t, s_t = x + alpha * dx, s + alpha * ds
-            z_t, y_t = np.maximum(z + alpha * dz, 1e-16), y + alpha * dy
             ev = _evaluate(obj, ineq, eq, x_t, z_t, y_t)
             f_t, _, r_dt, g_it, _, g_et, _ = ev
             if (
@@ -475,9 +496,10 @@ def solve_ipm(
                 break
             alpha *= 0.5
         else:
-            alpha = 0.0
+            alpha = alpha_z = 0.0
         stats.append(
-            IterationStat(it, kkt_norm, mu, alpha, (time.perf_counter() - it_t0) * 1e3, hessian)
+            IterationStat(it, kkt_norm, mu, alpha, alpha_z, (time.perf_counter() - it_t0) * 1e3,
+                          hessian)
         )
         if not alpha:  # no trial point reduced either measure
             status = "Infeasible" if res[1] > 1e-4 else "MaxIter"
@@ -565,7 +587,7 @@ def solve_sqp_dense(p: NlpProblem, opts: SolverOptions = None) -> SolveResult:
         kkt_norm = max(res)
         if kkt_norm <= opts.kkt_tol:
             status = "Converged"
-            stats.append(IterationStat(it, kkt_norm, 0.0, 0.0,
+            stats.append(IterationStat(it, kkt_norm, 0.0, 0.0, 0.0,
                                        (time.perf_counter() - t0) * 1e3, "convexified"))
             break
         J_i, J_e = ineq.jacobian(x), eq.jacobian(x)
@@ -606,7 +628,7 @@ def solve_sqp_dense(p: NlpProblem, opts: SolverOptions = None) -> SolveResult:
                 z = z_qp.copy()
                 y = y_qp.copy()
                 stats.append(
-                    IterationStat(it, kkt_norm, 0.0, 1.0, (time.perf_counter() - t0) * 1e3,
+                    IterationStat(it, kkt_norm, 0.0, 1.0, 1.0, (time.perf_counter() - t0) * 1e3,
                                   "convexified")
                 )
                 continue
@@ -614,7 +636,7 @@ def solve_sqp_dense(p: NlpProblem, opts: SolverOptions = None) -> SolveResult:
         z = z + alpha * (z_qp - z)
         y = y + alpha * (y_qp - y)
         stats.append(
-            IterationStat(it, kkt_norm, 0.0, alpha, (time.perf_counter() - t0) * 1e3,
+            IterationStat(it, kkt_norm, 0.0, alpha, alpha, (time.perf_counter() - t0) * 1e3,
                           "convexified")
         )
     res = kkt_residual(p, x, z, y)

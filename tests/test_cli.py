@@ -86,10 +86,10 @@ class TestMomentum:
     def test_iteration_stats_written(self, stand_path, tmp_path):
         cli.main(["momentum", stand_path, "--out-dir", str(tmp_path)])
         header, cols, rows = read_csv(tmp_path / "stand_iterations.csv")
-        assert cols == ["iter", "kkt", "mu", "alpha", "time_ms", "hessian"]
+        assert cols == ["iter", "kkt", "mu", "alpha", "alpha_dual", "time_ms", "hessian"]
         kkts = [float(r[1]) for r in rows]
         assert kkts[-1] <= 1e-6
-        assert {r[5] for r in rows} <= {"exact", "convexified"}
+        assert {r[6] for r in rows} <= {"exact", "convexified"}
 
     @pytest.mark.parametrize("backend", ["ipm", "sqp"])
     def test_summary_counts_fallbacks(self, stand_path, tmp_path, capsys, backend):

@@ -169,7 +169,7 @@ class TestIpm:
         assert res.kkt[1] <= 1e-6
 
     @pytest.mark.parametrize(
-        "build, max_iter", [(build_simultaneous, 1), (build_sequential, 10)]
+        "build, max_iter", [(build_simultaneous, 1), (build_sequential, 3)]
     )
     def test_budget_exhausted_is_max_iter(self, build, max_iter):
         # far from feasible when the budget runs out, but not stalled
@@ -199,8 +199,9 @@ class TestHessianMode:
         assert len(res.stats) <= 60
 
     def test_rejected_exact_matrix_falls_back_for_good(self):
-        # the exact sequential K fails the Cholesky late in this solve
-        res = solve_ipm(_step_stones_problem(build_sequential, T=200))
+        # the exact sequential K fails the Cholesky late in this solve, at
+        # iteration 15 of 24
+        res = solve_ipm(_step_stones_problem(build_sequential, T=215))
         assert res.converged
         modes = [st.hessian for st in res.stats]
         k = modes.index("convexified")
@@ -212,6 +213,30 @@ class TestHessianMode:
         res = solve_ipm(build_simultaneous(biped_scenario(6)))
         assert res.converged
         assert {st.hessian for st in res.stats} == {"convexified"}
+
+
+class TestStepLengths:
+    @pytest.mark.parametrize("build", [build_sequential, build_simultaneous])
+    def test_step_stones_cold_iterations(self, build):
+        # x, s and z, y move by separate step lengths: 17 (seq) and 19
+        # (sim) iterations, against 35 and 31 with one length for all four
+        res = solve_ipm(_step_stones_problem(build))
+        assert res.converged
+        assert len(res.stats) <= 22
+        assert {st.hessian for st in res.stats} == {"exact"}
+
+    @pytest.mark.parametrize("build", [build_sequential, build_simultaneous])
+    def test_dual_boundary_does_not_throttle_the_primal_step(self, build):
+        # at the cold start the duals' fraction-to-boundary rule allows
+        # 0.0076 (seq) and 0.0075 (sim); the primal step is still full
+        p = _step_stones_problem(build, T=30)
+        res = solve_ipm(p, SolverOptions(max_iter=1))
+        st = res.stats[0]
+        assert st.alpha == 1.0
+        assert 0.0 < st.alpha_dual < 0.01
+        # z moved by alpha_dual keeps the fraction-to-boundary margin
+        z0 = 1.0 / np.maximum(p.compiled_ineq().value(p.x0), 1.0)
+        assert np.all(res.z >= (1.0 - solver.FRACTION_TO_BOUNDARY) * z0 * (1.0 - 1e-12))
 
 
 class TestNonFinite:
@@ -291,7 +316,7 @@ class TestLineSearch:
             monkeypatch.setattr(cls, "__init__", counted)
         p = build(stepping_scenario())
         counts = []
-        for k in (4, 12):
+        for k in (3, 9):
             kkt = KKTSystem(p)
             built.clear()
             res = solve_ipm(p, SolverOptions(max_iter=k), kkt=kkt)
