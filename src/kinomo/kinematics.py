@@ -277,14 +277,10 @@ def point_jacobian(model, q, link_index, local_offset, fk=None):
     R, p, _, _ = fk
     a_w = _joint_axes(model, R)
     J = np.zeros(p.shape[:-2] + (3, model.dof))
-    i = link_index
-    while i >= 0:
-        ln = model.links[i]
-        if ln.kind == "revolute":
-            J[..., :, i] = _cross(a_w[..., i, :], x - p[..., i, :])
-        else:
-            J[..., :, i] = a_w[..., i, :]
-        i = ln.parent
+    k = np.flatnonzero(model.support[link_index])  # the joints that move the link
+    a = a_w[..., k, :]
+    cols = np.where(model.revolute[k, None], _cross(a, x[..., None, :] - p[..., k, :]), a)
+    J[..., :, k] = np.swapaxes(cols, -1, -2)
     return J
 
 

@@ -4,8 +4,8 @@ Both run in time linear in the matrix dimension for a fixed bandwidth,
 which is what keeps the per-iteration cost of the trajectory solvers
 linear in the horizon length. BandStorage is the one place that knows the
 LAPACK band layouts: it maps a symmetric sparsity pattern onto them once,
-packs values and hands the storage to the banded factorization of its
-layout. Every banded system goes through it: the IPM's Newton matrix,
+then packs values and hands the storage to the banded factorization of
+its layout. Every banded system goes through it: the IPM's Newton matrix,
 factorize_banded_arrow's sparse input and BlockTridiagCholesky's blocks.
 """
 
@@ -62,23 +62,24 @@ class BandStorage:
 
     ``row`` and ``col`` list the pattern, each entry of one triangle once
     (the diagonal included); ``order`` is the permutation that makes the
-    matrix banded: storage position k holds index ``order[k]``. With
-    ``n_arrow`` given, the last ``n_arrow`` positions are a dense arrow,
-    and the storage is (ab, W, C): the band block in LAPACK lower band
-    storage, the band-arrow coupling W and the arrow block C, stored in
-    full. With ``n_arrow`` None, it is (ab,), the whole matrix in LAPACK
-    general band storage with ``kl = ku = bw``, both triangles stored.
+    matrix banded: storage position k holds index ``order[k]``, and index i
+    is at position ``inverse[i]``. With ``n_arrow`` given, the last
+    ``n_arrow`` positions are a dense arrow, and the storage is (ab, W, C):
+    the band block in LAPACK lower band storage, the band-arrow coupling W
+    and the arrow block C, stored in full. With ``n_arrow`` None, it is
+    (ab,), the whole matrix in LAPACK general band storage with
+    ``kl = ku = bw``, both triangles stored.
 
     The constructor computes every entry's place, and its mirror place
     where the layout stores both, and allocates one Fortran-ordered buffer.
-    ``pack`` writes values into it; ``factor`` factorizes it in place.
+    ``factor`` writes values into it and factorizes it in place.
     """
 
     def __init__(self, row, col, order, n_arrow=None):
         self.order = np.asarray(order, dtype=np.intp)
         self.n_arrow = n_arrow
         N = self.order.size
-        pos = np.empty(N, dtype=np.intp)
+        self.inverse = pos = np.empty(N, dtype=np.intp)
         pos[self.order] = np.arange(N)
         hi = np.maximum(pos[row], pos[col])
         lo = np.minimum(pos[row], pos[col])
@@ -112,22 +113,17 @@ class BandStorage:
             self.blocks.append(self._flat[start : start + r * c].reshape((r, c), order="F"))
             start += r * c
 
-    def pack(self, values, shift=0.0, at=None):
-        """Write ``values``, one per pattern entry, into the storage, with
-        ``shift`` added to the entries ``at``, and return its blocks."""
+    def factor(self, values, shift=0.0, at=None):
+        """Write ``values``, one per pattern entry, with ``shift`` added to
+        the entries ``at``, and factorize the storage in place; the factor
+        lives there until the next call. Raises NotPositiveDefinite."""
         self._flat.fill(0.0)
         self._flat[self._dst] = values[self._src]
         if at is not None:
             self._flat[self._dst[at]] += shift
-        return self.blocks
-
-    def factor(self, values, shift=0.0, at=None):
-        """Pack and factorize the storage in place; the factorization lives
-        there until the next pack. Raises NotPositiveDefinite."""
-        blocks = self.pack(values, shift, at)
         if self.n_arrow is None:
-            return BandedLU(*blocks, self.bw, self.bw, self.order)
-        return BandedArrowFactorization(*blocks, self.order)
+            return BandedLU(*self.blocks, self.bw, self.bw, self.order, self.inverse)
+        return BandedArrowFactorization(*self.blocks, self.order, self.inverse)
 
 
 class BandedArrowFactorization:
@@ -138,14 +134,11 @@ class BandedArrowFactorization:
     Takes the matrix permuted by ``order``, arrow last, as BandStorage
     packs it: ``ab`` holds the band block in LAPACK lower band storage
     (Fortran order, overwritten by its factor), ``W`` the band-arrow
-    coupling and ``C`` the arrow block, both dense.
-    """
+    coupling and ``C`` the arrow block, both dense; ``inverse`` inverts
+    ``order``."""
 
-    def __init__(self, ab, W, C, order):
-        self.order = np.asarray(order, dtype=np.intp)
-        n = self.order.size
-        self.inv_order = np.empty(n, dtype=np.intp)
-        self.inv_order[self.order] = np.arange(n)
+    def __init__(self, ab, W, C, order, inverse):
+        self.order, self.inverse = order, inverse
         self.nb, self.na = W.shape
         cb, info = lapack.dpbtrf(ab, lower=1, overwrite_ab=1)
         if info != 0:
@@ -180,7 +173,7 @@ class BandedArrowFactorization:
             r = np.concatenate([x1, x2])
         else:
             r = self._band_solve(r)
-        return r[self.inv_order]
+        return r[self.inverse]
 
 
 def factorize_banded_arrow(K, band_order, arrow_order=()):
@@ -206,13 +199,11 @@ class BandedLU:
 
     Takes ``ab``, the matrix permuted by ``order`` in LAPACK general band
     storage (``2 kl + ku + 1`` rows, Fortran order, the first ``kl`` rows
-    workspace), as BandStorage packs it, and factorizes it in place."""
+    workspace), as BandStorage packs it with ``inverse`` inverting
+    ``order``, and factorizes it in place."""
 
-    def __init__(self, ab, kl, ku, order):
-        self.order = np.asarray(order, dtype=np.intp)
-        n = self.order.size
-        self.inv_order = np.empty(n, dtype=np.intp)
-        self.inv_order[self.order] = np.arange(n)
+    def __init__(self, ab, kl, ku, order, inverse):
+        self.order, self.inverse = order, inverse
         lu, piv, info = lapack.dgbtrf(ab, kl, ku, overwrite_ab=1)
         if info != 0:
             raise NotPositiveDefinite(f"banded LU failed (info={info})")
@@ -223,4 +214,4 @@ class BandedLU:
         x, info = lapack.dgbtrs(self._lu, self._kl, self._ku, r, self._piv)
         if info != 0:
             raise NotPositiveDefinite(f"banded back-substitution failed (info={info})")
-        return x[self.inv_order]
+        return x[self.inverse]

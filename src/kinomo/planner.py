@@ -12,13 +12,12 @@ in m/s).
 
 Between passes only the momentum sub-problem's targets move: the
 schedule, the initial state and the weights are the scenario's. A plan
-therefore builds and compiles one momentum problem, at pass 1, and
-retargets it in place on every later pass (NlpProblem.retarget), which
-gives the same problem as a fresh build. From pass 2 on, the interior-point
-solve is warm-started at the previous pass's solution (solver.solve's
-``start``); the report lists each pass's IPM iterations. The Newton
-matrix's symbolic work (solver.KKTSystem) is done once, at pass 1, and
-every pass's solve assembles on it.
+therefore builds one momentum problem at the initial references, and its
+Newton matrix (solver.KKTSystem), before the first pass. Every pass
+retargets the problem in place (NlpProblem.retarget), which gives the same
+problem as a fresh build and keeps the matrix's pattern. From pass 2 on,
+the interior-point solve is warm-started at the previous pass's solution
+(solver.solve's ``start``); the report lists each pass's IPM iterations.
 """
 
 from __future__ import annotations
@@ -27,7 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import rollout
+from .contact import ContactWrenchCom
+from .dynamics import MomentumState, rollout
 from .kinematics import (
     KinematicRefs,
     KinematicWeights,
@@ -61,8 +61,10 @@ class PlanOptions:
     kinematic_max_iter: int = 30
 
     def __post_init__(self):
-        if self.max_outer < 1:
-            raise ValueError("max_outer must be >= 1")
+        if type(self.max_outer) is not int or self.max_outer < 1:  # isinstance would take True
+            raise ValueError("max_outer must be an integer >= 1")
+        if type(self.kinematic_max_iter) is not int or self.kinematic_max_iter < 0:
+            raise ValueError("kinematic_max_iter must be a non-negative integer")
         if self.formulation not in ("sequential", "simultaneous"):
             raise ValueError(f"unknown formulation {self.formulation!r}")
 
@@ -140,9 +142,6 @@ def momentum_problem(scn, state, formulation):
 
 def _check_dynamics_feasible(scn, sol, outer):
     """The momentum plan must be reproducible by integrating its forces."""
-    from .contact import ContactWrenchCom
-    from .dynamics import MomentumState
-
     wrenches = [
         [
             (ph, ContactWrenchCom(sol["forces"][i][t], sol["kappas"][i][t]))
@@ -171,6 +170,8 @@ def plan(scn, opts=None):
     """Alternate the kinematic and momentum sub-problems (kinematics first)
     until the exchanged references settle. Returns (joint trajectory,
     momentum trajectory, force trajectory, report)."""
+    # imported per call: perfbench/tracing.py patches this module attribute
+    # (its kinematics.subproblem span), which a module-level import would miss
     from .kinematics import solve_kinematic_subproblem
 
     opts = opts or PlanOptions()
@@ -188,11 +189,11 @@ def plan(scn, opts=None):
         "kinematic_trials": [],
         "com_y_range_init": float(np.ptp(forward_kinematics(scn.model, state.q)[3][:, 1])),
     }
-    traj = None
-    h_dyn = None
-    # the momentum problem, built at pass 1 and retargeted after, and its
-    # Newton matrix, whose pattern retargeting leaves as it is
-    p = kkt = res = None
+    res = None
+    # the momentum problem, retargeted at every pass, and its Newton
+    # matrix, whose pattern retargeting leaves as it is
+    p = momentum_problem(scn, state, opts.formulation)
+    kkt = KKTSystem(p)
     for outer in range(1, opts.max_outer + 1):
         refs = KinematicRefs(
             h_ref=state.h_bar,
@@ -211,13 +212,7 @@ def plan(scn, opts=None):
         h_kin = momentum_state(scn.model, traj.q, traj.qdot)
         c_new = effector_positions(scn.model, traj.q)
 
-        if p is None:
-            p = momentum_problem(
-                scn, PlanState(h_kin, state.lambda_bar, c_new, traj.q), opts.formulation
-            )
-            kkt = KKTSystem(p)
-        else:
-            p.retarget(h_kin, state.lambda_bar)
+        p.retarget(h_kin, state.lambda_bar)
         # from pass 2 on, the last pass's solution starts the solve
         res = solve(p, scn.solver, res, kkt)
         report["momentum_iters"].append(len(res.stats))

@@ -345,7 +345,7 @@ class KKTSystem:
 
     def factor(self, delta):
         """Pack with delta and factorize the storage in place; the
-        factorization lives there until the next pack. Raises
+        factorization lives there until the next factor call. Raises
         NotPositiveDefinite."""
         return self.band.factor(self._v, delta, self._diag)
 
@@ -387,11 +387,12 @@ def solve_ipm(
     the solve ends: Infeasible above a primal residual of 1e-4, else MaxIter.
     A non-finite objective or KKT norm ends it as NumericFailure.
 
-    A cold solve starts at the builder's p.x0 with mu = MU0, slacks
-    max(g_I, 1), z = mu / s and y = 0. Given ``start``, the result of a
-    solve of a problem with the same variables and rows (as a retargeted
-    one), the solve is warm-started at its (x, z, y) with mu = MU0_WARM,
-    slacks max(g_I, sqrt(mu)) and z raised to at least mu / s.
+    The solve starts at (x, z, y) with slacks max(g_I, sqrt(mu)) and z
+    raised to at least mu / s. Given ``start``, the result of a solve of a
+    problem with the same variables and rows (as a retargeted one), that is
+    its (x, z, y) with mu = MU0_WARM. A cold solve is the same start from
+    the builder's (p.x0, 0, 0) with mu = MU0: since sqrt(MU0) = 1, its
+    slacks are max(g_I, 1) and z = mu / s.
 
     ``kkt`` is a KKTSystem of p, or of a problem with the same variables,
     rows and objective Hessian (as a retargeted one); a caller that solves
@@ -401,19 +402,14 @@ def solve_ipm(
     opts = opts or SolverOptions()
     n = p.n
     obj, ineq, eq = _compiled_parts(p)
-    if start is None:
-        x, mu = p.x0.copy(), MU0
-        s = np.maximum(ineq.value(x), 1.0)
-        z = mu / s
-        y = np.zeros(p.n_eq)
+    if start is None:  # a cold start is a warm start from (x0, 0, 0) at MU0
+        x, z, y, mu = p.x0.copy(), np.zeros(p.n_ineq), np.zeros(p.n_eq), MU0
     else:
-        x, mu = start.x.copy(), MU0_WARM
-        s = np.maximum(ineq.value(x), np.sqrt(mu))
-        z = np.maximum(start.z, mu / s)
-        y = start.y.copy()
+        x, z, y, mu = start.x.copy(), start.z, start.y.copy(), MU0_WARM
+    s = np.maximum(ineq.value(x), np.sqrt(mu))
+    z = np.maximum(z, mu / s)
     ev = _evaluate(obj, ineq, eq, x, z, y)
-    if kkt is None:
-        kkt = KKTSystem(p)
+    kkt = kkt or KKTSystem(p)
     hessian = "exact"  # until the first rejected exact matrix (module docstring)
 
     stats = []

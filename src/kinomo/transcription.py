@@ -23,12 +23,12 @@ these three maps, and extract reads every solution through them.
 Both builders emit an NlpProblem: one inequality and one equality Q+/-
 function with a (step, phase, family) entry per row, and a DecisionLayout
 with per-step variable blocks plus the "arrow" block of frozen
-phase-boundary variables. A compiled form sharing the functions' Q/P
-arrays is attached lazily for the solver; its patterns carry the block
-structure (a row's step blocks are the var_block labels of its columns),
-and evaluating constraints and Jacobians is linear-time in the horizon;
-solver.KKTSystem assembles the Lagrangian curvature from the stored Q and
-P entries.
+phase-boundary variables, by which its newton_key orders the Newton
+system. A compiled form sharing the functions' Q/P arrays is attached
+lazily for the solver: evaluating it is linear-time in the horizon, and
+solver.KKTSystem assembles the Lagrangian curvature from its Q and P
+entries. Only the tests read a row's step blocks (the var_block labels of
+its columns) from the compiled patterns (test_transcription.row_blocks).
 """
 
 from __future__ import annotations
@@ -228,7 +228,6 @@ class CompiledVectorFunction:
             (np.concatenate(Mv), (np.concatenate(Mr), np.concatenate(Mc))), shape=(nnz, n)
         )
         self._M.eliminate_zeros()
-        self._rowsum = sp.csr_matrix((np.ones(nnz), np.arange(nnz), self.indptr), shape=(m, nnz))
         # matvec lends J to this one matrix; rmatvec sums by column with the
         # row of every entry
         self._A = self.to_csr(self.base)
@@ -236,9 +235,10 @@ class CompiledVectorFunction:
 
     def value(self, x, J=None):
         """Row values at x. Given J = jacobian(x), it stands in for
-        base + M x: s(x) = b + 0.5 rowsum(x[idx] (base + J))."""
+        base + M x: s(x) = b + 0.5 (base + J) x, a product on the Jacobian's
+        pattern."""
         data = self.base + self._M @ x if J is None else J
-        return self.b + 0.5 * (self._rowsum @ (x[self.indices] * (self.base + data)))
+        return self.b + 0.5 * self.matvec(self.base + data, x)
 
     def jacobian(self, x):
         """The Jacobian at x: its values on the fixed CSR pattern."""

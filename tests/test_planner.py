@@ -225,3 +225,10 @@ class TestPlan:
             PlanOptions(formulation="hybrid")
         with pytest.raises(ValueError):
             PlanOptions(max_outer=0)
+        for bad in (2.5, True, "3"):
+            with pytest.raises(ValueError, match="max_outer"):
+                PlanOptions(max_outer=bad)
+        for bad in (-1, 2.5, True, "3"):
+            with pytest.raises(ValueError, match="kinematic_max_iter"):
+                PlanOptions(kinematic_max_iter=bad)
+        assert PlanOptions(max_outer=1, kinematic_max_iter=0).kinematic_max_iter == 0

@@ -182,8 +182,8 @@ class TestIpm:
         assert res.status == "MaxIter"
 
 
-def _step_stones_problem(build, T=None):
-    scn = load_scenario("scenarios/step_stones.json")
+def _step_stones_problem(build, T=None, name="step_stones"):
+    scn = load_scenario(f"scenarios/{name}.json")
     if T is not None:
         scn = rescale_horizon(scn, T)
     state = initialize_references(scn)
@@ -213,6 +213,21 @@ class TestHessianMode:
         res = solve_ipm(build_simultaneous(biped_scenario(6)))
         assert res.converged
         assert {st.hessian for st in res.stats} == {"convexified"}
+
+
+class TestColdStart:
+    @pytest.mark.parametrize("build", [build_sequential, build_simultaneous])
+    @pytest.mark.parametrize("name, T", [("stand", None), ("step_stones", 30)])
+    def test_cold_start_is_the_warm_start_from_x0(self, name, T, build):
+        # a cold solve starts as a warm one from (x0, 0, 0) at mu = MU0 = 1:
+        # slacks max(g_I, 1), z = mu / s and y = 0, to the last bit
+        p = _step_stones_problem(build, T, name)
+        res = solve_ipm(p, SolverOptions(max_iter=0))
+        z0 = 1.0 / np.maximum(p.compiled_ineq().value(p.x0), 1.0)
+        assert res.x is not p.x0
+        assert res.x.tobytes() == p.x0.tobytes()
+        assert res.z.tobytes() == z0.tobytes()
+        assert res.y.tobytes() == np.zeros(p.n_eq).tobytes()
 
 
 class TestStepLengths:
