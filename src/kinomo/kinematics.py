@@ -111,8 +111,14 @@ class JointTrajectory:
 
     @property
     def qdot(self):
-        qd = np.diff(self.q, axis=0) / self.delta
-        return np.vstack([qd, qd[-1]])  # last step reuses the previous velocity
+        return _velocities(self.q, self.delta)
+
+
+def _velocities(q, delta):
+    """Forward-difference velocities (T+1, n) of q (T+1, n); step T's next
+    configuration is the extrapolated 2 q_T - q_{T-1}."""
+    q_next = np.concatenate([q[1:], 2 * q[-1:] - q[-2:-1]])
+    return (q_next - q) / delta
 
 
 # Every function below takes joint values of shape (..., n) and works on
@@ -142,22 +148,18 @@ def forward_kinematics(model: KinematicModel, q):
         raise ValueError(f"expected {n} joint values")
     # every joint's own motion in one pass: the rotation about a revolute
     # axis (Rodrigues' formula; the identity for a prismatic joint) and the
-    # offset from the parent, moved along a prismatic axis
+    # offset from the parent, moved along a prismatic axis; then, in place,
+    # each link's frame composed with its parent's
     rev = model.revolute
     angle = np.where(rev, q, 0.0)[..., None, None]
     K, K2 = model.skews[:, 0], model.skews[:, 1]
-    local_R = np.eye(3) + np.sin(angle) * K + (1 - np.cos(angle)) * K2
-    local_p = model.offsets + model.axes * np.where(rev, 0.0, q)[..., None]
-    R = np.empty(q.shape[:-1] + (n, 3, 3))
-    p = np.empty(q.shape[:-1] + (n, 3))
+    R = np.eye(3) + np.sin(angle) * K + (1 - np.cos(angle)) * K2
+    p = model.offsets + model.axes * np.where(rev, 0.0, q)[..., None]
     for i, ln in enumerate(model.links):
-        if ln.parent < 0:
-            R[..., i, :, :] = local_R[..., i, :, :]
-            p[..., i, :] = local_p[..., i, :]
-        else:
+        if ln.parent >= 0:
             Rp = R[..., ln.parent, :, :]
-            R[..., i, :, :] = Rp @ local_R[..., i, :, :]
-            p[..., i, :] = p[..., ln.parent, :] + _apply(Rp, local_p[..., i, :])
+            R[..., i, :, :] = Rp @ R[..., i, :, :]
+            p[..., i, :] = p[..., ln.parent, :] + _apply(Rp, p[..., i, :])
     coms = p + _apply(R, model.link_coms)
     x_com = (model.masses[:, None] * coms).sum(axis=-2) / model.masses.sum()
     return R, p, coms, x_com
@@ -190,9 +192,10 @@ def _twists(model, R, p, qdot):
     return S, model.support @ (S * qdot[..., None])
 
 
-def centroidal_momentum(model, q, qdot, fk=None):
-    """(l, k): linear momentum and angular momentum about the total CoM,
-    (..., 3) each."""
+def momentum_state(model, q, qdot, fk=None):
+    """h = (x_com, l, k) (..., 9) matching the dynamics-side momentum state:
+    the total CoM, the linear momentum and the angular momentum about the
+    CoM."""
     qdot = np.asarray(qdot, dtype=float)
     R, p, coms, x_com = fk if fk is not None else forward_kinematics(model, q)
     _, V = _twists(model, R, p, qdot)
@@ -202,7 +205,7 @@ def centroidal_momentum(model, q, qdot, fk=None):
     l = (m * v_c).sum(axis=-2)
     spin = _apply(R, _apply(model.inertias, _apply(np.swapaxes(R, -1, -2), omega)))
     k = (spin + m * _cross(coms - x_com[..., None, :], v_c)).sum(axis=-2)
-    return l, k
+    return np.concatenate([x_com, l, k], axis=-1)
 
 
 def centroidal_momentum_matrix(model, q):
@@ -211,16 +214,9 @@ def centroidal_momentum_matrix(model, q):
     R, p, coms, x_com = forward_kinematics(model, q)
     # a probe axis in front of the link axis
     fk = (R[..., None, :, :, :], p[..., None, :, :], coms[..., None, :, :],
-          x_com[..., None, :])
-    l, k = centroidal_momentum(model, q, np.eye(model.dof), fk=fk)
-    return np.swapaxes(np.concatenate([l, k], axis=-1), -1, -2)
-
-
-def momentum_state(model, q, qdot):
-    """h = (x_com, l, k) (..., 9) matching the dynamics-side momentum state."""
-    fk = forward_kinematics(model, q)
-    l, k = centroidal_momentum(model, q, qdot, fk=fk)
-    return np.concatenate([fk[3], l, k], axis=-1)
+          np.broadcast_to(x_com[..., None, :], x_com.shape[:-1] + (model.dof, 3)))
+    h = momentum_state(model, q, np.eye(model.dof), fk=fk)
+    return np.swapaxes(h[..., 3:], -1, -2)
 
 
 def momentum_jacobian(model, q, qdot, fk=None):
@@ -393,6 +389,7 @@ class KinematicRefs:
 
 
 def _limit_residual(model, q, w):
+    """sqrt(w) times each joint's distance outside its limits, and that mask."""
     lo, hi = model.lower, model.upper
     r = np.zeros_like(q)
     with np.errstate(invalid="ignore"):
@@ -400,40 +397,35 @@ def _limit_residual(model, q, w):
         above = q > hi
     r[below] = (q - lo)[below]
     r[above] = (q - hi)[above]
-    return np.sqrt(w) * r
+    return np.sqrt(w) * r, below | above
 
 
 def _residuals(model, q, delta, refs, weights):
     """Residuals (T+1, m) of all steps of the trajectory q (T+1, n), and the
-    velocities and forward kinematics they were computed from, which
-    _jacobians reuses at the same q. Step T reuses the last velocity: its
-    next configuration is the extrapolated 2 q_T - q_{T-1}."""
-    q_next = np.concatenate([q[1:], 2 * q[-1:] - q[-2:-1]])
-    qdot = (q_next - q) / delta
+    velocities (_velocities), forward kinematics and joint-limit mask they
+    were computed from, which _jacobians reuses at the same q."""
+    qdot = _velocities(q, delta)
     fk = forward_kinematics(model, q)
-    l, k = centroidal_momentum(model, q, qdot, fk=fk)
-    h = np.concatenate([fk[3], l, k], axis=-1)
+    limit, outside = _limit_residual(model, q, weights.joint_limit)
     wm = np.sqrt(weights.momentum)
     we = np.sqrt(weights.effector)
-    res = [wm * (h - refs.h_ref)]
+    res = [wm * (momentum_state(model, q, qdot, fk=fk) - refs.h_ref)]
     for name, target in refs.effector_ref.items():
         res.append(we * (_point(fk, *model.effectors[name]) - target))
     res.append(np.sqrt(weights.posture) * (q - refs.posture_ref))
-    res.append(_limit_residual(model, q, weights.joint_limit))
-    return np.concatenate(res, axis=-1), (qdot, fk)
+    res.append(limit)
+    return np.concatenate(res, axis=-1), (qdot, fk, outside)
 
 
-def _jacobians(model, q, qdot, fk, delta, refs, weights):
+def _jacobians(model, q, qdot, fk, outside, delta, refs, weights):
     """Jacobians (T+1, m, n) of the residuals of _residuals at q, given the
-    qdot and fk it returned, with respect to the step's own configuration
-    q_t and to the next one."""
+    qdot, fk and limit mask it returned, with respect to the step's own
+    configuration q_t and to the next one."""
     n = model.dof
     wm = np.sqrt(weights.momentum)
     we = np.sqrt(weights.effector)
     dq, dqd = momentum_jacobian(model, q, qdot, fk=fk)
     eye = np.eye(n)
-    with np.errstate(invalid="ignore"):
-        outside = (q < model.lower) | (q > model.upper)
     Jt = np.concatenate(
         [wm[:, None] * (dq - dqd / delta)]
         + [we * point_jacobian(model, q, *model.effectors[name], fk=fk)
@@ -447,22 +439,15 @@ def _jacobians(model, q, qdot, fk, delta, refs, weights):
     return Jt, Jn
 
 
-def _add_hi(blocks, per_step):
-    """Add step t's term to block hi_t = t for t < T, and step T's to block
-    T - 1, in step order."""
+def _add(blocks, per_step, lo):
+    """Add step t's term to its hi block t (lo = 0) or its lo block t - 1
+    (lo = 1) for lo <= t < T, and step T's to block T - 1 - lo, in step
+    order. Block -1 is the fixed q_0 and takes nothing: step 0's lo term,
+    and step T's when T = 1."""
     T = per_step.shape[0] - 1
-    blocks += per_step[:T]
-    blocks[T - 1] += per_step[T]
-
-
-def _add_lo(blocks, per_step):
-    """Add step t's term to block lo_t = t - 1 for 0 < t < T, and step T's
-    to block T - 2, in step order; step 0's block is the fixed q_0 and
-    takes nothing, and so does step T's when T = 1."""
-    T = per_step.shape[0] - 1
-    blocks[: T - 1] += per_step[1:T]
-    if T > 1:
-        blocks[T - 2] += per_step[T]
+    blocks[: T - lo] += per_step[lo:T]
+    if T > lo:
+        blocks[T - 1 - lo] += per_step[T]
 
 
 def _normal_equations(r, Jt, Jn):
@@ -482,18 +467,17 @@ def _normal_equations(r, Jt, Jn):
     grad = np.zeros((T, n))
     diag = np.zeros((T, n, n))
     off = np.zeros((T - 1, n, n))
-    _add_hi(grad, _apply(J_hiT, r))
-    _add_lo(grad, _apply(J_loT, r))
-    _add_hi(diag, J_hiT @ J_hi)
-    _add_lo(diag, J_loT @ J_lo)
-    _add_lo(off, J_hiT @ J_lo)
+    _add(grad, _apply(J_hiT, r), 0)
+    _add(grad, _apply(J_loT, r), 1)
+    _add(diag, J_hiT @ J_hi, 0)
+    _add(diag, J_loT @ J_lo, 1)
+    _add(off, J_hiT @ J_lo, 1)
     return grad.ravel(), diag, off
 
 
 def solve_kinematic_subproblem(
     model,
     refs: KinematicRefs,
-    T,
     delta,
     weights: KinematicWeights,
     q0,
@@ -502,7 +486,8 @@ def solve_kinematic_subproblem(
     """Minimize posture/momentum/effector tracking over q_{1:T} by
     Gauss-Newton with a block tridiagonal normal-equation factorization.
     ``converged`` is True only when the STEP_TOL/COST_TOL rule fired;
-    ``trials`` counts the line search's cost evaluations."""
+    ``trials`` counts the line search's cost evaluations; T is refs.h_ref's."""
+    T = refs.h_ref.shape[0] - 1
     n = model.dof
     band = block_tridiag_band(T, n)
 
@@ -522,18 +507,17 @@ def solve_kinematic_subproblem(
         # Cholesky succeeds on finite input
         step = -BlockTridiagCholesky(diag + 1e-10 * np.eye(n), off, band).solve(grad)
         alpha = 1.0
-        improved = False
         gTs = float(grad @ step)
         for _ in range(25):
             q_new = q.copy()
             q_new[1:] = q[1:] + alpha * step.reshape(T, n)
             new_cost, r_new, kin_new = evaluate(q_new)
             trials += 1
+            # Armijo's <= also accepts the zero step at an exact stationary point
             if new_cost <= cost + 1e-4 * alpha * gTs or new_cost < cost:
-                improved = True
                 break
             alpha *= 0.5
-        if not improved:
+        else:  # no decrease along the step
             break
         moved = alpha * np.abs(step).max()
         decreased = cost - new_cost

@@ -10,6 +10,9 @@ between consecutive passes, the momentum reference measured as
 momentum_mismatch measures it (positions in m, momenta over the total mass
 in m/s).
 
+The h_kin a pass hands over takes the kinematic residuals' velocity rule
+(JointTrajectory.qdot), step T included.
+
 Between passes only the momentum sub-problem's targets move: the
 schedule, the initial state and the weights are the scenario's. A plan
 therefore builds one momentum problem at the initial references, and its
@@ -195,15 +198,12 @@ def plan(scn, opts=None):
     p = momentum_problem(scn, state, opts.formulation)
     kkt = KKTSystem(p)
     for outer in range(1, opts.max_outer + 1):
-        refs = KinematicRefs(
-            h_ref=state.h_bar,
-            effector_ref={k: v.copy() for k, v in state.c_bar.items()},
-            posture_ref=scn.q0.copy(),
-        )
+        # the solve only reads its references
+        refs = KinematicRefs(h_ref=state.h_bar, effector_ref=state.c_bar, posture_ref=scn.q0)
         try:
             traj, _ = solve_kinematic_subproblem(
-                scn.model, refs, scn.T, scn.delta, KINEMATIC_WEIGHTS,
-                scn.q0, max_iter=opts.kinematic_max_iter,
+                scn.model, refs, scn.delta, KINEMATIC_WEIGHTS, scn.q0,
+                max_iter=opts.kinematic_max_iter,
             )
         except Exception as e:  # propagate with the pass index attached
             raise PlannerError(outer, f"kinematic sub-problem failed: {e}")

@@ -60,18 +60,21 @@ def quaternion_to_matrix(q, path="rotation"):
 
 
 def matrix_to_quaternion(R):
-    """Inverse of quaternion_to_matrix (w >= 0 convention)."""
+    """Inverse of quaternion_to_matrix (w >= 0 convention), by Shepperd's
+    method: S[i, j] = 4 q_i q_j for q = (w, x, y, z), and the row of the
+    largest diagonal entry gives q to full precision at every angle."""
     R = np.asarray(R, dtype=float)
-    w = 0.5 * np.sqrt(max(0.0, 1.0 + R[0, 0] + R[1, 1] + R[2, 2]))
-    if w > 1e-8:
-        x = (R[2, 1] - R[1, 2]) / (4 * w)
-        y = (R[0, 2] - R[2, 0]) / (4 * w)
-        z = (R[1, 0] - R[0, 1]) / (4 * w)
-    else:  # 180-degree rotation: recover the axis from the diagonal
-        x = np.sqrt(max(0.0, (1 + R[0, 0] - R[1, 1] - R[2, 2]) / 4))
-        y = np.sqrt(max(0.0, (1 - R[0, 0] + R[1, 1] - R[2, 2]) / 4))
-        z = np.sqrt(max(0.0, (1 - R[0, 0] - R[1, 1] + R[2, 2]) / 4))
-    return [w, x, y, z]
+    (a, b, c), (d, e, f), (g, h, i) = R
+    S = np.array([
+        [1.0 + a + e + i, h - f, c - g, d - b],
+        [h - f, 1.0 + a - e - i, b + d, c + g],
+        [c - g, b + d, 1.0 - a + e - i, f + h],
+        [d - b, c + g, f + h, 1.0 - a - e + i],
+    ])
+    k = int(np.argmax(np.diag(S)))
+    q = S[k] / (2 * np.sqrt(S[k, k]))
+    q[k] = 0.5 * np.sqrt(S[k, k])
+    return list(q if q[0] >= 0 else -q)
 
 
 @dataclass

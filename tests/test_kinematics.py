@@ -8,7 +8,6 @@ from kinomo.kinematics import (
     KinematicWeights,
     Link,
     biped_standing_configuration,
-    centroidal_momentum,
     centroidal_momentum_matrix,
     default_biped,
     effector_positions,
@@ -115,7 +114,7 @@ class TestMomentum:
         v = np.array([0.4, -0.1, 0.2])
         qdot = np.zeros(MODEL.dof)
         qdot[:3] = v
-        l, k = centroidal_momentum(MODEL, Q_STAND, qdot)
+        l, k = np.split(momentum_state(MODEL, Q_STAND, qdot)[3:], 2)
         assert np.allclose(l, MODEL.total_mass * v, atol=1e-12)
         assert np.allclose(k, 0.0, atol=1e-12)
 
@@ -124,7 +123,7 @@ class TestMomentum:
         for _ in range(5):
             q = Q_STAND + rng.normal(size=MODEL.dof) * 0.3
             qdot = rng.normal(size=MODEL.dof)
-            l, k = centroidal_momentum(MODEL, q, qdot)
+            l, k = np.split(momentum_state(MODEL, q, qdot)[3:], 2)
             cdot, omega = fd_link_motion(MODEL, q, qdot)
             R, _, coms, x_com = forward_kinematics(MODEL, q)
             l_ref = np.zeros(3)
@@ -143,8 +142,7 @@ class TestMomentum:
         assert H.shape == (6, MODEL.dof)
         for _ in range(10):
             qdot = rng.normal(size=MODEL.dof)
-            l, k = centroidal_momentum(MODEL, q, qdot)
-            assert np.allclose(H @ qdot, np.concatenate([l, k]), atol=1e-10)
+            assert np.allclose(H @ qdot, momentum_state(MODEL, q, qdot)[3:], atol=1e-10)
 
     def test_momentum_jacobian_vs_fd(self):
         # every column of both blocks, over a batch of steps
@@ -227,10 +225,6 @@ class TestBatched:
             self.assert_rows(batched[name], [effector_positions(MODEL, q)[name] for q in self.Q])
 
     def test_momentum(self):
-        l, k = centroidal_momentum(MODEL, self.Q, self.QDOT)
-        rows = [centroidal_momentum(MODEL, q, qd) for q, qd in zip(self.Q, self.QDOT)]
-        self.assert_rows(l, [r[0] for r in rows])
-        self.assert_rows(k, [r[1] for r in rows])
         self.assert_rows(
             momentum_state(MODEL, self.Q, self.QDOT),
             [momentum_state(MODEL, q, qd) for q, qd in zip(self.Q, self.QDOT)],
@@ -258,7 +252,7 @@ class TestBatched:
         state = initialize_references(scn)
         refs = KinematicRefs(state.h_bar, state.c_bar, scn.q0.copy())
         traj, cost = solve_kinematic_subproblem(
-            scn.model, refs, scn.T, scn.delta, KINEMATIC_WEIGHTS, scn.q0, max_iter=10
+            scn.model, refs, scn.delta, KINEMATIC_WEIGHTS, scn.q0, max_iter=10
         )
         assert cost == pytest.approx(0.7810224205592, rel=1e-8)
         assert traj.trials == 45
@@ -278,7 +272,7 @@ class TestSubproblem:
     def test_standing_is_fixed_point(self):
         T = 6
         traj, cost = solve_kinematic_subproblem(
-            MODEL, standing_refs(T), T, 0.1, KinematicWeights(), Q_STAND, max_iter=10
+            MODEL, standing_refs(T), 0.1, KinematicWeights(), Q_STAND, max_iter=10
         )
         assert traj.converged
         assert np.abs(traj.q - Q_STAND).max() < 1e-3
@@ -291,7 +285,7 @@ class TestSubproblem:
         refs = standing_refs(T)
         refs.effector_ref["r_foot"][3:] += np.array([0.06, 0.0, 0.0])
         traj, _ = solve_kinematic_subproblem(
-            MODEL, refs, T, 0.1, KinematicWeights(), Q_STAND, max_iter=1
+            MODEL, refs, 0.1, KinematicWeights(), Q_STAND, max_iter=1
         )
         assert not traj.converged
         assert 1 <= traj.trials <= 25  # one line search
@@ -302,7 +296,7 @@ class TestSubproblem:
         shift = np.array([0.06, 0.0, 0.0])
         refs.effector_ref["r_foot"][4:] += shift
         w = KinematicWeights(momentum=np.ones(9) * 0.1, effector=50.0)
-        traj, _ = solve_kinematic_subproblem(MODEL, refs, T, 0.1, w, Q_STAND, max_iter=40)
+        traj, _ = solve_kinematic_subproblem(MODEL, refs, 0.1, w, Q_STAND, max_iter=40)
         foot = effector_positions(MODEL, traj.q[T])["r_foot"]
         assert np.linalg.norm(foot - (np.array([0.0, -0.09, 0.0]) + shift)) < 5e-3
 
@@ -315,7 +309,7 @@ class TestSubproblem:
         refs.h_ref[:, 1] += np.linspace(0.0, 0.03, T + 1)
         refs.h_ref[:T, 4] += MODEL.total_mass * vy
         w = KinematicWeights(momentum=np.concatenate([np.ones(3) * 50, np.ones(6)]))
-        traj, _ = solve_kinematic_subproblem(MODEL, refs, T, delta, w, Q_STAND, max_iter=40)
+        traj, _ = solve_kinematic_subproblem(MODEL, refs, delta, w, Q_STAND, max_iter=40)
         _, _, _, x_com = forward_kinematics(MODEL, traj.q[T])
         assert abs(x_com[1] - 0.03) < 5e-3
 
@@ -418,7 +412,7 @@ class TestSubproblem:
 
         monkeypatch.setattr(kinematics, "forward_kinematics", counting)
         traj, _ = solve_kinematic_subproblem(
-            MODEL, refs, T, 0.1, KinematicWeights(), Q_STAND, max_iter=5
+            MODEL, refs, 0.1, KinematicWeights(), Q_STAND, max_iter=5
         )
         assert len(calls) == traj.trials + 1
 
@@ -432,8 +426,31 @@ class TestSubproblem:
         monkeypatch.setattr(kinematics, "block_tridiag_band", recording)
         refs = standing_refs(6)
         refs.effector_ref["r_foot"][3:] += np.array([0.06, 0.0, 0.0])
-        solve_kinematic_subproblem(MODEL, refs, 6, 0.1, KinematicWeights(), Q_STAND, max_iter=4)
+        solve_kinematic_subproblem(MODEL, refs, 0.1, KinematicWeights(), Q_STAND, max_iter=4)
         assert len(bands) == 1
+
+    def test_no_decrease_ends_the_solve(self, monkeypatch):
+        # a NaN step lowers no cost: one line search of 25 trials, then
+        # the solve ends unconverged at its start
+        class NanStep:
+            def __init__(self, diag, off, band):
+                pass
+
+            def solve(self, b):
+                return np.full_like(b, np.nan)
+
+        monkeypatch.setattr(kinematics, "BlockTridiagCholesky", NanStep)
+        T = 6
+        refs = standing_refs(T)
+        refs.effector_ref["r_foot"][3:] += np.array([0.06, 0.0, 0.0])
+        traj, cost = solve_kinematic_subproblem(
+            MODEL, refs, 0.1, KinematicWeights(), Q_STAND, max_iter=10
+        )
+        assert traj.trials == 25
+        assert not traj.converged
+        assert traj.q.tobytes() == np.tile(Q_STAND, (T + 1, 1)).tobytes()
+        r, _ = kinematics._residuals(MODEL, traj.q, 0.1, refs, KinematicWeights())
+        assert cost == 0.5 * float(np.sum(r * r))
 
     def test_qdot_convention(self):
         traj = kinematics.JointTrajectory(np.arange(12.0).reshape(4, 3), 0.5)
@@ -441,10 +458,14 @@ class TestSubproblem:
         assert qd.shape == (4, 3)
         assert np.allclose(qd[0], (traj.q[1] - traj.q[0]) / 0.5)
         assert np.allclose(qd[3], qd[2])
+        # step T's velocity is the residuals' rule, to the last bit
+        q = traj.q
+        assert np.array_equal(qd[3], ((2 * q[3:] - q[2:3]) - q[3:])[0] / 0.5)
 
     def test_joint_limit_penalty_active(self):
         q = Q_STAND.copy()
         q[8] = 3.0  # beyond the 2.5 rad soft limit
-        r = kinematics._limit_residual(MODEL, q, 4.0)
+        r, outside = kinematics._limit_residual(MODEL, q, 4.0)
         assert r[8] == pytest.approx(2.0 * 0.5)
         assert np.count_nonzero(r) == 1
+        assert np.flatnonzero(outside).tolist() == [8]

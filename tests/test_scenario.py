@@ -1,3 +1,6 @@
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 
@@ -18,6 +21,20 @@ from kinomo.scenario import (
 
 REPO_STAND = "scenarios/stand.json"
 REPO_STEP = "scenarios/step_stones.json"
+# rotation axes whose components differ in sign, and two that do not
+AXES = [(1, -1, 0), (1, -2, 3), (-2, 1, 1), (0, 1, -1), (1, 1, 0), (1, 0, 0)]
+
+
+def rodrigues(axis, angle):
+    a = np.asarray(axis, dtype=float) / np.linalg.norm(axis)
+    K = np.array([[0.0, -a[2], a[1]], [a[2], 0.0, -a[0]], [-a[1], a[0], 0.0]])
+    return np.eye(3) + np.sin(angle) * K + (1 - np.cos(angle)) * K @ K
+
+
+def half_turn(axis):
+    """The exact 180-degree rotation 2 a a^T - I about the unit axis a."""
+    a = np.asarray(axis, dtype=float) / np.linalg.norm(axis)
+    return 2 * np.outer(a, a) - np.eye(3)
 
 
 class TestQuaternion:
@@ -34,6 +51,27 @@ class TestQuaternion:
             assert np.linalg.det(R) == pytest.approx(1.0)
             R2 = quaternion_to_matrix(matrix_to_quaternion(R))
             assert np.allclose(R, R2, atol=1e-9)
+
+    @pytest.mark.parametrize("axis", AXES)
+    @pytest.mark.parametrize("build", [
+        half_turn,
+        lambda a: rodrigues(a, np.pi),  # 1 + tr R lands at rounding noise
+        lambda a: rodrigues(a, np.pi - 2e-7),  # w = 1e-7
+        lambda a: rodrigues(a, np.pi - 1e-4),
+        lambda a: rodrigues(a, 1.0),
+    ], ids=["exact-pi", "rodrigues-pi", "w1e-7", "w5e-5", "one-rad"])
+    def test_round_trip_near_half_turn(self, build, axis):
+        R = build(axis)
+        q = matrix_to_quaternion(R)
+        assert q[0] >= 0.0
+        assert abs(np.linalg.norm(q) - 1.0) <= 1e-12
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no renormalization on load
+            back = quaternion_to_matrix(q)
+        assert np.abs(back - R).max() <= 1e-12
+
+    def test_identity_is_exact(self):
+        assert matrix_to_quaternion(np.eye(3)) == [1.0, 0.0, 0.0, 0.0]
 
     def test_normalization_warning(self):
         with pytest.warns(UserWarning):
@@ -71,6 +109,34 @@ class TestShippedFiles:
             assert (a.effector_id, a.sigma, a.epsilon) == (b.effector_id, b.sigma, b.epsilon)
             assert np.allclose(a.surface.t, b.surface.t)
             assert np.allclose(a.surface.R, b.surface.R, atol=1e-12)
+
+    def test_half_turn_surface_round_trip(self, tmp_path):
+        # every surface turned 180 degrees about an axis of mixed signs
+        scn = make_standing_scenario(T=4)
+        turned = [half_turn((1, -2, 3)), rodrigues((1, -1, 0), np.pi)]
+        scn.phases = tuple(
+            dataclasses.replace(ph, surface=dataclasses.replace(ph.surface, R=R))
+            for ph, R in zip(scn.phases, turned))
+        path = tmp_path / "turned.json"
+        save_scenario(scn, path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            back = load_scenario(path)
+        for a, b in zip(back.phases, scn.phases):
+            assert np.abs(a.surface.R - b.surface.R).max() <= 1e-12
+
+    @pytest.mark.parametrize("path, make", [
+        (REPO_STAND, make_standing_scenario), (REPO_STEP, make_stepping_scenario),
+    ], ids=["stand", "step_stones"])
+    def test_shipped_files_are_the_presets(self, path, make, tmp_path):
+        # the preset writes the shipped file byte for byte, and so does
+        # re-saving the loaded file
+        with open(path, "rb") as f:
+            shipped = f.read()
+        for i, scn in enumerate((make(), load_scenario(path))):
+            out = tmp_path / f"{i}.json"
+            save_scenario(scn, out)
+            assert out.read_bytes() == shipped
 
 
 class TestValidation:

@@ -15,6 +15,7 @@ from kinomo.contact import (
     cop_wrench_feasibility,
 )
 from kinomo.dynamics import MomentumState, RobotConstants
+from kinomo.linalg import NotPositiveDefinite
 from kinomo.planner import initialize_references
 from kinomo.scenario import (
     load_scenario,
@@ -338,6 +339,82 @@ class TestLineSearch:
             assert len(res.stats) == k
             counts.append(len(built))
         assert counts[0] == counts[1]
+
+
+def _reject_trials(monkeypatch, reject):
+    """Make solver._evaluate give a NaN objective and stationarity residual,
+    which fail both acceptance measures, at the calls whose 0-based index
+    ``reject`` accepts: call 0 evaluates the start, every later one a trial
+    point. Returns a one-entry list that counts the calls."""
+    calls = [0]
+    evaluate = solver._evaluate
+
+    def poisoned(*args):
+        ev = evaluate(*args)
+        calls[0] += 1
+        if reject(calls[0] - 1):
+            f, grad, r_d, *rest = ev
+            ev = (np.nan, grad, np.full_like(r_d, np.nan), *rest)
+        return ev
+
+    monkeypatch.setattr(solver, "_evaluate", poisoned)
+    return calls
+
+
+class TestFaultInjection:
+    """The IPM's exits for a rejected trial point and a failed factorization."""
+
+    def test_rejected_trial_halves_the_primal_step(self, monkeypatch):
+        p = build_sequential(biped_scenario(6))
+        first = solve_ipm(p).stats[0]
+        _reject_trials(monkeypatch, lambda call: call == 1)
+        res = solve_ipm(p)
+        assert res.converged
+        assert first.alpha == 1.0
+        assert res.stats[0].alpha == 0.5
+        assert res.stats[0].alpha_dual == first.alpha_dual  # only alpha backtracks
+
+    @pytest.mark.parametrize("build, k, status", [
+        (build_sequential, 0, "MaxIter"),
+        (build_simultaneous, 0, "MaxIter"),
+        (build_sequential, 3, "Infeasible"),
+        (build_simultaneous, 1, "Infeasible"),
+    ])
+    def test_stall_exit(self, build, k, status, monkeypatch):
+        # k iterations run as usual, then no trial point is accepted: the
+        # solve stops at the k-th iterate, Infeasible above a primal
+        # residual of 1e-4 and MaxIter below it (x0 is feasible)
+        p = _step_stones_problem(build, T=30)
+        before = solve_ipm(p, SolverOptions(max_iter=k))
+        calls = _reject_trials(monkeypatch, lambda call: call > k)
+        res = solve_ipm(p)
+        assert res.status == status
+        assert calls[0] == 1 + k + 40  # one trial per usual iteration, then 40
+        assert len(res.stats) == k + 1
+        assert (res.stats[-1].alpha, res.stats[-1].alpha_dual) == (0.0, 0.0)
+        assert all(st.alpha > 0.0 for st in res.stats[:-1])
+        assert res.x.tobytes() == before.x.tobytes()
+        assert (res.kkt[1] > 1e-4) == (status == "Infeasible")
+
+    @pytest.mark.parametrize("build", [build_sequential, build_simultaneous])
+    def test_failing_factorization_is_numeric_failure(self, build, monkeypatch):
+        deltas = []
+
+        def failing(self, delta):
+            deltas.append(delta)
+            raise NotPositiveDefinite
+
+        monkeypatch.setattr(KKTSystem, "factor", failing)
+        p = build(biped_scenario(6))
+        res = solve_ipm(p)
+        assert res.status == "NumericFailure"
+        assert res.stats == []
+        assert res.x.tobytes() == p.x0.tobytes()
+        # the exact matrix at the floor, then the convexified one with the
+        # regularization raised tenfold while it stays within 1e-2
+        assert deltas[:2] == [solver.REG_FLOOR] * 2
+        assert all(b == pytest.approx(10.0 * a) for a, b in zip(deltas[1:], deltas[2:]))
+        assert deltas[-1] <= 1e-2 < 10.0 * deltas[-1]
 
 
 class TestConvexSubclass:
