@@ -21,7 +21,7 @@ import time
 
 from . import planner, scenario
 from .contact import ContactWrenchCom, NormalForceNonPositive, com_to_cop, cop_wrench_feasibility
-from .solver import QPSubproblemInfeasible, solve
+from .solver import QPSubproblemInfeasible, compiled_parts, solve
 from .transcription import extract
 
 CSV_HEADER = "# kinomo-csv v1"
@@ -48,15 +48,6 @@ def _write_csv(path, columns, rows):
         w = csv.writer(f)
         w.writerow(columns)
         w.writerows(rows)
-
-
-def _solver_options(scn, args):
-    backend = getattr(args, "backend", None)
-    if backend:
-        return dataclasses.replace(
-            scn.solver, backend={"ipm": "ipm", "sqp": "sqp_dense"}[backend]
-        )
-    return scn.solver
 
 
 def _contact_rows(scn, sol, formulation):
@@ -100,7 +91,9 @@ def cmd_validate(args):
 def cmd_momentum(args):
     scn = scenario.load_scenario(args.scenario)
     p = planner.momentum_problem(scn, planner.initialize_references(scn), args.formulation)
-    opts = _solver_options(scn, args)
+    opts = scn.solver
+    if args.backend:
+        opts = dataclasses.replace(opts, backend={"ipm": "ipm", "sqp": "sqp_dense"}[args.backend])
     res = solve(p, opts)
     # the IPM starts from the exact Hessian and falls back at most once
     fallbacks = int(
@@ -179,16 +172,18 @@ def cmd_plan(args):
 def _bench_cell(scn, T, formulation, repeats):
     base = scenario.rescale_horizon(scn, T)
     p = planner.momentum_problem(base, planner.initialize_references(base), formulation)
-    times, iters, kkts = [], [], []
+    # compiled before the timed solves, so that every repeat times the same work
+    compiled_parts(p)
+    times, iters, kkts, iter_ms = [], [], [], []
     for _ in range(repeats):
         t0 = time.perf_counter()
         res = solve(p, base.solver)
         times.append((time.perf_counter() - t0) * 1e3)
         iters.append(len(res.stats))
         kkts.append(max(res.kkt))
-    total = statistics.median(times)
-    n_it = statistics.median(iters)
-    return [T, p.n, n_it, total, total / max(1, n_it), statistics.median(kkts)]
+        iter_ms += [st.time_ms for st in res.stats]
+    return [T, p.n, statistics.median(iters), statistics.median(times),
+            statistics.median(iter_ms or [float("nan")]), statistics.median(kkts)]
 
 
 def cmd_bench(args):

@@ -113,14 +113,12 @@ class BandStorage:
             self.blocks.append(self._flat[start : start + r * c].reshape((r, c), order="F"))
             start += r * c
 
-    def factor(self, values, shift=0.0, at=None):
-        """Write ``values``, one per pattern entry, with ``shift`` added to
-        the entries ``at``, and factorize the storage in place; the factor
-        lives there until the next call. Raises NotPositiveDefinite."""
+    def factor(self, values):
+        """Write ``values``, one per pattern entry, and factorize the storage
+        in place; the factor lives there until the next call. Raises
+        NotPositiveDefinite."""
         self._flat.fill(0.0)
         self._flat[self._dst] = values[self._src]
-        if at is not None:
-            self._flat[self._dst[at]] += shift
         if self.n_arrow is None:
             return BandedLU(*self.blocks, self.bw, self.bw, self.order, self.inverse)
         return BandedArrowFactorization(*self.blocks, self.order, self.inverse)

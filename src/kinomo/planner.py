@@ -80,7 +80,6 @@ class PlanState:
     h_bar: np.ndarray  # (T+1, 9) momentum reference
     lambda_bar: dict  # phase index -> (T, 3) force reference (never updated)
     c_bar: dict  # effector name -> (T+1, 3) path reference
-    q: np.ndarray  # current joint trajectory, (T+1, dof)
     forces: dict = None  # phase index -> (T, 3) momentum-plan forces
     kappas: dict = None  # phase index -> (T, 3) torques about the CoM
 
@@ -131,8 +130,7 @@ def initialize_references(scn):
         lambda_bar[i] = fr
     p0 = effector_positions(scn.model, scn.q0)
     c_bar = {name: _effector_path(scn, name, p0[name]) for name in scn.model.effectors}
-    q = np.tile(scn.q0, (scn.T + 1, 1))
-    return PlanState(h_bar, lambda_bar, c_bar, q)
+    return PlanState(h_bar, lambda_bar, c_bar)
 
 
 def momentum_problem(scn, state, formulation):
@@ -190,7 +188,8 @@ def plan(scn, opts=None):
         "momentum_iters": [],
         "kinematic_converged": [],
         "kinematic_trials": [],
-        "com_y_range_init": float(np.ptp(forward_kinematics(scn.model, state.q)[3][:, 1])),
+        "com_y_range_init": float(np.ptp(
+            forward_kinematics(scn.model, np.tile(scn.q0, (scn.T + 1, 1)))[3][:, 1])),
     }
     res = None
     # the momentum problem, retargeted at every pass, and its Newton
@@ -235,7 +234,6 @@ def plan(scn, opts=None):
         report["delta_c"].append(delta_c)
         state.h_bar = h_dyn
         state.c_bar = c_new
-        state.q = traj.q
         state.forces = sol["forces"]
         state.kappas = sol["kappas"]
         report["passes"] = outer

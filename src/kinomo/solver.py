@@ -29,28 +29,23 @@ those values, and KKTSystem reads them as they are, so no sparse matrix
 is built per iteration or trial point.
 
 H is first the exact Lagrangian Hessian, which makes each step a Newton
-step. The exact matrix is rejected when the Cholesky of K + REG_FLOOR I
-fails (sequential form), or, since the banded LU shows no inertia, when
-the step dx fails the curvature test dx^T K dx > kappa |dx|^2
-(simultaneous form; Chiang and Zavala, Comput. Optim. Appl. 64, 2016).
-On the first rejection the solve switches for good to the convexified
-Hessian, which keeps only the PSD part of each row's curvature: the
-objective Hessian plus c Q_i for c >= 0 and |c| P_i for c < 0. That
-matrix is positive semidefinite, so K is positive definite for a small
-delta and every step is a descent direction of the barrier merit
-function; from the switch on, the solve is the globally convergent
-convexified method, with delta raised tenfold while the factorization
-fails. The rule costs at most one extra assembly and factorization.
-Trying the exact Hessian again after
-a convexified step does not converge reliably: on step_stones rescaled
-to T=400 (sequential form) such a per-iteration fallback stalls at the
-iteration limit. Nor can the exact Hessian alone, regularized by a delta
-raised tenfold from REG_FLOOR until K + delta I factorizes, replace the
-fallback: on the same instance it ended at MaxIter after 800 iterations
-(KKT 2.0e-6; 1.1e-5 when each delta restarts at a third of the last one,
-as in IPOPT), where the one-way fallback converged in 173 (both
-measured with one step length for x, s, z and y); with the step lengths
-below it converges in 127.
+step. On the first rejected exact matrix (solve_ipm's factorization loop
+states the rule) the solve switches for good to the convexified Hessian,
+which keeps only the PSD part of each row's curvature: the objective
+Hessian plus c Q_i for c >= 0 and |c| P_i for c < 0. That matrix is
+positive semidefinite, so K is positive definite for a small delta and
+every step is a descent direction of the barrier merit function; from
+the switch on, the solve is the globally convergent convexified method.
+The rule costs at most one extra assembly and factorization. Trying the
+exact Hessian again after a convexified step does not converge reliably:
+on step_stones rescaled to T=400 (sequential form) such a per-iteration
+fallback stalls at the iteration limit. Nor can the exact Hessian alone,
+regularized by a delta raised tenfold from REG_FLOOR until K + delta I
+factorizes, replace the fallback: on the same instance it ended at
+MaxIter after 800 iterations (KKT 2.0e-6; 1.1e-5 when each delta
+restarts at a third of the last one, as in IPOPT), where the one-way
+fallback converged in 173 (both measured with one step length for x, s,
+z and y); with the step lengths below it converges in 127.
 
 The primal variables (x, s) and the duals (z, y) move by separate step
 lengths (Nocedal and Wright, Numerical Optimization, 2nd ed., eq. 19.9):
@@ -166,8 +161,8 @@ def _kkt_norms(r_d, g_i, z, g_e):
     )
 
 
-def _compiled_parts(p: NlpProblem):
-    """The compiled objective, inequalities and equalities of p."""
+def compiled_parts(p: NlpProblem):
+    """The compiled objective, inequalities and equalities of p: all a solve compiles."""
     return p.compiled_objective(), p.compiled_ineq(), p.compiled_eq()
 
 
@@ -189,7 +184,7 @@ def kkt_residual(p: NlpProblem, x, z, y):
     """Infinity norms of the four KKT blocks under the sign convention
     L = J - z g_I - y g_E: (stationarity, primal, dual, complementarity)."""
     z, y = np.asarray(z), np.asarray(y)
-    _, _, r_d, g_i, _, g_e, _ = _evaluate(*_compiled_parts(p), x, z, y)
+    _, _, r_d, g_i, _, g_e, _ = _evaluate(*compiled_parts(p), x, z, y)
     return _kkt_norms(r_d, g_i, z, g_e)
 
 
@@ -344,10 +339,11 @@ class KKTSystem:
         return sp.csr_matrix((np.concatenate([v, v[off]]), (rows, cols)), shape=(self._n,) * 2)
 
     def factor(self, delta):
-        """Pack with delta and factorize the storage in place; the
-        factorization lives there until the next factor call. Raises
-        NotPositiveDefinite."""
-        return self.band.factor(self._v, delta, self._diag)
+        """Factorize K + delta I, the shift added to a copy of the slot values,
+        in ``band`` until the next call. Raises NotPositiveDefinite."""
+        v = self._v.copy()
+        v[self._diag] += delta
+        return self.band.factor(v)
 
 
 def _fraction_to_boundary(v, dv):
@@ -387,6 +383,15 @@ def solve_ipm(
     the solve ends: Infeasible above a primal residual of 1e-4, else MaxIter.
     A non-finite objective or KKT norm ends it as NumericFailure.
 
+    One factorization loop gives each Newton step, from delta = REG_FLOOR.
+    It rejects an exact K that fails to factorize, or, in the simultaneous
+    form, whose step dx fails the curvature test dx^T K dx > CURVATURE_MIN
+    |dx|^2, which stands in for the inertia the banded LU does not show
+    (Chiang and Zavala, Comput. Optim. Appl. 64, 2016). A rejection
+    switches the solve to the convexified Hessian for good, retried at the
+    same delta. A convexified K that fails to factorize raises delta
+    tenfold; past 1e-2 the solve is NumericFailure.
+
     The solve starts at (x, z, y) with slacks max(g_I, sqrt(mu)) and z
     raised to at least mu / s. Given ``start``, the result of a solve of a
     problem with the same variables and rows (as a retargeted one), that is
@@ -401,7 +406,7 @@ def solve_ipm(
     """
     opts = opts or SolverOptions()
     n = p.n
-    obj, ineq, eq = _compiled_parts(p)
+    obj, ineq, eq = compiled_parts(p)
     if start is None:  # a cold start is a warm start from (x0, 0, 0) at MU0
         x, z, y, mu = p.x0.copy(), np.zeros(p.n_ineq), np.zeros(p.n_eq), MU0
     else:
@@ -442,31 +447,26 @@ def solve_ipm(
         kkt.assemble(*terms, exact=hessian == "exact")
         rhs = np.concatenate([-r_d + ineq.rmatvec(J_i, mu / s - z - sigma * r_i), -g_e])
 
-        sol = None
-        if hessian == "exact":
-            try:
-                sol = kkt.factor(REG_FLOOR).solve(rhs)
-                # the simultaneous form's LU shows no inertia: the step's
-                # curvature stands in
-                dx = sol[:n]
-                if p.n_eq and not kkt.curvature(dx) > CURVATURE_MIN * float(dx @ dx):
-                    sol = None
-            except NotPositiveDefinite:
-                pass
-            if sol is None:  # rejected: convexified for the rest of the solve
-                hessian = "convexified"
-                kkt.assemble(*terms, exact=False)
         delta = REG_FLOOR
-        while sol is None:
+        while True:
             try:
                 sol = kkt.factor(delta).solve(rhs)
+                # the simultaneous form's LU shows no inertia: an exact
+                # step's curvature stands in
+                dx = sol[:n]
+                if (hessian == "convexified" or not p.n_eq
+                        or kkt.curvature(dx) > CURVATURE_MIN * float(dx @ dx)):
+                    break
             except NotPositiveDefinite:
-                delta *= 10.0
-                if delta > 1e-2:
-                    return SolveResult(x, z, y, "NumericFailure", stats, f, res)
+                pass
+            if hessian == "exact":  # rejected: convexified for the rest of the solve
+                hessian = "convexified"
+                kkt.assemble(*terms, exact=False)
+            elif (delta := delta * 10.0) > 1e-2:
+                return SolveResult(x, z, y, "NumericFailure", stats, f, res)
         # row 1 of the simultaneous system reads K dx + A_e^T w = rhs while
         # the Newton system wants K dx - A_e^T dy = rhs, hence dy = -w
-        dx, dy = sol[:n], -sol[n:]
+        dy = -sol[n:]
         ds = ineq.matvec(J_i, dx) + r_i
         dz = mu / s - z - sigma * ds
 
@@ -568,7 +568,7 @@ def solve_sqp_dense(p: NlpProblem, opts: SolverOptions = None) -> SolveResult:
     """Line-search SQP with convexified-Hessian QP subproblems, all dense."""
     opts = opts or SolverOptions()
     n = p.n
-    obj, ineq, eq = _compiled_parts(p)
+    obj, ineq, eq = compiled_parts(p)
     kkt = KKTSystem(p)
     x = p.x0.copy()
     z = np.zeros(p.n_ineq)

@@ -1,20 +1,34 @@
 import csv
+import dataclasses
+import json
+import statistics
 
 import numpy as np
 import pytest
 
-from kinomo import cli
+from kinomo import cli, planner, transcription
 from kinomo.contact import NormalForceNonPositive
-from kinomo.scenario import make_standing_scenario, save_scenario, scenario_to_dict
+from kinomo.scenario import (
+    load_scenario,
+    make_standing_scenario,
+    make_stepping_scenario,
+    save_scenario,
+    scenario_to_dict,
+)
 from kinomo.solver import QPSubproblemInfeasible
-
-import json
 
 
 @pytest.fixture(scope="module")
 def stand_path(tmp_path_factory):
     path = tmp_path_factory.mktemp("scn") / "stand.json"
     save_scenario(make_standing_scenario(T=10), path)
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def step_path(tmp_path_factory):
+    path = tmp_path_factory.mktemp("scn") / "step.json"
+    save_scenario(make_stepping_scenario(T=21), path)
     return str(path)
 
 
@@ -140,6 +154,26 @@ class TestMomentum:
         assert capsys.readouterr().out.splitlines()[-1].startswith("error:")
         assert not (tmp_path / "stand_contacts.csv").exists()
 
+    def test_numeric_failure_exits_numeric_without_csv(self, stand_path, tmp_path,
+                                                       capsys, monkeypatch):
+        real = cli.solve
+        monkeypatch.setattr(cli, "solve", lambda p, opts: dataclasses.replace(
+            real(p, opts), status="NumericFailure"))
+        rc = cli.main(["momentum", stand_path, "--out-dir", str(tmp_path)])
+        assert rc == cli.EXIT_NUMERIC
+        assert "[sequential/NumericFailure]" in capsys.readouterr().out
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("formulation", ["seq", "sim"])
+    def test_contacts_skip_inactive_phases(self, step_path, tmp_path, formulation):
+        assert cli.main(["momentum", step_path, "--formulation", formulation,
+                         "--out-dir", str(tmp_path)]) == 0
+        _, _, rows = read_csv(tmp_path / "step_stones_contacts.csv")
+        scn = load_scenario(step_path)
+        active = [(t, ph.effector_id) for t in range(scn.T) for ph in scn.phases if ph.active(t)]
+        assert len(active) < scn.T * len(scn.phases)  # some phase is inactive at some step
+        assert [(int(r[0]), r[1]) for r in rows] == active
+
     @pytest.mark.parametrize("keys, value, path", [
         (("solver", "max_iter"), -1, "$.solver"),
         (("solver", "max_iter"), 2.5, "$.solver"),
@@ -190,6 +224,17 @@ class TestPlan:
         assert all(r[4] == "Converged" for r in prows)
         assert all(int(r[5]) >= 1 for r in prows)
 
+    def test_planner_error_exits_numeric(self, stand_path, tmp_path, capsys, monkeypatch):
+        def failing(scn, opts):
+            raise planner.PlannerError(2, "momentum sub-problem failed: NumericFailure")
+
+        monkeypatch.setattr(cli.planner, "plan", failing)
+        rc = cli.main(["plan", stand_path, "--out-dir", str(tmp_path)])
+        assert rc == cli.EXIT_NUMERIC
+        assert capsys.readouterr().out.splitlines() == [
+            "error: pass 2: momentum sub-problem failed: NumericFailure"]
+        assert not list(tmp_path.iterdir())
+
 
 class TestBench:
     def test_csv_and_counts(self, stand_path, tmp_path, capsys):
@@ -207,6 +252,31 @@ class TestBench:
                   "--repeats", "1", "--out-dir", str(tmp_path)])
         _, _, rows = read_csv(tmp_path / "stand_bench_sim.csv")
         assert int(rows[0][1]) == 21 * int(rows[0][0])
+
+    def test_ms_per_iter_is_median_iteration_time(self, stand_path, tmp_path, monkeypatch):
+        """Every timed solve runs on a compiled problem, and ms_per_iter is
+        the median IterationStat.time_ms over all of them."""
+        compiles, solves = [], []
+        for name in ("CompiledObjective", "CompiledVectorFunction"):
+            cls = getattr(transcription, name)
+            monkeypatch.setattr(transcription, name,
+                                lambda f, cls=cls: compiles.append(f) or cls(f))
+        real = cli.solve
+
+        def timed(p, opts):
+            before = len(compiles)
+            res = real(p, opts)
+            assert len(compiles) == before, "a compile ran inside a timed solve"
+            solves.append(res)
+            return res
+
+        monkeypatch.setattr(cli, "solve", timed)
+        assert cli.main(["bench", stand_path, "--T-list", "10", "--repeats", "3",
+                         "--out-dir", str(tmp_path)]) == 0
+        _, _, rows = read_csv(tmp_path / "stand_bench_seq.csv")
+        assert len(solves) == 3 and len(compiles) == 3
+        assert float(rows[0][4]) == statistics.median(
+            st.time_ms for res in solves for st in res.stats)
 
     @pytest.mark.parametrize("option, value", [
         ("--repeats", "0"), ("--repeats", "-2"), ("--T-list", "0"),
@@ -237,3 +307,18 @@ class TestOutDir:
             cli.main([command, stand_path, "--out-dir", str(out)])
         assert exc.value.code == cli.EXIT_SCHEMA
         assert "argument --out-dir: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["momentum", "plan", "bench"])
+    def test_unwritable_out_dir_exits_schema(self, stand_path, tmp_path, capsys,
+                                             monkeypatch, command):
+        def no_solve(*args):
+            raise AssertionError("solved before the output directory was checked")
+
+        monkeypatch.setattr(cli, "solve", no_solve)
+        monkeypatch.setattr(cli.planner, "plan", no_solve)
+        # root passes every os.access check, so the denial is injected
+        monkeypatch.setattr(cli.os, "access", lambda path, mode: False)
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, stand_path, "--out-dir", str(tmp_path)])
+        assert exc.value.code == cli.EXIT_SCHEMA
+        assert "is not writable" in capsys.readouterr().err

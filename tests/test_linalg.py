@@ -173,3 +173,58 @@ class TestBandedLU:
         rhs = r.normal(size=80)
         x = f.solve(rhs)
         assert np.linalg.norm(K @ x - rhs) <= 1e-8 * np.linalg.norm(rhs)
+
+
+def _lapack_returns_info(monkeypatch, name, info):
+    """Make the LAPACK routine ``name`` that linalg calls return its usual
+    outputs with ``info`` in place of its own."""
+    real = getattr(linalg.lapack, name)
+
+    def failing(*args, **kwargs):
+        *out, _ = real(*args, **kwargs)
+        return (*out, info)
+
+    monkeypatch.setattr(linalg.lapack, name, failing)
+
+
+class TestLapackFailures:
+    """A nonzero LAPACK info, or a bad partition, raises before any result
+    is returned."""
+
+    def test_arrow_triangular_solve(self, monkeypatch):
+        K = sp.csr_matrix(random_banded_arrow(60, 6, 6, seed=3))
+        _lapack_returns_info(monkeypatch, "dtbtrs", 1)
+        with pytest.raises(linalg.NotPositiveDefinite, match="triangular solve"):
+            linalg.factorize_banded_arrow(K, np.arange(60), np.arange(60, 66))
+
+    @pytest.mark.parametrize("n_arrow", [0, 6])
+    def test_band_solve(self, n_arrow, monkeypatch):
+        K = sp.csr_matrix(random_banded_arrow(60, n_arrow, 6, seed=3))
+        f = linalg.factorize_banded_arrow(K, np.arange(60), np.arange(60, 60 + n_arrow))
+        _lapack_returns_info(monkeypatch, "dpbtrs", 2)
+        with pytest.raises(linalg.NotPositiveDefinite, match="banded solve"):
+            f.solve(np.ones(60 + n_arrow))
+
+    @staticmethod
+    def _indefinite_storage():
+        L = sp.tril(sp.csr_matrix(np.array([[2.0, 1.0], [1.0, -1.0]]))).tocoo()
+        return L, linalg.BandStorage(L.row, L.col, np.arange(2))
+
+    def test_banded_lu(self, monkeypatch):
+        L, band = self._indefinite_storage()
+        _lapack_returns_info(monkeypatch, "dgbtrf", 1)
+        with pytest.raises(linalg.NotPositiveDefinite, match="banded LU"):
+            band.factor(L.data)
+
+    def test_banded_lu_solve(self, monkeypatch):
+        L, band = self._indefinite_storage()
+        f = band.factor(L.data)
+        assert np.allclose(f.solve([3.0, 0.0]), [1.0, 1.0])
+        _lapack_returns_info(monkeypatch, "dgbtrs", -4)
+        with pytest.raises(linalg.NotPositiveDefinite, match="back-substitution"):
+            f.solve([3.0, 0.0])
+
+    @pytest.mark.parametrize("band, arrow", [(range(10), ()), (range(10), range(10, 13))])
+    def test_orders_must_partition(self, band, arrow):
+        with pytest.raises(ValueError, match="partition"):
+            linalg.factorize_banded_arrow(sp.identity(12, format="csr"), band, arrow)

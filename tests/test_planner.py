@@ -3,8 +3,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from kinomo import planner, solver
+from kinomo import kinematics, planner, solver
 from kinomo.contact import ContactPhase
+from kinomo.dynamics import MomentumState
 from kinomo.kinematics import effector_positions, forward_kinematics
 from kinomo.planner import (
     PlanOptions,
@@ -219,6 +220,46 @@ class TestPlan:
         if formulation == "sequential":
             warm, cold = solves[1]
             assert len(warm.stats) <= len(cold.stats) / 2
+
+    @staticmethod
+    def _on_pass(monkeypatch, owner, name, k, fault):
+        """Replace owner.name, called once per pass, by the original that
+        hands its output to ``fault`` at pass k."""
+        real, calls = getattr(owner, name), []
+
+        def wrapped(*args, **kwargs):
+            calls.append(None)
+            out = real(*args, **kwargs)
+            return fault(out) if len(calls) == k else out
+
+        monkeypatch.setattr(owner, name, wrapped)
+
+    def _plan_fails_at(self, k, match):
+        opts = PlanOptions(max_outer=3, kinematic_max_iter=10)
+        with pytest.raises(planner.PlannerError, match=f"^pass {k}: {match}") as exc:
+            plan(make_stepping_scenario(T=21), opts)
+        assert exc.value.outer_pass == k
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_dynamics_violation_raises(self, k, monkeypatch):
+        def off(h):  # the rolled-out final state 1e-6 away from the plan's
+            return h[:-1] + [MomentumState.from_vector(h[-1].as_vector() + 1e-6)]
+
+        self._on_pass(monkeypatch, planner, "rollout", k, off)
+        self._plan_fails_at(k, "momentum plan violates its own dynamics by 1.00e-06")
+
+    def test_kinematic_failure_raises(self, monkeypatch):
+        def fail(out):
+            raise np.linalg.LinAlgError("injected")
+
+        self._on_pass(monkeypatch, kinematics, "solve_kinematic_subproblem", 2, fail)
+        self._plan_fails_at(2, "kinematic sub-problem failed: injected")
+
+    @pytest.mark.parametrize("status", ["NumericFailure", "Infeasible"])
+    def test_momentum_failure_raises(self, status, monkeypatch):
+        self._on_pass(monkeypatch, planner, "solve", 2,
+                      lambda res: dataclasses.replace(res, status=status))
+        self._plan_fails_at(2, f"momentum sub-problem failed: {status}")
 
     def test_options_validation(self):
         with pytest.raises(ValueError):

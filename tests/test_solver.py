@@ -110,6 +110,13 @@ class TestDenseQP:
         )
         assert abs(d[0] - 2.0) < 1e-8
 
+    def test_singular_kkt_is_infeasible(self):
+        # H = -1e-12 I cancels the solver's own 1e-12 shift exactly, and
+        # without rows the KKT matrix is that zero matrix
+        with pytest.raises(solver.QPSubproblemInfeasible, match="singular"):
+            _solve_dense_qp(-1e-12 * np.eye(2), np.ones(2), np.zeros((0, 2)), np.zeros(0),
+                            np.zeros((0, 2)), np.zeros(0))
+
 
 class TestIpm:
     def test_tiny_contact_instance_kkt(self):
