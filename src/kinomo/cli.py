@@ -21,7 +21,7 @@ import time
 
 from . import planner, scenario
 from .contact import ContactWrenchCom, NormalForceNonPositive, com_to_cop, cop_wrench_feasibility
-from .solver import QPSubproblemInfeasible, compiled_parts, solve
+from .solver import KKTSystem, QPSubproblemInfeasible, compiled_parts, solve
 from .transcription import extract
 
 CSV_HEADER = "# kinomo-csv v1"
@@ -174,16 +174,19 @@ def _bench_cell(scn, T, formulation, repeats):
     p = planner.momentum_problem(base, planner.initialize_references(base), formulation)
     # compiled before the timed solves, so that every repeat times the same work
     compiled_parts(p)
-    times, iters, kkts, iter_ms = [], [], [], []
+    times, builds, iters, kkts, iter_ms = [], [], [], [], []
     for _ in range(repeats):
         t0 = time.perf_counter()
-        res = solve(p, base.solver)
+        kkt = KKTSystem(p)  # the symbolic pass, timed on its own as well
+        builds.append((time.perf_counter() - t0) * 1e3)
+        res = solve(p, base.solver, kkt=kkt)
         times.append((time.perf_counter() - t0) * 1e3)
         iters.append(len(res.stats))
         kkts.append(max(res.kkt))
         iter_ms += [st.time_ms for st in res.stats]
     return [T, p.n, statistics.median(iters), statistics.median(times),
-            statistics.median(iter_ms or [float("nan")]), statistics.median(kkts)]
+            statistics.median(iter_ms or [float("nan")]), statistics.median(kkts),
+            statistics.median(builds)]
 
 
 def cmd_bench(args):
@@ -192,7 +195,8 @@ def cmd_bench(args):
     # the file keeps the option's spelling: seq | sim
     short = {v: k for k, v in FORMULATIONS.items()}[args.formulation]
     path = os.path.join(args.out_dir, f"{scn.name}_bench_{short}.csv")
-    _write_csv(path, ["T", "n_vars", "iter_count", "total_ms", "ms_per_iter", "kkt_final"], rows)
+    _write_csv(path, ["T", "n_vars", "iter_count", "total_ms", "ms_per_iter", "kkt_final",
+                      "kkt_ms"], rows)
     for r in rows:
         print(f"T={r[0]:5d} n={r[1]:6d} iters={r[2]:.0f} total={r[3]:.1f}ms per_iter={r[4]:.2f}ms kkt={r[5]:.2e}")
     return EXIT_OK

@@ -63,7 +63,8 @@ class BandStorage:
     ``row`` and ``col`` list the pattern, each entry of one triangle once
     (the diagonal included); ``order`` is the permutation that makes the
     matrix banded: storage position k holds index ``order[k]``, and index i
-    is at position ``inverse[i]``. With ``n_arrow`` given, the last
+    is at position ``inverse[i]``. An order that is not a permutation raises
+    ValueError. With ``n_arrow`` given, the last
     ``n_arrow`` positions are a dense arrow, and the storage is (ab, W, C):
     the band block in LAPACK lower band storage, the band-arrow coupling W
     and the arrow block C, stored in full. With ``n_arrow`` None, it is
@@ -79,6 +80,8 @@ class BandStorage:
         self.order = np.asarray(order, dtype=np.intp)
         self.n_arrow = n_arrow
         N = self.order.size
+        if not np.array_equal(np.sort(self.order), np.arange(N)):
+            raise ValueError("order must hold each index exactly once")
         self.inverse = pos = np.empty(N, dtype=np.intp)
         pos[self.order] = np.arange(N)
         hi = np.maximum(pos[row], pos[col])

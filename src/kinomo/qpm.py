@@ -212,15 +212,13 @@ def sorted_unique(a):
 
 def row_pairs(indptr):
     """Every pair (k1, k2), k1 >= k2, of entry positions within one row of
-    a CSR pattern: the lower-triangle terms of u'u for each row u."""
-    lengths = np.diff(indptr)
-    p1, p2 = [np.zeros(0, dtype=np.int32)], [np.zeros(0, dtype=np.int32)]
-    for L in np.unique(lengths):
-        a, b = np.tril_indices(L)
-        start = indptr[:-1][lengths == L][:, None]
-        p1.append((start + a).ravel().astype(np.int32))
-        p2.append((start + b).ravel().astype(np.int32))
-    return np.concatenate(p1), np.concatenate(p2)
+    a CSR pattern: the lower-triangle terms of u'u for each row u. They
+    come row by row, k1 ascending, and for each k1 the k2 ascending from
+    the row's first entry."""
+    start = np.repeat(indptr[:-1], np.diff(indptr))  # the row start of each k1
+    k1 = np.arange(indptr[0], indptr[-1])
+    count = k1 - start + 1
+    return np.repeat(k1, count), _ranges(start, count)
 
 
 def cross(a, b):

@@ -193,14 +193,18 @@ class KKTSystem:
     that assembles Lagrangian curvature, for the dense SQP as well.
 
     The constructor does the symbolic work, once for every problem of one
-    pattern (a plan's retargeted problem keeps its pattern): it takes the
-    union pattern of every entry the matrix can hold (objective Hessian,
-    each stored Q and P entry, A_I^T A_I from the Jacobian's fixed CSR
-    pattern, the diagonal and, in the simultaneous form, A_E and the
-    -gamma I block), numbers its lower-triangle entries ("slots") and
-    hands the pattern to a linalg.BandStorage (``band``) in the time-step
-    order of p.layout.newton_key. In the sequential form that is the
-    variables by step block, in index order, the arrow last. In the
+    pattern (a plan's retargeted problem keeps its pattern). One stable
+    argsort of the (i, j) keys of the terms of A_I^T Sigma A_I, the pairs
+    of entries of each Jacobian row (qpm.row_pairs), gives the distinct
+    pair keys and the order of each key's terms. The slots, the matrix's
+    lower-triangle entries, are the sorted union of those keys with the
+    objective Hessian's, the diagonal's and, in the simultaneous form,
+    those of A_E, the -gamma I block and the equality rows' Q and P. An
+    inequality row's Q and P entries are pairs of that row (its Jacobian
+    pattern holds their indices), so they are only searched in the slots.
+    The pattern goes to a linalg.BandStorage (``band``) in the time-step
+    order of p.layout.newton_key. In the sequential form that is
+    the variables by step block, in index order, the arrow last. In the
     simultaneous form, step t holds k_t, the (p, tau) half of every
     wrench, r_t and l_t; then its k dynamics rows and the f half of every
     wrench; then its r rows and l rows. The k rows couple k_t, k_{t+1},
@@ -237,37 +241,30 @@ class KKTSystem:
         ineq, eq = p.compiled_ineq(), p.compiled_eq()
         N = n + eq.m
 
-        # (i, j) keys, i >= j, of every contribution, source by source
+        # the terms of A_I^T Sigma A_I, row by row, shorter rows first: after
+        # one stable sort of their (i, j) keys, i >= j, the u-th distinct
+        # key's terms are first[u]:first[u + 1] (-1 and N N bound every key).
+        # Each slot sums them in this order; the IPM's path on long horizons
+        # follows its roundings (step_stones at T=400 among them).
+        self._row_len = lengths = np.diff(ineq.indptr)
+        entry = np.argsort(np.repeat(lengths, lengths), kind="stable")
+        p1, p2 = (entry[q] for q in qpm.row_pairs(np.r_[0, np.cumsum(np.sort(lengths))]))
+        pair_key = ineq.indices[p1] * N + ineq.indices[p2]
+        order = np.argsort(pair_key, kind="stable")
+        pair_key = pair_key[order]
+        first = np.flatnonzero(np.diff(pair_key, prepend=-1, append=N * N))
+        # the keys of the other sources that enter the union
         H = p.compiled_objective().H.tocoo()
         low = H.row >= H.col
-        keys = {"obj": H.row[low].astype(np.int64) * N + H.col[low]}
-        const_val = H.data[low]
-        # the Q and P entries: keys, columns and values of G_Q and G_P,
-        # whose column r scales by row r of the stacked coefficients c
-        curv = {
-            part: ([np.zeros(0, np.int64)], [np.zeros(0, np.intp)], [np.zeros(0)])
-            for part in "QP"
-        }
-        col0 = 0
-        for fn in (ineq, eq):
-            for part, (rows, ii, jj, vv) in zip("QP", fn.curvature_entries()):
-                key = ii.astype(np.int64) * N + jj
-                for lst, a in zip(curv[part], (key, rows + col0, vv)):
-                    lst.append(a)
-            col0 += fn.m
-        for part, (k, c, v) in curv.items():
-            keys[part] = np.concatenate(k)
-            curv[part] = np.concatenate(c), np.concatenate(v)
-        p1, p2 = qpm.row_pairs(ineq.indptr)  # the terms of A_I^T Sigma A_I
-        keys["pairs"] = ineq.indices[p1] * N + ineq.indices[p2]
-        self._row_len = np.diff(ineq.indptr)
+        keys = {"pairs": pair_key[first[:-1]], "obj": H.row[low].astype(np.int64) * N + H.col[low]}
         keys["diag"] = np.arange(n, dtype=np.int64) * (N + 1)
         eq_rows = n + np.repeat(np.arange(eq.m, dtype=np.int64), np.diff(eq.indptr))
         keys["ae"] = eq_rows * N + eq.indices
         keys["eq_diag"] = np.arange(n, N, dtype=np.int64) * (N + 1)
-        pattern = qpm.sorted_unique(np.concatenate([qpm.sorted_unique(k) for k in keys.values()]))
+        for part, (_, i, j, _) in zip("QP", eq.curvature_entries()):
+            keys["eq_" + part] = i.astype(np.int64) * N + j
+        pattern = qpm.sorted_unique(np.concatenate(list(keys.values())))
         slot = {k: np.searchsorted(pattern, v).astype(np.int32) for k, v in keys.items()}
-        del keys  # before the matrices below are built
         S = pattern.size
         row, col = np.divmod(pattern, N)
         self._n = n
@@ -276,21 +273,29 @@ class KKTSystem:
         self._k_row, self._k_col = row[:n_k].astype(np.int32), col[:n_k].astype(np.int32)
         self._k_weight = np.where(self._k_row == self._k_col, 1.0, 2.0)
 
-        self._const = np.bincount(slot["obj"], const_val, minlength=S)
+        self._const = np.bincount(slot["obj"], H.data[low], minlength=S)
         self._const[slot["eq_diag"]] -= self.gamma
         self._ae_slot = slot["ae"]
-        self._G = {
-            part: sp.csr_matrix((v, (slot[part], c)), shape=(S, col0))
-            for part, (c, v) in curv.items()
-        }
+        # G_Q and G_P as CSC: the entries come sorted by row r, the column of
+        # row r of the stacked c, inequality rows first. An inequality
+        # entry, being a pair key, is only searched in the pattern.
+        self._G = {}
+        for part, (r_i, i, j, v_i), (r_e, _, _, v_e) in zip(
+            "QP", ineq.curvature_entries(), eq.curvature_entries()
+        ):
+            at = np.concatenate([np.searchsorted(pattern, i.astype(np.int64) * N + j),
+                                 slot["eq_" + part]])
+            c = np.concatenate([r_i, r_e + ineq.m])
+            self._G[part] = sp.csc_matrix(
+                (np.concatenate([v_i, v_e]), at, np.searchsorted(c, np.arange(ineq.m + eq.m + 1))),
+                shape=(S, ineq.m + eq.m),
+            )
         # A_I^T Sigma A_I as a matrix-vector product: row `slot` of _AtA
-        # holds J[k2] at column k1 for each pair of that slot, so that
-        # _AtA @ (sigma J) sums sigma_r J[k1] J[k2]; only the data J[k2]
-        # changes between iterations
-        order = np.argsort(slot["pairs"], kind="stable")
-        indptr = np.zeros(S + 1, dtype=np.int32)
-        np.cumsum(np.bincount(slot["pairs"], minlength=S), out=indptr[1:])
-        self._p2 = p2[order].astype(np.intp)
+        # holds J[k2] at column k1 for each pair of that slot, in the order
+        # above, so that _AtA @ (sigma J) sums sigma_r J[k1] J[k2]; only the
+        # data J[k2] changes between iterations
+        indptr = first[np.searchsorted(slot["pairs"], np.arange(S + 1))].astype(np.int32)
+        self._p2 = p2[order]
         self._AtA = sp.csr_matrix(
             (np.zeros(order.size), p1[order], indptr), shape=(S, ineq.indices.size)
         )

@@ -67,6 +67,14 @@ class TestValidate:
         assert "$.weights" in capsys.readouterr().out
 
 
+    def test_non_positive_friction_exits_schema(self, tmp_path, capsys):
+        d = scenario_to_dict(make_standing_scenario(T=10))
+        d["phases"][0]["surface"]["mu"] = 0.0
+        p = tmp_path / "bad_mu.json"
+        p.write_text(json.dumps(d))
+        assert cli.main(["validate", str(p)]) == 2
+        assert "$.phases[0].surface.mu" in capsys.readouterr().out
+
     def test_non_numeric_entry_exits_schema(self, tmp_path, capsys):
         d = scenario_to_dict(make_standing_scenario(T=10))
         d["robot"]["links"][0]["axis"] = ["a", 0, 0]
@@ -242,10 +250,12 @@ class TestBench:
                        "--out-dir", str(tmp_path)])
         assert rc == 0
         header, cols, rows = read_csv(tmp_path / "stand_bench_seq.csv")
-        assert cols == ["T", "n_vars", "iter_count", "total_ms", "ms_per_iter", "kkt_final"]
+        assert cols == ["T", "n_vars", "iter_count", "total_ms", "ms_per_iter", "kkt_final",
+                        "kkt_ms"]
         for r in rows:
             # sequential double support: 12T variables
             assert int(r[1]) == 12 * int(r[0])
+            assert 0.0 < float(r[6]) < float(r[3])  # the build is part of a solve's time
 
     def test_sim_counts(self, stand_path, tmp_path):
         cli.main(["bench", stand_path, "--formulation", "sim", "--T-list", "10",
@@ -263,9 +273,9 @@ class TestBench:
                                 lambda f, cls=cls: compiles.append(f) or cls(f))
         real = cli.solve
 
-        def timed(p, opts):
+        def timed(p, opts, kkt):
             before = len(compiles)
-            res = real(p, opts)
+            res = real(p, opts, kkt=kkt)
             assert len(compiles) == before, "a compile ran inside a timed solve"
             solves.append(res)
             return res

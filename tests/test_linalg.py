@@ -228,3 +228,10 @@ class TestLapackFailures:
     def test_orders_must_partition(self, band, arrow):
         with pytest.raises(ValueError, match="partition"):
             linalg.factorize_banded_arrow(sp.identity(12, format="csr"), band, arrow)
+
+    @pytest.mark.parametrize("band, arrow", [(range(10), [9, 10]), ([-1, *range(1, 10)], [10, 11])])
+    def test_orders_must_be_a_permutation(self, band, arrow):
+        # a repeated index (9), or -1 where 0 belongs, would leave a place of
+        # the inverse permutation unset
+        with pytest.raises(ValueError, match="exactly once"):
+            linalg.factorize_banded_arrow(np.diag(np.arange(1.0, 13)), band, arrow)

@@ -112,6 +112,15 @@ class TestCrossProduct:
         assert qpm.min_quad_eigenvalue(cross6()) >= -qpm.PSD_TOL
 
 
+@pytest.mark.parametrize("lengths", [[], [0], [1], [3, 0, 1, 4, 0, 2], [0, 0, 5]])
+def test_row_pairs_lists_each_row_pair_once_row_major(lengths):
+    indptr = np.concatenate([[0], np.cumsum(lengths)]).astype(np.intp)
+    expected = [(k1, k2) for r in range(len(lengths))
+                for k1 in range(indptr[r], indptr[r + 1]) for k2 in range(indptr[r], k1 + 1)]
+    p1, p2 = qpm.row_pairs(indptr)
+    assert list(zip(p1.tolist(), p2.tolist())) == expected
+
+
 class TestComposeAffine:
     """The cross product composed with an affine map: qpm.cross of the two
     halves of x -> A x + a."""

@@ -82,6 +82,12 @@ class TestQuaternion:
         with pytest.raises(SchemaViolation):
             quaternion_to_matrix([0, 0, 0, 0])
 
+    def test_wrong_length_rejected(self):
+        # a scenario's rotation fails _vector's length check before this one
+        with pytest.raises(SchemaViolation) as exc:
+            quaternion_to_matrix([1.0, 0.0, 0.0], "$.phases[0].surface.rotation")
+        assert exc.value.path == "$.phases[0].surface.rotation"
+
 
 class TestShippedFiles:
     def test_stand_valid(self):
@@ -137,6 +143,23 @@ class TestShippedFiles:
             out = tmp_path / f"{i}.json"
             save_scenario(scn, out)
             assert out.read_bytes() == shipped
+
+
+def _setting(*keys, value):
+    """An edit of a scenario dict that sets the entry at ``keys``."""
+    def edit(d):
+        node = d
+        for k in keys[:-1]:
+            node = node[k]
+        node[keys[-1]] = value
+        return d
+    return edit
+
+
+def _massless(d):
+    for link in d["robot"]["links"]:
+        link["mass"] = 0.0
+    return d
 
 
 class TestValidation:
@@ -214,6 +237,29 @@ class TestValidation:
         node[keys[-1]] = value
         with pytest.raises(SchemaViolation) as exc:
             scenario_from_dict(d)
+        assert exc.value.path == path
+
+    @pytest.mark.parametrize("edit, path", [
+        (_setting("robot", "links", 0, "kind", value="ball"), "$.robot.links[0].kind"),
+        (_setting("robot", "effectors", "l_foot", "link", value="tail"),
+         "$.robot.effectors.l_foot.link"),
+        (_setting("robot", "links", value=[]), "$.robot.links"),
+        (_setting("robot", "lower", value=[0.0]), "$.robot.lower"),
+        (_setting("phases", 0, "surface", "mu", value=0.0), "$.phases[0].surface.mu"),
+        (_setting("phases", 0, "surface", "p_max", value=[0.1, 0.0]),
+         "$.phases[0].surface.p_max"),
+        (_setting("phases", 0, "surface", "tau_max", value=-0.3), "$.phases[0].surface.tau_max"),
+        (_setting("T", value=0), "$.T"),
+        (_setting("delta", value=0.0), "$.delta"),
+        (_massless, "$.robot.links"),
+        (_setting("phases", 0, "sigma", value=12), "$.phases[0].sigma"),  # epsilon is 10
+        (lambda d: [d], "$"),
+        (_setting("phases", value=[]), "$.phases"),
+    ], ids=["joint-kind", "effector-link", "no-links", "limits-length", "mu", "p_max",
+            "tau_max", "T", "delta", "total-mass", "inverted-phase", "top-level", "no-phases"])
+    def test_each_check_reports_its_path(self, edit, path):
+        with pytest.raises(SchemaViolation) as exc:
+            scenario_from_dict(edit(self.base()))
         assert exc.value.path == path
 
     def test_parse_error(self, tmp_path):

@@ -593,6 +593,83 @@ class TestKKTSystem:
         assert kkt.band.bw == 3 * 3 + 11
         assert KKTSystem(build_simultaneous(flight_and_hand_scenario(T=40))).band.bw == 20
 
+    @pytest.mark.parametrize("case", ["step_stones-seq", "standing", "step_stones-sim", "flight"])
+    def test_symbolic_pass_matches_searched_union(self, case):
+        """The pattern and slots equal those of the plain construction:
+        the sorted union of every source's keys, each searched in it."""
+        if case == "flight":
+            p = build_simultaneous(flight_and_hand_scenario())
+        else:
+            scn = (make_standing_scenario(T=6) if case == "standing"
+                   else rescale_horizon(load_scenario("scenarios/step_stones.json"), 12))
+            state = initialize_references(scn)
+            build = build_simultaneous if case.endswith("sim") else build_sequential
+            p = build(scn.momentum_scenario(state.h_bar, state.lambda_bar))
+        if not p.n_eq:
+            assert bool(p.layout.arrow_indices.size) == (case != "standing")
+        ineq, eq = p.compiled_ineq(), p.compiled_eq()
+        n, N = p.n, p.n + p.n_eq
+        H = sp.tril(p.compiled_objective().H).tocoo()
+        lengths = np.diff(ineq.indptr)
+        p1, p2 = qpm.row_pairs(ineq.indptr)
+        eq_rows = n + np.repeat(np.arange(p.n_eq), np.diff(eq.indptr))
+        curv = [(fn, part, entries) for fn in (ineq, eq)
+                for part, entries in zip("QP", fn.curvature_entries())]
+        keys = {
+            "obj": H.row.astype(np.int64) * N + H.col,
+            "pairs": ineq.indices[p1] * N + ineq.indices[p2],
+            "diag": np.arange(n) * (N + 1),
+            "ae": eq_rows * N + eq.indices,
+            "eq_diag": np.arange(n, N) * (N + 1),
+        }
+        for part in "QP":
+            keys[part] = np.concatenate([i.astype(np.int64) * N + j
+                                         for _, pt, (_, i, j, _) in curv if pt == part])
+        # every inequality Q/P entry lies in the A_I^T A_I pair pattern
+        for fn, _, (_, i, j, _) in curv:
+            if fn is ineq:
+                assert np.isin(i.astype(np.int64) * N + j, keys["pairs"]).all()
+        pattern = np.unique(np.concatenate(list(keys.values())))
+        slot = {k: np.searchsorted(pattern, v) for k, v in keys.items()}
+        S = pattern.size
+        kkt = KKTSystem(p)
+        # the primal block's slots come first; the rest hold A_E and -gamma I
+        n_k = kkt._k_row.size
+        assert np.array_equal(kkt._k_row.astype(np.int64) * N + kkt._k_col, pattern[:n_k])
+        assert (pattern[n_k:] >= n * N).all() and kkt._const.size == S
+        const = np.bincount(slot["obj"], H.data, minlength=S)
+        const[slot["eq_diag"]] -= KKTSystem.gamma
+        assert np.array_equal(kkt._const, const)
+        assert np.array_equal(kkt._diag, slot["diag"])
+        assert np.array_equal(kkt._ae_slot, slot["ae"])
+        G = {}
+        for part in "QP":
+            entries = [(r + (ineq.m if fn is eq else 0), v)
+                       for fn, pt, (r, _, _, v) in curv if pt == part]
+            r, v = (np.concatenate(a) for a in zip(*entries))
+            G[part] = sp.csr_matrix((v, (slot[part], r)), shape=(S, ineq.m + eq.m))
+            assert (kkt._G[part] != G[part]).nnz == 0
+        # each slot sums its terms shorter rows first, rows of one length in
+        # index order, at most one term per row
+        r = np.repeat(np.arange(ineq.m), lengths)[kkt._AtA.indices]
+        rank = lengths[r] * ineq.m + r
+        slot_of = np.repeat(np.arange(S), np.diff(kkt._AtA.indptr))
+        assert ((np.diff(rank) > 0) | (np.diff(slot_of) > 0)).all()
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=n)
+        c_i, c_e = rng.normal(size=ineq.m), rng.normal(size=eq.m)
+        sigma = rng.uniform(0.1, 10.0, size=ineq.m)
+        J_i, J_e = ineq.jacobian(x), eq.jacobian(x)
+        pair_row = np.repeat(np.arange(ineq.m), lengths)[p1]
+        AtA = np.bincount(slot["pairs"], sigma[pair_row] * J_i[p1] * J_i[p2], minlength=S)
+        c = np.concatenate([c_i, c_e])
+        for exact in (True, False):
+            cq, cp = (c, -c) if exact else (np.maximum(c, 0.0), np.maximum(-c, 0.0))
+            ref = const + G["Q"] @ cq + G["P"] @ cp + AtA
+            ref[slot["ae"]] = J_e
+            kkt.assemble(c_i, sigma, J_i, c_e, J_e, exact=exact)
+            assert np.abs(kkt._v - ref).max() <= 1e-15 * np.abs(ref).max()
+
     def test_sequential_order_is_band_then_arrow(self):
         """Sequential: the variables outside the arrow in index order, then
         the arrow."""
