@@ -108,6 +108,8 @@ def cmd_momentum(args):
         return EXIT_NUMERIC
     sol = extract(p, res.x)
     contacts = _contact_rows(scn, sol, args.formulation)
+    infeasible = sum(row[-1] == 0 for _, row in contacts)
+    print(f"contacts: {infeasible} of {len(contacts)} rows infeasible")
     base = os.path.join(args.out_dir, scn.name)
     _write_csv(
         base + "_momentum.csv",

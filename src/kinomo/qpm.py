@@ -7,9 +7,11 @@ Every function handled here maps R^n -> R^m where row r evaluates to
 with Q_r, P_r positive semidefinite and stored separately (the indefinite
 difference Q_r - P_r is never stored). A function holds all its rows in
 one set of arrays: the linear part as a CSR matrix A and a vector b, and
-each of the Q and P parts as (row, i, j, value) arrays of the nonzero
-entries on and below the diagonal, sorted by (row, i, j), with int32
-indices. Affine functions are the special case of empty Q and P.
+the curvature as (row, i, j, q, p) arrays on one support, the entries on
+and below the diagonal where Q or P is nonzero, sorted by (row, i, j),
+with int32 indices: each key holds its Q value q and its P value p side
+by side, and an entry of one part only stores 0.0 in the other. Affine
+functions are the special case of an empty support.
 
 The class is closed under stacking and affine maps of the output
 (affine_after, linear_combine, select_rows). Its one quadratic source is
@@ -28,17 +30,19 @@ import scipy.sparse as sp
 # leaves slightly negative eigenvalues).
 PSD_TOL = 1e-10
 
-_NO_ENTRIES = (np.zeros(0, np.int32),) * 3 + (np.zeros(0),)
+_NO_ENTRIES = (np.zeros(0, np.int32),) * 3 + (np.zeros(0),) * 2
 
 
 class DimensionMismatch(ValueError):
     pass
 
 
-def _summed(part, n):
-    """Sorted (row, i, j) keys of a quadratic part and their values:
-    duplicates summed in the order given, exact zeros dropped."""
-    row, i, j, v = part
+def _summed(quad, n, m):
+    """The (row, i, j, q, p) entries of quad with duplicates summed in the
+    order given, Q and P apart; an entry zero in both parts is dropped, and
+    so is a row whose q equals p at every entry: it is affine in disguise
+    (e.g. a cross product with a constant factor)."""
+    row, i, j, q, p = quad
     key = (np.asarray(row, np.int64) * n + i) * n + j
     order = np.argsort(key, kind="stable")
     key = key[order]
@@ -47,22 +51,14 @@ def _summed(part, n):
     seg = np.empty(key.size, dtype=np.intp)
     seg[order] = np.cumsum(first) - 1
     # bincount adds in index order, so each sum runs in the order given
-    val = np.bincount(seg, weights=v, minlength=int(first.sum())).astype(float, copy=False)
-    keep = val != 0.0
-    return key[first][keep], val[keep]
-
-
-def _equal_rows(kq, vq, kp, vp, n, m):
-    """Rows whose Q and P entries are exactly equal: the row is affine in
-    disguise (e.g. a cross product with a constant factor)."""
-    same = np.zeros(m, dtype=bool)
-    if kq.size and kp.size:
-        pos = np.searchsorted(kp, kq).clip(max=kp.size - 1)
-        hit = (kp[pos] == kq) & (vp[pos] == vq)
-        rq, rp = kq // (n * n), kp // (n * n)
-        nq = np.bincount(rq, minlength=m)
-        same = (nq == np.bincount(rp, minlength=m)) & (np.bincount(rq[hit], minlength=m) == nq)
-    return same
+    q, p = (np.bincount(seg, weights=w, minlength=int(first.sum())).astype(float, copy=False)
+            for w in (q, p))
+    r, ij = np.divmod(key[first], n * n)
+    curved = np.zeros(m, dtype=bool)
+    curved[r[q != p]] = True
+    keep = ((q != 0.0) | (p != 0.0)) & curved[r]
+    i, j = np.divmod(ij[keep], n)
+    return (r[keep].astype(np.int32), i.astype(np.int32), j.astype(np.int32), q[keep], p[keep])
 
 
 def _ranges(start, count):
@@ -73,13 +69,15 @@ def _ranges(start, count):
 class QpmFunction:
     """Vector function x -> A x + b + (x'Q_r x - x'P_r x)_r on R^n.
 
-    A is made CSR (m x n) with duplicates summed and zeros dropped; Q and
-    P are (row, i, j, value) entry arrays with i >= j, duplicates summed
-    in the order given. Both parts of a row whose Q and P entries are
-    exactly equal are dropped.
+    A is made CSR (m x n) with duplicates summed and zeros dropped; ``quad``
+    holds the curvature as (row, i, j, q, p) entry arrays with i >= j:
+    the entry (r, i, j) adds q to Q_r and p to P_r at (i, j) and (j, i).
+    Duplicates are summed in the order given, Q and P apart, and the
+    result is one sorted support (module docstring). A row whose q equals
+    p at every entry is dropped.
     """
 
-    def __init__(self, input_dim, A, b, Q=_NO_ENTRIES, P=_NO_ENTRIES):
+    def __init__(self, input_dim, A, b, quad=_NO_ENTRIES):
         n = self.input_dim = int(input_dim)
         self.b = np.atleast_1d(np.asarray(b, dtype=float))
         m = self.b.size
@@ -88,15 +86,7 @@ class QpmFunction:
             raise DimensionMismatch(f"A is {A.shape}, expected ({m}, {n})")
         A.sum_duplicates()
         A.eliminate_zeros()
-        (kq, vq), (kp, vp) = _summed(Q, n), _summed(P, n)
-        same = _equal_rows(kq, vq, kp, vp, n, m)
-
-        def entries(key, val):
-            keep = ~same[key // (n * n)]
-            r, ij = np.divmod(key[keep], n * n)
-            return (r.astype(np.int32), *(a.astype(np.int32) for a in np.divmod(ij, n)), val[keep])
-
-        self.Q, self.P = entries(kq, vq), entries(kp, vp)
+        self.quad = _summed(quad, n, m)
 
     @property
     def output_dim(self):
@@ -106,7 +96,7 @@ class QpmFunction:
         return evaluate(self, x)
 
     def is_affine(self):
-        return not (self.Q[0].size or self.P[0].size)
+        return not self.quad[0].size
 
 
 # ---------------------------------------------------------------------------
@@ -135,23 +125,10 @@ def block_diag(blocks):
 # closure operations
 
 
-def _carry(part, other, m, o, r, scale, keep):
-    """Entries for output rows o: input row r's entries of ``part`` where
-    ``keep``, else of ``other``, scaled by ``scale``, in the order given;
-    m is the number of input rows."""
-    both = [np.concatenate([a, b]) for a, b in zip(part, other)]
-    ptr_a = np.searchsorted(part[0], np.arange(m + 1))
-    ptr_b = np.searchsorted(other[0], np.arange(m + 1)) + part[0].size
-    start = np.where(keep, ptr_a[r], ptr_b[r])
-    count = np.where(keep, ptr_a[r + 1], ptr_b[r + 1]) - start
-    idx = _ranges(start, count)
-    return np.repeat(o, count), both[1][idx], both[2][idx], np.repeat(scale, count) * both[3][idx]
-
-
 def affine_after(C, a, v):
     """u(v(x)) for an affine outer map u(y) = C y + a: A' = C A and
-    b' = C b + a. Each entry (o, r, beta) of C carries row r's Q into row
-    o's Q and its P into P, scaled by |beta|; a negative beta swaps them."""
+    b' = C b + a. Each entry (o, r, beta) of C carries row r's entries into
+    row o, q and p scaled by |beta|; a negative beta swaps them."""
     C = sp.csr_matrix(C, dtype=float)
     C.sum_duplicates()
     C.eliminate_zeros()
@@ -159,11 +136,16 @@ def affine_after(C, a, v):
         raise DimensionMismatch("outer map width must match v output dim")
     o = np.repeat(np.arange(C.shape[0]), np.diff(C.indptr))
     r, beta = C.indices, C.data
-    pos = beta > 0
-    m = v.output_dim
-    Q = _carry(v.Q, v.P, m, o, r, np.abs(beta), pos)
-    P = _carry(v.P, v.Q, m, o, r, np.abs(beta), pos)
-    return QpmFunction(v.input_dim, C @ v.A, C @ v.b + a, Q, P)
+    row, i, j, q, p = v.quad
+    # row r's entries, for each entry of C in turn, in the order stored
+    ptr = np.searchsorted(row, np.arange(v.output_dim + 1))
+    count = ptr[r + 1] - ptr[r]
+    idx = _ranges(ptr[r], count)
+    scale, pos = np.repeat(np.abs(beta), count), np.repeat(beta > 0, count)
+    q, p = q[idx], p[idx]
+    quad = (np.repeat(o, count), i[idx], j[idx],
+            scale * np.where(pos, q, p), scale * np.where(pos, p, q))
+    return QpmFunction(v.input_dim, C @ v.A, C @ v.b + a, quad)
 
 
 def linear_combine(terms):
@@ -191,14 +173,10 @@ def stack(fns):
     if any(f.input_dim != n for f in fns):
         raise DimensionMismatch("stacked functions must share input dim")
     off = np.cumsum([0] + [f.output_dim for f in fns])
-
-    def cat(part):
-        entries = [getattr(f, part) for f in fns]
-        rows = np.concatenate([e[0] + k for e, k in zip(entries, off)])
-        return (rows,) + tuple(np.concatenate([e[c] for e in entries]) for c in (1, 2, 3))
-
+    quad = [np.concatenate([f.quad[0] + k for f, k in zip(fns, off)])]
+    quad += [np.concatenate([f.quad[c] for f in fns]) for c in range(1, 5)]
     A = sp.vstack([f.A for f in fns], format="csr")
-    return QpmFunction(n, A, np.concatenate([f.b for f in fns]), cat("Q"), cat("P"))
+    return QpmFunction(n, A, np.concatenate([f.b for f in fns]), quad)
 
 
 def sorted_unique(a):
@@ -254,10 +232,11 @@ def cross(a, b):
     U.sort_indices()  # so that every pair k1 >= k2 lies on or below the diagonal
     p1, p2 = row_pairs(U.indptr)
     u = np.repeat(np.arange(4 * m), np.diff(U.indptr))[p1]
-    entries = (u % m, U.indices[p1], U.indices[p2], 0.25 * U.data[p1] * U.data[p2])
-    Q, P = ([e[part] for e in entries] for part in (u < 2 * m, u >= 2 * m))
+    val = 0.25 * U.data[p1] * U.data[p2]
+    in_q = u < 2 * m
+    quad = (u % m, U.indices[p1], U.indices[p2], np.where(in_q, val, 0.0), np.where(in_q, 0.0, val))
     lin = combine(np.array([[b0t, a0s, -b0s, -a0t]]))
-    return QpmFunction(a.input_dim, lin, a0s * b0t - a0t * b0s, Q, P)
+    return QpmFunction(a.input_dim, lin, a0s * b0t - a0t * b0s, quad)
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +253,8 @@ def _check_input(v, x):
 def evaluate(v, x):
     x = _check_input(v, x)
     out = v.A @ x + v.b
-    for (row, i, j, val), sign in ((v.Q, 1.0), (v.P, -1.0)):
+    row, i, j, q, p = v.quad
+    for val, sign in ((q, 1.0), (p, -1.0)):
         w = np.where(i == j, 1.0, 2.0) * val * x[i] * x[j]
         out += sign * np.bincount(row, weights=w, minlength=v.output_dim)
     return out
@@ -284,33 +264,32 @@ def gradient(v, x):
     """Dense m x n gradient; row r is 2(Q_r - P_r)x + A_r."""
     x = _check_input(v, x)
     G = v.A.toarray()
-    for (row, i, j, val), sign in ((v.Q, 2.0), (v.P, -2.0)):
+    row, i, j, q, p = v.quad
+    off = i != j
+    for val, sign in ((q, 2.0), (p, -2.0)):
         np.add.at(G, (row, i), sign * val * x[j])
-        off = i != j
         np.add.at(G, (row[off], j[off]), sign * val[off] * x[i[off]])
     return G
-
-
-def _dense(part, r, n):
-    row, i, j, val = part
-    k = row == r
-    D = np.zeros((n, n))
-    D[i[k], j[k]] = val[k]
-    D[j[k], i[k]] = val[k]
-    return D
 
 
 def hessian_parts(v, r):
     """Dense (Q_r, P_r) for row r; the merged difference is never formed."""
     if not 0 <= r < v.output_dim:
         raise IndexError(f"row {r} out of range for {v.output_dim} rows")
-    return _dense(v.Q, r, v.input_dim), _dense(v.P, r, v.input_dim)
+    row, i, j, q, p = v.quad
+    k = row == r
+    D = np.zeros((2, v.input_dim, v.input_dim))
+    D[:, i[k], j[k]] = D[:, j[k], i[k]] = (q[k], p[k])
+    return D[0], D[1]
 
 
 def min_quad_eigenvalue(v):
-    """Smallest eigenvalue over all stored Q_r, P_r (inf if purely affine)."""
+    """Smallest eigenvalue over all Q_r, P_r with a nonzero entry (inf if
+    purely affine)."""
     worst = np.inf
-    for row, i, j, val in (v.Q, v.P):
+    for val in v.quad[3:]:
+        nz = val != 0.0
+        row, i, j, val = (a[nz] for a in (*v.quad[:3], val))
         for r in np.unique(row):
             k = row == r
             sup, loc = np.unique(np.concatenate([i[k], j[k]]), return_inverse=True)

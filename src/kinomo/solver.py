@@ -199,9 +199,11 @@ class KKTSystem:
     pair keys and the order of each key's terms. The slots, the matrix's
     lower-triangle entries, are the sorted union of those keys with the
     objective Hessian's, the diagonal's and, in the simultaneous form,
-    those of A_E, the -gamma I block and the equality rows' Q and P. An
-    inequality row's Q and P entries are pairs of that row (its Jacobian
-    pattern holds their indices), so they are only searched in the slots.
+    those of A_E, the -gamma I block and the equality rows' curvature
+    entries. An inequality row's curvature entries are pairs of that row
+    (its Jacobian pattern holds their indices), so they are only searched
+    in the slots. Q and P share one support in each family (qpm), so G_Q
+    and G_P share one slot and column index set and differ in values only.
     The pattern goes to a linalg.BandStorage (``band``) in the time-step
     order of p.layout.newton_key. In the sequential form that is
     the variables by step block, in index order, the arrow last. In the
@@ -261,8 +263,8 @@ class KKTSystem:
         eq_rows = n + np.repeat(np.arange(eq.m, dtype=np.int64), np.diff(eq.indptr))
         keys["ae"] = eq_rows * N + eq.indices
         keys["eq_diag"] = np.arange(n, N, dtype=np.int64) * (N + 1)
-        for part, (_, i, j, _) in zip("QP", eq.curvature_entries()):
-            keys["eq_" + part] = i.astype(np.int64) * N + j
+        r_e, i_e, j_e, q_e, p_e = eq.curvature_entries()
+        keys["eq_quad"] = i_e.astype(np.int64) * N + j_e
         pattern = qpm.sorted_unique(np.concatenate(list(keys.values())))
         slot = {k: np.searchsorted(pattern, v).astype(np.int32) for k, v in keys.items()}
         S = pattern.size
@@ -276,20 +278,20 @@ class KKTSystem:
         self._const = np.bincount(slot["obj"], H.data[low], minlength=S)
         self._const[slot["eq_diag"]] -= self.gamma
         self._ae_slot = slot["ae"]
-        # G_Q and G_P as CSC: the entries come sorted by row r, the column of
-        # row r of the stacked c, inequality rows first. An inequality
-        # entry, being a pair key, is only searched in the pattern.
-        self._G = {}
-        for part, (r_i, i, j, v_i), (r_e, _, _, v_e) in zip(
-            "QP", ineq.curvature_entries(), eq.curvature_entries()
-        ):
-            at = np.concatenate([np.searchsorted(pattern, i.astype(np.int64) * N + j),
-                                 slot["eq_" + part]])
-            c = np.concatenate([r_i, r_e + ineq.m])
-            self._G[part] = sp.csc_matrix(
-                (np.concatenate([v_i, v_e]), at, np.searchsorted(c, np.arange(ineq.m + eq.m + 1))),
-                shape=(S, ineq.m + eq.m),
-            )
+        # G_Q and G_P as CSC on one index set: the entries come sorted by
+        # row r, the column of row r of the stacked c, inequality rows
+        # first. An inequality entry, being a pair key, is only searched in
+        # the pattern.
+        r_i, i, j, q_i, p_i = ineq.curvature_entries()
+        at = np.concatenate([np.searchsorted(pattern, i.astype(np.int64) * N + j),
+                             slot["eq_quad"]])
+        c = np.concatenate([r_i, r_e + ineq.m])
+        G_Q = sp.csc_matrix(
+            (np.concatenate([q_i, q_e]), at, np.searchsorted(c, np.arange(ineq.m + eq.m + 1))),
+            shape=(S, ineq.m + eq.m),
+        )
+        G_P = sp.csc_matrix((np.concatenate([p_i, p_e]), G_Q.indices, G_Q.indptr), shape=G_Q.shape)
+        self._G = {"Q": G_Q, "P": G_P}
         # A_I^T Sigma A_I as a matrix-vector product: row `slot` of _AtA
         # holds J[k2] at column k1 for each pair of that slot, in the order
         # above, so that _AtA @ (sigma J) sums sigma_r J[k1] J[k2]; only the
@@ -569,12 +571,16 @@ def convexified_lagrangian_hessian(kkt: KKTSystem, c_i, J_i, c_e, J_e):
     return kkt.hessian()
 
 
-def solve_sqp_dense(p: NlpProblem, opts: SolverOptions = None) -> SolveResult:
-    """Line-search SQP with convexified-Hessian QP subproblems, all dense."""
+def solve_sqp_dense(
+    p: NlpProblem, opts: SolverOptions = None, kkt: KKTSystem = None
+) -> SolveResult:
+    """Line-search SQP with convexified-Hessian QP subproblems, all dense.
+    ``kkt`` assembles its Hessians as in solve_ipm; without it, the solve
+    builds its own."""
     opts = opts or SolverOptions()
     n = p.n
     obj, ineq, eq = compiled_parts(p)
-    kkt = KKTSystem(p)
+    kkt = kkt or KKTSystem(p)
     x = p.x0.copy()
     z = np.zeros(p.n_ineq)
     y = np.zeros(p.n_eq)
@@ -653,10 +659,12 @@ def solve(
     p: NlpProblem, opts: SolverOptions = None, start: SolveResult = None,
     kkt: KKTSystem = None,
 ) -> SolveResult:
-    """Solve p with the backend of opts. ``start`` warm-starts the IPM and
-    ``kkt`` gives it its Newton matrix (see solve_ipm); the dense SQP
-    baseline always starts at p.x0 and builds its matrices itself."""
+    """Solve p with the backend of opts. ``kkt`` is a KKTSystem of p that
+    either backend uses instead of building its own (see solve_ipm): the
+    IPM's Newton matrix, or the dense SQP's convexified Hessian.
+    ``start`` warm-starts the IPM; the dense SQP baseline always starts at
+    p.x0."""
     opts = opts or SolverOptions()
     if opts.backend == "sqp_dense":
-        return solve_sqp_dense(p, opts)
+        return solve_sqp_dense(p, opts, kkt)
     return solve_ipm(p, opts, start, kkt)

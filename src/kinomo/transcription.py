@@ -24,10 +24,10 @@ Both builders emit an NlpProblem: one inequality and one equality Q+/-
 function with a (step, phase, family) entry per row, and a DecisionLayout
 with per-step variable blocks plus the "arrow" block of frozen
 phase-boundary variables, by which its newton_key orders the Newton
-system. A compiled form sharing the functions' Q/P arrays is attached
-lazily for the solver: evaluating it is linear-time in the horizon, and
-solver.KKTSystem assembles the Lagrangian curvature from its Q and P
-entries. Only the tests read a row's step blocks (the var_block labels of
+system. A compiled form sharing the functions' curvature arrays is
+attached lazily for the solver: evaluating it is linear-time in the
+horizon, and solver.KKTSystem assembles the Lagrangian curvature from its
+one support of Q and P values. Only the tests read a row's step blocks (the var_block labels of
 its columns) from the compiled patterns (test_transcription.row_blocks).
 """
 
@@ -184,31 +184,31 @@ class CompiledVectorFunction:
     """A Q+/- function compiled for the solver.
 
     The Jacobian has one fixed CSR pattern (``indices``, ``indptr``): per
-    row, the columns of A and the indices of the row's Q and P entries.
+    row, the columns of A and the indices of the row's curvature entries.
     jacobian(x) returns only its values on that pattern, J = base + M x,
-    where M holds 2 (Q - P)_ij at (i, j) and, off the diagonal, at its
-    mirror (j, i), and stores no entry where Q and P cancel. No sparse
+    where M holds 2 q - 2 p at (i, j) for each entry (row, i, j, q, p) and,
+    off the diagonal, at its mirror (j, i), and stores no entry where q
+    and p cancel. No sparse
     matrix is built per point: value(x, J), matvec(J, v) = A v and
     rmatvec(J, y) = A^T y take the value array, and to_csr(J) builds the
     matrix for the callers that want one (the dense SQP baseline and the
     tests). Both products sum each output entry in ascending row order,
     as scipy's CSR and CSC products do, so they equal to_csr(J) @ v and
-    to_csr(J).T @ y to the last bit. The function's Q and P entry arrays
-    are shared as they are, and Q - P is never merged: curvature_entries
-    hands them to solver.KKTSystem, the one place that assembles the
-    Lagrangian curvature.
+    to_csr(J).T @ y to the last bit. The function's curvature entries are
+    shared as they are, and Q - P is kept only in M: curvature_entries
+    hands the one support with its q and p values to solver.KKTSystem, the
+    one place that assembles the Lagrangian curvature.
     """
 
     def __init__(self, fn):
         m, n = self.m, self.n = fn.output_dim, fn.input_dim
         self.b = fn.b
         A = fn.A.tocoo()
-        self._curv = (fn.Q, fn.P)
-        (qr, qi, qj, _), (pr, pi, pj, _) = self._curv
-        rows = np.concatenate([A.row, qr, qr, pr, pr]).astype(np.int64)
+        self._curv = r, i, j, q, p = fn.quad
+        rows = np.concatenate([A.row, r, r]).astype(np.int64)
         # row-major keys of the CSR pattern, ascending: the entry (row, col)
         # sits where its key falls among them
-        keys = qpm.sorted_unique(rows * n + np.concatenate([A.col, qi, qj, pi, pj]))
+        keys = qpm.sorted_unique(rows * n + np.concatenate([A.col, i, j]))
         self.indices = (keys % n).astype(np.intp)
         self.indptr = np.searchsorted(keys, np.arange(m + 1, dtype=np.int64) * n)
         nnz = keys.size
@@ -218,14 +218,12 @@ class CompiledVectorFunction:
 
         self.base = np.zeros(nnz)
         self.base[pos(A.row, A.col)] = A.data
-        Mr, Mc, Mv = [], [], []
-        for (rw, i, j, v), scale in zip(self._curv, (2.0, -2.0)):
-            off = i != j
-            Mr += [pos(rw, i), pos(rw[off], j[off])]
-            Mc += [j, i[off]]
-            Mv += [scale * v, scale * v[off]]
+        off = i != j
+        v = 2.0 * q - 2.0 * p
         self._M = sp.csr_matrix(
-            (np.concatenate(Mv), (np.concatenate(Mr), np.concatenate(Mc))), shape=(nnz, n)
+            (np.concatenate([v, v[off]]),
+             (np.concatenate([pos(r, i), pos(r[off], j[off])]), np.concatenate([j, i[off]]))),
+            shape=(nnz, n),
         )
         self._M.eliminate_zeros()
         # matvec lends J to this one matrix; rmatvec sums by column with the
@@ -262,8 +260,8 @@ class CompiledVectorFunction:
         return sp.csr_matrix((J, self.indices, self.indptr), shape=(self.m, self.n))
 
     def curvature_entries(self):
-        """The stored Q and P entries, each as (row, i, j, value) arrays
-        with i >= j and value != 0: the fixed data that solver.KKTSystem
+        """The curvature as (row, i, j, q, p) arrays on one support, i >= j,
+        no entry zero in both q and p: the fixed data that solver.KKTSystem
         scales by the row coefficients."""
         return self._curv
 

@@ -6,7 +6,7 @@ import statistics
 import numpy as np
 import pytest
 
-from kinomo import cli, planner, transcription
+from kinomo import cli, planner, solver, transcription
 from kinomo.contact import NormalForceNonPositive
 from kinomo.scenario import (
     load_scenario,
@@ -182,6 +182,16 @@ class TestMomentum:
         assert len(active) < scn.T * len(scn.phases)  # some phase is inactive at some step
         assert [(int(r[0]), r[1]) for r in rows] == active
 
+    @pytest.mark.parametrize("formulation", ["seq", "sim"])
+    def test_summary_counts_infeasible_contacts(self, step_path, tmp_path, capsys,
+                                                formulation):
+        assert cli.main(["momentum", step_path, "--formulation", formulation,
+                         "--out-dir", str(tmp_path)]) == 0
+        _, _, rows = read_csv(tmp_path / "step_stones_contacts.csv")
+        zeros = sum(r[8] == "0" for r in rows)
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            f"contacts: {zeros} of {len(rows)} rows infeasible")
+
     @pytest.mark.parametrize("keys, value, path", [
         (("solver", "max_iter"), -1, "$.solver"),
         (("solver", "max_iter"), 2.5, "$.solver"),
@@ -287,6 +297,22 @@ class TestBench:
         assert len(solves) == 3 and len(compiles) == 3
         assert float(rows[0][4]) == statistics.median(
             st.time_ms for res in solves for st in res.stats)
+
+    def test_sqp_dense_builds_one_kkt_system_per_repeat(self, tmp_path, monkeypatch):
+        """The dense SQP solves with the KKTSystem the bench built and timed."""
+        d = scenario_to_dict(make_standing_scenario(T=10))
+        d["solver"]["backend"] = "sqp_dense"
+        path = tmp_path / "stand_sqp.json"
+        path.write_text(json.dumps(d))
+        builds = []
+        real = solver.KKTSystem.__init__
+        monkeypatch.setattr(solver.KKTSystem, "__init__",
+                            lambda self, p: builds.append(p) or real(self, p))
+        assert cli.main(["bench", str(path), "--T-list", "10", "--repeats", "2",
+                         "--out-dir", str(tmp_path)]) == 0
+        assert len(builds) == 2
+        _, _, rows = read_csv(tmp_path / f"{d['name']}_bench_seq.csv")
+        assert 0.0 < float(rows[0][6]) < float(rows[0][3])
 
     @pytest.mark.parametrize("option, value", [
         ("--repeats", "0"), ("--repeats", "-2"), ("--T-list", "0"),

@@ -37,7 +37,26 @@ def cross_of(A, a):
 
 def scalar_square():
     """y -> y^2: one row, Q = [[1]] and no linear part."""
-    return qpm.QpmFunction(1, np.zeros((1, 1)), [0.0], Q=([0], [0], [0], [1.0]))
+    return qpm.QpmFunction(1, np.zeros((1, 1)), [0.0], ([0], [0], [0], [1.0], [0.0]))
+
+
+def quadratic(n, quad):
+    """x -> (x'Q_r x - x'P_r x)_r for the given (row, i, j, q, p) terms,
+    with no linear part."""
+    m = max(quad[0]) + 1
+    return qpm.QpmFunction(n, np.zeros((m, n)), np.zeros(m), quad)
+
+
+def dense_parts(n, quad):
+    """Dense (Q_r, P_r) per row, each term added at (i, j) and (j, i)."""
+    m = max(quad[0]) + 1
+    D = np.zeros((2, m, n, n))
+    for r, i, j, q, p in zip(*quad):
+        for k, v in enumerate((q, p)):
+            D[k, r, i, j] += v
+            if i != j:
+                D[k, r, j, i] += v
+    return D
 
 
 class TestMakeAffine:
@@ -205,6 +224,50 @@ class TestEvaluationOps:
         for _ in range(10):
             x = rng.uniform(-2, 2, size=4)
             assert np.allclose(qpm.gradient(r, x), fd_gradient(r, x), atol=1e-6)
+
+
+class TestOneSupport:
+    """Q and P share one support: each key holds its q and p side by side."""
+
+    def test_entry_with_cancelled_q_keeps_zero_q(self):
+        # key (0, 1, 0): q terms 1 - 1 = 0, p terms 0 + 0.5; key (1, 2, 2): q only
+        quad = ([0, 0, 0, 1, 1], [1, 1, 0, 2, 2], [0, 0, 0, 2, 2],
+                [1.0, -1.0, 2.0, 0.25, 0.5], [0.0, 0.5, 0.0, 0.0, 0.0])
+        f = quadratic(3, quad)
+        row, i, j, q, p = f.quad
+        assert row.tolist() == [0, 0, 1] and i.tolist() == [0, 1, 2] and j.tolist() == [0, 0, 2]
+        assert q.tolist() == [2.0, 0.0, 0.75] and p.tolist() == [0.0, 0.5, 0.0]
+        D = dense_parts(3, quad)
+        x = rng.normal(size=3)
+        assert np.allclose(qpm.evaluate(f, x), np.einsum("i,rij,j->r", x, D[0] - D[1], x))
+        assert np.allclose(qpm.gradient(f, x), 2.0 * (D[0] - D[1]) @ x)
+        for r in range(2):
+            Q, P = qpm.hessian_parts(f, r)
+            assert np.array_equal(Q, D[0, r]) and np.array_equal(P, D[1, r])
+
+    def test_entry_zero_in_both_parts_is_dropped(self):
+        quad = ([0, 0, 0, 0], [1, 1, 0, 2], [1, 1, 0, 1],
+                [0.5, -0.5, 1.0, 0.0], [0.0, 0.0, 0.0, 0.0])
+        f = quadratic(3, quad)
+        assert [a.tolist() for a in f.quad] == [[0], [0], [0], [1.0], [0.0]]
+
+    def test_row_with_equal_parts_is_dropped(self):
+        """Rows 0-2, a cross product with a constant factor, are affine in
+        disguise; rows 3-5 are not."""
+        b0, B = np.array([0.3, -1.2, 2.0]), rng.normal(size=(3, 3))
+        x3 = qpm.make_affine(np.eye(3), np.zeros(3))
+        b = qpm.stack([qpm.make_affine(np.zeros((3, 3)), b0), qpm.make_affine(B, np.zeros(3))])
+        f = qpm.cross(qpm.stack([x3, x3]), b)
+        assert set(f.quad[0].tolist()) == {3, 4, 5}
+        x = rng.normal(size=3)
+        assert np.allclose(f(x), np.concatenate([np.cross(x, b0), np.cross(x, B @ x)]))
+
+    def test_negative_coefficient_swaps_q_and_p(self):
+        f = quadratic(2, ([0, 0], [0, 1], [0, 0], [2.0, 0.0], [0.5, 1.0]))
+        u = qpm.affine_after(np.array([[2.0], [-3.0]]), 0.0, f)
+        row, i, j, q, p = u.quad
+        assert row.tolist() == [0, 0, 1, 1] and i.tolist() == [0, 1, 0, 1]
+        assert q.tolist() == [4.0, 0.0, 1.5, 3.0] and p.tolist() == [1.0, 2.0, 6.0, 0.0]
 
 
 @settings(max_examples=200, deadline=None)

@@ -613,8 +613,14 @@ class TestKKTSystem:
         lengths = np.diff(ineq.indptr)
         p1, p2 = qpm.row_pairs(ineq.indptr)
         eq_rows = n + np.repeat(np.arange(p.n_eq), np.diff(eq.indptr))
-        curv = [(fn, part, entries) for fn in (ineq, eq)
-                for part, entries in zip("QP", fn.curvature_entries())]
+        # the Q and P entry lists of each family, taken from the one support
+        # as the nonzero entries of each part
+        curv = []
+        for fn in (ineq, eq):
+            r, i, j, q, p_ = fn.curvature_entries()
+            for part, v in zip("QP", (q, p_)):
+                nz = v != 0.0
+                curv.append((fn, part, (r[nz], i[nz], j[nz], v[nz])))
         keys = {
             "obj": H.row.astype(np.int64) * N + H.col,
             "pairs": ineq.indices[p1] * N + ineq.indices[p2],
@@ -649,6 +655,9 @@ class TestKKTSystem:
             r, v = (np.concatenate(a) for a in zip(*entries))
             G[part] = sp.csr_matrix((v, (slot[part], r)), shape=(S, ineq.m + eq.m))
             assert (kkt._G[part] != G[part]).nnz == 0
+        # G_Q and G_P differ in values only
+        for a in ("indices", "indptr"):
+            assert np.shares_memory(getattr(kkt._G["Q"], a), getattr(kkt._G["P"], a))
         # each slot sums its terms shorter rows first, rows of one length in
         # index order, at most one term per row
         r = np.repeat(np.arange(ineq.m), lengths)[kkt._AtA.indices]

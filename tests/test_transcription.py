@@ -367,13 +367,13 @@ def row_blocks(p, comp):
 
 def hessian_block_pairs(p):
     """Step-block pairs (a, b), a <= b, coupled by an entry of the compiled
-    objective Hessian or by a stored Q or P entry; the arrow is block -1."""
+    objective Hessian or by a stored curvature entry; the arrow is block -1."""
     H = p.compiled_objective().H.tocoo()
     ii, jj = [H.row], [H.col]
     for comp in (p.compiled_ineq(), p.compiled_eq()):
-        for _, i, j, _ in comp.curvature_entries():
-            ii.append(i)
-            jj.append(j)
+        _, i, j, _, _ = comp.curvature_entries()
+        ii.append(i)
+        jj.append(j)
     a = p.layout.var_block[np.concatenate(ii)]
     b = p.layout.var_block[np.concatenate(jj)]
     return set(zip(np.minimum(a, b).tolist(), np.maximum(a, b).tolist()))
@@ -476,8 +476,8 @@ class TestCompiled:
             for fn in fns:
                 assert np.all(fn.to_csr(fn.jacobian(x)).data != 0)
                 assert np.all(fn._M.data != 0)
-                for _, i, j, v in fn.curvature_entries():
-                    assert np.all(v != 0) and np.all(i >= j)
+                _, i, j, q, p_ = fn.curvature_entries()
+                assert np.all((q != 0) | (p_ != 0)) and np.all(i >= j)
             assert np.all(p.compiled_objective().H.data != 0)
 
     def test_objective_matches_symbolic(self):
