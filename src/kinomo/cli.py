@@ -20,7 +20,9 @@ import sys
 import time
 
 from . import planner, scenario
-from .contact import ContactWrenchCom, NormalForceNonPositive, com_to_cop, cop_wrench_feasibility
+from .contact import (
+    ContactWrenchCom, NormalForceNonPositive, active_samples, com_to_cop, cop_wrench_feasibility,
+)
 from .solver import KKTSystem, QPSubproblemInfeasible, compiled_parts, solve
 from .transcription import extract
 
@@ -54,21 +56,20 @@ def _contact_rows(scn, sol, formulation):
     """Per active contact sample, in step order, its phase and the row
     (t, effector, world force, CoP coordinates, normal torque, feasible)."""
     rows = []
-    for t in range(scn.T):
-        for i, ph in enumerate(scn.phases):
-            if not ph.active(t):
-                continue
-            if formulation == "sequential":
-                w = com_to_cop(
-                    ContactWrenchCom(sol["forces"][i][t], sol["kappas"][i][t]),
-                    ph.surface, sol["h"][t, :3],
-                )
-            else:
-                w = sol["wrenches"][(i, t)]
-            f_world = ph.surface.R @ w.f_hat
-            verdict = cop_wrench_feasibility(ph, w, tol=1e-9)
-            rows.append((ph, [t, ph.effector_id, *f_world, w.p_hat[0], w.p_hat[1],
-                              w.tau_hat, int(verdict["feasible"])]))
+    phase, step = active_samples(scn.phases, scn.T)
+    for i, t in zip(phase.tolist(), step.tolist()):
+        ph = scn.phases[i]
+        if formulation == "sequential":
+            w = com_to_cop(
+                ContactWrenchCom(sol["forces"][i][t], sol["kappas"][i][t]),
+                ph.surface, sol["h"][t, :3],
+            )
+        else:
+            w = sol["wrenches"][(i, t)]
+        f_world = ph.surface.R @ w.f_hat
+        verdict = cop_wrench_feasibility(ph, w, tol=1e-9)
+        rows.append((ph, [t, ph.effector_id, *f_world, w.p_hat[0], w.p_hat[1],
+                          w.tau_hat, int(verdict["feasible"])]))
     return rows
 
 

@@ -91,6 +91,16 @@ class ContactPhase:
         return s.R_xy @ self.c_hat + s.t
 
 
+def active_samples(phases, T):
+    """The active contact samples of a schedule over steps 0..T-1 as two
+    int arrays, phase and step: in step order, phases ascending within a
+    step."""
+    t = np.arange(T)[:, None]
+    sigma, epsilon = np.array([(ph.sigma, ph.epsilon) for ph in phases], dtype=int).reshape(-1, 2).T
+    step, phase = np.nonzero((sigma <= t) & (t < epsilon))
+    return phase, step
+
+
 @dataclass(frozen=True)
 class ContactWrenchCop:
     """Wrench in surface coordinates: force, center of pressure, normal torque."""

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contact import ContactWrenchCom
+from .contact import ContactWrenchCom, active_samples
 from .dynamics import MomentumState, rollout
 from .kinematics import (
     KinematicRefs,
@@ -121,13 +121,10 @@ def initialize_references(scn):
     for t in range(scn.T + 1):
         c = _support_centroid(scn, t)
         h_bar[t, :3] = [c[0], c[1], x_com[2]]
-    lambda_bar = {}
-    n_active = np.array([len([ph for ph in scn.phases if ph.active(t)]) for t in range(scn.T)])
-    for i, ph in enumerate(scn.phases):
-        fr = np.zeros((scn.T, 3))
-        for t in range(ph.sigma, ph.epsilon):
-            fr[t] = -M * g / n_active[t]
-        lambda_bar[i] = fr
+    ph, st = active_samples(scn.phases, scn.T)
+    force = np.zeros((len(scn.phases), scn.T, 3))
+    force[ph, st] = -M * g / np.bincount(st, minlength=scn.T)[st, None]
+    lambda_bar = dict(enumerate(force))
     p0 = effector_positions(scn.model, scn.q0)
     c_bar = {name: _effector_path(scn, name, p0[name]) for name in scn.model.effectors}
     return PlanState(h_bar, lambda_bar, c_bar)

@@ -21,14 +21,13 @@ h_1..h_T and the forces: sum_k w_k (r_k(x) - y_k)^2. The problem keeps
 these three maps, and extract reads every solution through them.
 
 Both builders emit an NlpProblem: one inequality and one equality Q+/-
-function with a (step, phase, family) entry per row, and a DecisionLayout
-with per-step variable blocks plus the "arrow" block of frozen
-phase-boundary variables, by which its newton_key orders the Newton
-system. A compiled form sharing the functions' curvature arrays is
-attached lazily for the solver: evaluating it is linear-time in the
-horizon, and solver.KKTSystem assembles the Lagrangian curvature from its
-one support of Q and P values. Only the tests read a row's step blocks (the var_block labels of
-its columns) from the compiled patterns (test_transcription.row_blocks).
+function, and a DecisionLayout: the table of active contact samples
+(contact.active_samples), the first variable index of each, and the
+"arrow" block of frozen phase-boundary variables, by which its newton_key
+orders the Newton system. A compiled form sharing the functions'
+curvature arrays is attached lazily for the solver: evaluating it is
+linear-time in the horizon, and solver.KKTSystem assembles the Lagrangian
+curvature from its one support of Q and P values.
 """
 
 from __future__ import annotations
@@ -80,26 +79,27 @@ class MomentumScenario:
             raise ValueError("need T >= 1 and delta > 0")
         if self.h_ref.shape != (self.T + 1, 9):
             raise ValueError(f"h_ref must be ({self.T + 1}, 9)")
+        force_ref = {}  # the caller's dict stays as it is
         for i, ph in enumerate(self.phases):
             if ph.epsilon > self.T:
                 raise ValueError(f"phase {i} extends beyond the horizon")
-            ref = np.asarray(self.force_ref.get(i, np.zeros((self.T, 3))), dtype=float)
-            if ref.shape != (self.T, 3):
+            force_ref[i] = np.asarray(self.force_ref.get(i, np.zeros((self.T, 3))), dtype=float)
+            if force_ref[i].shape != (self.T, 3):
                 raise ValueError(f"force_ref[{i}] must be ({self.T}, 3)")
-            self.force_ref[i] = ref
-
-    def active_at(self, t):
-        return [i for i, ph in enumerate(self.phases) if ph.active(t)]
+        self.force_ref = force_ref
 
 
 @dataclass(frozen=True)
 class DecisionLayout:
-    """Variable indexing: contiguous per-step blocks plus the arrow block.
+    """Variable indexing over the active contact samples, sample s being
+    (``phase[s]``, ``step[s]``) in the order of contact.active_samples.
 
-    ``var_block[j]`` is the step-block label of variable j, or -1 when j
-    belongs to the arrow block (frozen phase-boundary phi/psi shared by
-    every later step). Arrow entries alias into x; they are not duplicated
-    variables.
+    Sample s owns the six indices from ``contact_base[s]``: its (phi, psi)
+    in the sequential form, its wrench (f, p, tau) in the simultaneous
+    form, which stores h_{t+1} in the nine indices from ``state_base[t]``,
+    after the samples of step t. ``arrow_indices`` are the sequential
+    form's frozen phase-boundary phi/psi, shared by every later step;
+    they alias into x and are not duplicated variables.
 
     ``newton_key`` orders the solver's Newton matrix: its indices, the
     variables and then the equality rows, sort stably by it (_layout
@@ -108,12 +108,12 @@ class DecisionLayout:
 
     kind: str  # "sequential" | "simultaneous"
     n_vars: int
-    var_block: np.ndarray
+    phase: np.ndarray  # per sample
+    step: np.ndarray  # per sample
+    contact_base: np.ndarray  # per sample: first of its 6 indices
+    state_base: np.ndarray  # per step t: first index of h_{t+1}; empty if sequential
     arrow_indices: np.ndarray
     newton_key: np.ndarray  # per variable, then per equality row
-    active: tuple  # per step, tuple of active phase indices
-    contact_base: dict  # (phase, t) -> first of 6 contiguous indices
-    state_base: dict  # t -> first of 9 indices for h_t (simultaneous only)
 
 
 # The simultaneous Newton matrix in time-step order: an index of step t
@@ -134,46 +134,32 @@ _ROW_GROUP = np.repeat([5, 5, 3], 3)  # r rows, l rows | k rows
 
 
 def _layout(scn, kind):
-    """Six contact indices per active (phase, step), in step order. The
+    """Six contact indices per active sample, in step order. The
     simultaneous form adds the nine indices of h_{t+1} after step t, and
     orders its Newton matrix by the groups above; the sequential form marks
     the last two steps of every phase that ends inside the horizon as the
-    arrow, and orders by step block, in index order, the arrow last."""
-    base = {}
-    state = {}
-    k = 0
-    active = []
-    group = []  # simultaneous: each variable's group within its step
-    for t in range(scn.T):
-        act = tuple(scn.active_at(t))
-        active.append(act)
-        for i in act:
-            base[(i, t)] = k
-            k += 6
-        if kind == "simultaneous":
-            state[t + 1] = k
-            k += 9
-            group += [_WRENCH_GROUP] * len(act) + [_STATE_GROUP]
-    arrow = []
+    arrow, and orders by step, in index order, the arrow last."""
+    T = scn.T
+    phase, step = contact.active_samples(scn.phases, T)
+    S = phase.size
+    k6 = np.arange(6)
     if kind == "sequential":
-        for i, ph in enumerate(scn.phases):
-            if ph.epsilon < scn.T:
-                for m in range(max(ph.sigma, ph.epsilon - 2), ph.epsilon):
-                    arrow.extend(range(base[(i, m)], base[(i, m)] + 6))
-    arrow = np.array(sorted(arrow), dtype=np.intp)
-    var_block = np.empty(k, dtype=np.intp)
-    for (i, t), b in base.items():
-        var_block[b : b + 6] = t
-    for t1, b in state.items():
-        var_block[b : b + 9] = t1  # h_{t+1} belongs to block t+1
-    var_block[arrow] = -1
-    if kind == "sequential":
-        key = var_block.copy()
-        key[arrow] = scn.T
+        cb = 6 * np.arange(S)
+        sb = np.zeros(0, dtype=np.intp)
+        epsilon = np.array([ph.epsilon for ph in scn.phases], dtype=int)[phase]
+        arrow = (cb[(epsilon < T) & (step >= epsilon - 2), None] + k6).ravel()
+        key = np.repeat(step, 6)
+        key[arrow] = T
     else:
-        rows = 6 * np.arange(scn.T)[:, None] + _ROW_GROUP
-        key = np.concatenate([6 * var_block + np.concatenate(group), rows.ravel()])
-    return DecisionLayout(kind, k, var_block, arrow, key, tuple(active), base, state)
+        # sample s follows s samples and the states of the steps before its own
+        cb = 6 * np.arange(S) + 9 * step
+        sb = 6 * np.searchsorted(step, np.arange(T), side="right") + 9 * np.arange(T)
+        arrow = np.zeros(0, dtype=np.intp)
+        key = np.empty(6 * S + 9 * T, dtype=np.intp)
+        key[cb[:, None] + k6] = 6 * step[:, None] + _WRENCH_GROUP
+        key[sb[:, None] + np.arange(9)] = 6 * np.arange(1, T + 1)[:, None] + _STATE_GROUP
+        key = np.concatenate([key, (6 * np.arange(T)[:, None] + _ROW_GROUP).ravel()])
+    return DecisionLayout(kind, 6 * S + 9 * sb.size, phase, step, cb, sb, arrow, key)
 
 
 # ---------------------------------------------------------------------------
@@ -303,8 +289,7 @@ class NlpProblem:
     """A built momentum sub-problem in either formulation.
 
     ``ineq`` rows are g(x) >= 0 and ``eq`` rows g(x) = 0, each one Q+/-
-    function over every step (0 rows where the form has no such family);
-    ineq_meta and eq_meta give each row's (step, phase index, family).
+    function over every step (0 rows where the form has no such family).
     ``h``, ``f`` and ``kappa`` are the maps the rows are built from: the
     momentum states h_0..h_T (nine rows each), and the world force and
     the torque about the CoM of each active contact sample (three rows
@@ -321,8 +306,6 @@ class NlpProblem:
     kappa: qpm.QpmFunction
     x0: np.ndarray  # where a solve starts
     scenario: MomentumScenario
-    ineq_meta: list
-    eq_meta: list
     _compiled: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -345,8 +328,7 @@ class NlpProblem:
         constraints, their compiled forms and x0 stay."""
         self.scenario = replace(self.scenario, h_ref=h_ref, force_ref=force_ref)
         r, _, w = self.objective
-        _, ph, st, _, _ = _samples(self.scenario, self.layout)
-        y = _tracking_targets(self.scenario, ph, st)
+        y = _tracking_targets(self.scenario, self.layout)
         self.objective = (r, y, w)
         if "obj" in self._compiled:
             self._compiled["obj"].retarget(y)
@@ -385,16 +367,12 @@ def _affine(n, b, entries):
     return qpm.QpmFunction(n, _sparse((b.size, n), entries), b)
 
 
-def _samples(scn, layout):
-    """The active contact samples (i, t) in step order, their phases, steps,
-    first variable indices, and the rows of r_t among the rows of h."""
-    samples = [(i, t) for t in range(scn.T) for i in layout.active[t]]
-    ph, st = np.array(samples, dtype=np.intp).reshape(-1, 2).T
-    cb = np.array([layout.contact_base[s] for s in samples], dtype=np.intp)
-    return samples, ph, st, cb, (9 * st[:, None] + np.arange(3)).ravel()
+def _com_rows(layout):
+    """The rows of r_t among the rows of h, three per sample."""
+    return (9 * layout.step[:, None] + np.arange(3)).ravel()
 
 
-def _tracking_objective(scn, ph, st, h, f):
+def _tracking_objective(scn, layout, h, f):
     """(r, y, w) of the tracking objective sum_k w_k (r_k(x) - y_k)^2: the
     rows of h_1..h_T against h_ref weighted by w_m, then the world forces
     f of the samples against force_ref weighted by w_f."""
@@ -402,14 +380,14 @@ def _tracking_objective(scn, ph, st, h, f):
     w = np.concatenate([
         np.tile(scn.weights.momentum, scn.T), np.full(f.output_dim, scn.weights.force)
     ])
-    return r, _tracking_targets(scn, ph, st), w
+    return r, _tracking_targets(scn, layout), w
 
 
-def _tracking_targets(scn, ph, st):
+def _tracking_targets(scn, layout):
     """The targets y of the tracking objective: h_ref at steps 1..T, then
-    force_ref of each sample (phase ph, step st)."""
+    force_ref of each sample."""
     force_ref = np.array([scn.force_ref[i] for i in range(len(scn.phases))]).reshape(-1, scn.T, 3)
-    return np.concatenate([scn.h_ref[1:].ravel(), force_ref[ph, st].ravel()])
+    return np.concatenate([scn.h_ref[1:].ravel(), force_ref[layout.phase, layout.step].ravel()])
 
 
 def _ballistic(scn):
@@ -482,10 +460,9 @@ def build_sequential(scenario: MomentumScenario) -> NlpProblem:
     """Sparse sequential program over the force integrals (phi, psi)."""
     scn = scenario
     layout = _layout(scn, "sequential")
-    n = layout.n_vars
-    samples, ph, st, cb, com = _samples(scn, layout)
+    n, ph, st = layout.n_vars, layout.phase, layout.step
     base = np.full((len(scn.phases), scn.T), -1)
-    base[ph, st] = cb
+    base[ph, st] = layout.contact_base
     h = _sequential_h(scn, n, base)
     f = _second_difference(n, base, ph, st, 0)
     kappa = _second_difference(n, base, ph, st, 3)
@@ -493,13 +470,11 @@ def build_sequential(scenario: MomentumScenario) -> NlpProblem:
     pyramid = np.array([contact.friction_pyramid(p.surface.mu) @ p.surface.R.T for p in scn.phases])
     friction = qpm.affine_after(qpm.block_diag(pyramid[ph]), 0.0, f)
     cop = contact.build_cop_qpm_constraints(
-        [scn.phases[i] for i in ph], qpm.select_rows(h, com), f, kappa
+        [scn.phases[i] for i in ph], qpm.select_rows(h, _com_rows(layout)), f, kappa
     )
-    ineq_meta = [(t, i, fam) for fam in ("friction", "cop") for i, t in samples for _ in range(4)]
     return NlpProblem(
-        layout, _tracking_objective(scn, ph, st, h, f), qpm.stack([friction, cop]),
+        layout, _tracking_objective(scn, layout, h, f), qpm.stack([friction, cop]),
         qpm.make_affine(np.zeros((0, n)), np.zeros(0)), h, f, kappa, np.zeros(n), scn,
-        ineq_meta, [],
     )
 
 
@@ -509,21 +484,20 @@ def build_simultaneous(scenario: MomentumScenario) -> NlpProblem:
     layout = _layout(scn, "simultaneous")
     n = layout.n_vars
     T, M, g, dt = scn.T, scn.consts.M, scn.consts.g, scn.delta
-    samples, ph, st, cb, com = _samples(scn, layout)
+    ph, st, cb, sb = layout.phase, layout.step, layout.contact_base, layout.state_base
     S = ph.size
     k3, k9 = np.arange(3), np.arange(9)
     rows3 = 3 * np.arange(S)[:, None, None] + k3[:, None]  # (S, 3, 1): row 3s + k
     R = np.array([p.surface.R for p in scn.phases])[ph]
     origin = np.array([p.surface.t for p in scn.phases])[ph]
 
-    sb = np.array([layout.state_base[t] for t in range(1, T + 1)])
     h = _affine(n, np.concatenate([scn.h0.as_vector(), np.zeros(9 * T)]),
                 [(np.arange(9, 9 * (T + 1)), (sb[:, None] + k9).ravel(), 1.0)])
     f = _affine(n, np.zeros(3 * S), [(rows3, cb[:, None, None] + k3, R)])
     p = _affine(n, origin.ravel(), [(rows3, cb[:, None, None] + 3 + k3[:2], R[:, :, :2])])
     tau = _affine(n, np.zeros(3 * S), [(rows3, cb[:, None, None] + 5, R[:, :, 2:])])
     # the torque about the CoM, tau_hat R_z + (p - r_t) x f
-    lever = qpm.linear_combine([(1.0, p), (-1.0, qpm.select_rows(h, com))])
+    lever = qpm.linear_combine([(1.0, p), (-1.0, qpm.select_rows(h, _com_rows(layout)))])
     kappa = qpm.linear_combine([(1.0, tau), (1.0, qpm.cross(lever, f))])
 
     wrench = _affine(n, np.zeros(6 * S),
@@ -549,11 +523,8 @@ def build_simultaneous(scenario: MomentumScenario) -> NlpProblem:
     # zero wrenches and the ballistic states h_1..h_T
     x0 = np.zeros(n)
     x0[sb[:, None] + k9] = _ballistic(scn)[1:]
-    return NlpProblem(
-        layout, _tracking_objective(scn, ph, st, h, f), contact_rows, dynamics, h, f, kappa,
-        x0, scn, [(t, i, "contact") for i, t in samples for _ in range(10)],
-        [(t, None, "dynamics") for t in range(T) for _ in range(9)],
-    )
+    return NlpProblem(layout, _tracking_objective(scn, layout, h, f), contact_rows, dynamics,
+                      h, f, kappa, x0, scn)
 
 
 # ---------------------------------------------------------------------------
@@ -566,15 +537,15 @@ def extract(p: NlpProblem, x):
     the torques about the CoM "kappas" (T, 3; zero while the phase is
     inactive). The simultaneous form adds its CoP wrenches, read from x,
     as "wrenches" {(phase index, step): ContactWrenchCop}."""
-    scn = p.scenario
-    samples, ph, st, cb, _ = _samples(scn, p.layout)
+    scn, lay = p.scenario, p.layout
     sol = {"h": qpm.evaluate(p.h, x).reshape(-1, 9)}
     for key, fn in (("forces", p.f), ("kappas", p.kappa)):
         per_phase = np.zeros((len(scn.phases), scn.T, 3))
-        per_phase[ph, st] = qpm.evaluate(fn, x).reshape(-1, 3)
+        per_phase[lay.phase, lay.step] = qpm.evaluate(fn, x).reshape(-1, 3)
         sol[key] = dict(enumerate(per_phase))
-    if p.layout.kind == "simultaneous":
-        w = x[cb[:, None] + np.arange(6)]
+    if lay.kind == "simultaneous":
+        w = x[lay.contact_base[:, None] + np.arange(6)]
+        samples = zip(lay.phase.tolist(), lay.step.tolist())
         sol["wrenches"] = {
             s: ContactWrenchCop(v[:3], v[3:5], float(v[5])) for s, v in zip(samples, w)
         }

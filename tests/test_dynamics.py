@@ -1,5 +1,7 @@
 import numpy as np
 
+from layout_views import contact_bases
+
 from kinomo import contact, dynamics
 from kinomo.dynamics import MomentumState, RobotConstants
 from kinomo.transcription import MomentumScenario, build_sequential, extract
@@ -112,9 +114,10 @@ def built(phases, T, h0=H0, delta=0.1, consts=CONSTS):
 def with_integrals(p, phi, psi=None):
     """x holding phi[i] (and psi[i]), one row per step of phase i."""
     x = np.zeros(p.n)
+    base = contact_bases(p)
     for i, ph in enumerate(p.scenario.phases):
         for k, t in enumerate(range(ph.sigma, ph.epsilon)):
-            b = p.layout.contact_base[(i, t)]
+            b = base[(i, t)]
             x[b : b + 3] = phi[i][k]
             if psi is not None:
                 x[b + 3 : b + 6] = psi[i][k]
@@ -131,9 +134,10 @@ def sample_wrenches(p, x):
     """{(phase, step): ContactWrenchCom} of the second differences of x's
     (phi, psi) slices."""
     out = {}
+    base = contact_bases(p)
     for i, ph in enumerate(p.scenario.phases):
         steps = range(ph.sigma, ph.epsilon)
-        b = np.array([p.layout.contact_base[(i, t)] for t in steps])
+        b = np.array([base[(i, t)] for t in steps])
         f = second_differences(x[b[:, None] + np.arange(3)])
         kappa = second_differences(x[b[:, None] + np.arange(3, 6)])
         out.update(((i, t), contact.ContactWrenchCom(f[k], kappa[k])) for k, t in enumerate(steps))
@@ -259,7 +263,7 @@ class TestSequentialStateMap:
         two steps of each phase that ended before t."""
         p = built([phase(0, 12, "a"), phase(4, 20, "b")], 24)
         owner = {}
-        for (i, t), b in p.layout.contact_base.items():
+        for (i, t), b in contact_bases(p).items():
             owner.update((b + k, (i, t)) for k in range(6))
         A = p.h.A.tocsr()
         for t in range(25):

@@ -3,7 +3,9 @@ read somewhere in that module (re-imports kept on purpose carry
 ``# noqa: F401``). Every private module-level function, class and
 constant of a kinomo module is read in that module. Every public
 module-level function and class is read somewhere in the package, or is
-on ALLOWED_UNREAD with its reason."""
+on ALLOWED_UNREAD with its reason. Every dataclass field of a kinomo
+module is read as an attribute somewhere in the package, or is on
+ALLOWED_UNREAD_FIELDS with its reason."""
 
 import ast
 from pathlib import Path
@@ -113,3 +115,35 @@ def test_public_names_read_in_package():
     assert unread - set(ALLOWED_UNREAD) == set()
     # an entry that gained a reader, or lost its definition, leaves the list
     assert set(ALLOWED_UNREAD) - unread == set()
+
+
+# Dataclass fields with no attribute read in src/kinomo, kept for a reason.
+ALLOWED_UNREAD_FIELDS = {}
+
+
+def attributes_read():
+    """Every attribute name the package loads (x.name read, not assigned)."""
+    return {
+        node.attr for path in SRC.glob("*.py") for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def dataclass_fields():
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ClassDef) and any(
+                    ast.unparse(d).startswith(("dataclass", "dataclasses.dataclass"))
+                    for d in node.decorator_list):
+                for stmt in node.body:
+                    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                        yield f"{path.stem}.{node.name}.{stmt.target.id}", stmt.target.id
+
+
+def test_dataclass_fields_read_in_package():
+    fields = list(dataclass_fields())
+    assert fields  # the scan finds the package's dataclasses
+    read = attributes_read()
+    unread = {qual for qual, name in fields if name not in read}
+    assert unread - set(ALLOWED_UNREAD_FIELDS) == set()
+    assert set(ALLOWED_UNREAD_FIELDS) - unread == set()

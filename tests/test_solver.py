@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from test_transcription import biped_scenario, dense_curvature, foot_surface, stepping_scenario
+from layout_views import active_phases, contact_bases, row_meta, state_bases
+from test_transcription import (
+    biped_scenario,
+    dense_curvature,
+    flight_and_hand_scenario,
+    foot_surface,
+    stepping_scenario,
+)
 
 from kinomo import qpm, solver, transcription
 from kinomo.contact import (
@@ -52,10 +59,10 @@ def one_contact_scenario(T=3, delta=0.1):
 
 def convex_variant(p):
     """Same problem with the nonconvex CoP rows dropped (affine subclass)."""
-    rows = [k for k, m in enumerate(p.ineq_meta) if m[2] == "friction"]
+    rows = [k for k, m in enumerate(row_meta(p)[0]) if m[2] == "friction"]
     return NlpProblem(
         p.layout, p.objective, qpm.select_rows(p.ineq, rows), p.eq, p.h, p.f, p.kappa, p.x0,
-        p.scenario, [p.ineq_meta[k] for k in rows], [],
+        p.scenario,
     )
 
 
@@ -147,8 +154,8 @@ class TestIpm:
         res = solve_ipm(p, SolverOptions(max_iter=300))
         assert res.converged
         sol = extract(p, res.x)
-        for t in range(scn.T):
-            for i in scn.active_at(t):
+        for t, act in enumerate(active_phases(p)):
+            for i in act:
                 ph = scn.phases[i]
                 w = com_to_cop(
                     ContactWrenchCom(sol["forces"][i][t], sol["kappas"][i][t]),
@@ -463,7 +470,7 @@ class TestNoInequalityRows:
         full = build(scn)
         p = NlpProblem(
             full.layout, full.objective, qpm.select_rows(full.ineq, []), full.eq, full.h,
-            full.f, full.kappa, full.x0, full.scenario, [], full.eq_meta,
+            full.f, full.kappa, full.x0, full.scenario,
         )
         assert p.n_ineq == 0 and p.n_eq == full.n_eq
         xs = []
@@ -504,21 +511,6 @@ class TestDiagnostics:
         assert res.converged and res.status == "Converged"
         assert len(res.stats) >= 1
         assert res.stats[-1].kkt <= 1e-6
-
-
-def flight_and_hand_scenario(T=8):
-    """Two feet, a hand added at step 2, every contact off at step 4,
-    both feet down again from step 5."""
-    phases = (
-        ContactPhase("l_foot", 0, 3, foot_surface(0.09)),
-        ContactPhase("r_foot", 0, 3, foot_surface(-0.09)),
-        ContactPhase("hand", 2, 4, foot_surface(0.4)),
-        ContactPhase("l_foot", 5, T, foot_surface(0.09)),
-        ContactPhase("r_foot", 5, T, foot_surface(-0.09)),
-    )
-    h0 = MomentumState(np.array([0.0, 0.0, 0.5]), np.zeros(3), np.zeros(3))
-    return MomentumScenario(phases, T, 0.1, h0, RobotConstants(M=30.0),
-                            np.tile(h0.as_vector(), (T + 1, 1)), {})
 
 
 def _check_against_oracle(p, exact):
@@ -588,7 +580,8 @@ class TestKKTSystem:
         the widest step, at every horizon, and the factorization solves the
         matrix."""
         p = build_simultaneous(flight_and_hand_scenario())
-        assert () in p.layout.active and max(map(len, p.layout.active)) == 3
+        active = active_phases(p)
+        assert () in active and max(map(len, active)) == 3
         kkt = _check_against_oracle(p, exact)
         assert kkt.band.bw == 3 * 3 + 11
         assert KKTSystem(build_simultaneous(flight_and_hand_scenario(T=40))).band.bw == 20
@@ -696,11 +689,11 @@ class TestKKTSystem:
         rows, the f half of every wrench; the r rows, the l rows."""
         for scn in (stepping_scenario(20), flight_and_hand_scenario()):
             p = build_simultaneous(scn)
-            lay, T = p.layout, scn.T
+            T, state, base, active = scn.T, state_bases(p), contact_bases(p), active_phases(p)
             expected = []
             for t in range(T + 1):  # step T holds h_T alone
-                h = list(range(lay.state_base[t], lay.state_base[t] + 9)) if t else []
-                bases = [lay.contact_base[i, t] for i in lay.active[t]] if t < T else []
+                h = list(range(state[t], state[t] + 9)) if t else []
+                bases = [base[i, t] for i in active[t]] if t < T else []
                 rows = list(range(p.n + 9 * t, p.n + 9 * t + 9)) if t < T else []
                 expected += h[6:] + [b + k for b in bases for k in range(3, 6)] + h[:6]
                 expected += rows[6:] + [b + k for b in bases for k in range(3)] + rows[:6]

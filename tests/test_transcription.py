@@ -4,13 +4,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from layout_views import active_phases, contact_bases, row_meta, state_bases, var_blocks
 from test_dynamics import rollout_states, sample_wrenches
 
 from kinomo import contact, dynamics, qpm
 from kinomo.contact import ContactPhase, ContactSurface, ContactWrenchCop, com_to_cop
 from kinomo.dynamics import MomentumState, RobotConstants
 from kinomo.planner import initialize_references
-from kinomo.scenario import load_scenario, make_stepping_scenario
+from kinomo.scenario import load_scenario, make_standing_scenario, make_stepping_scenario
 from kinomo.solver import KKTSystem, convexified_lagrangian_hessian, solve
 from kinomo.transcription import (
     MomentumScenario,
@@ -56,14 +57,30 @@ def stepping_scenario(T=12, delta=0.1):
     return MomentumScenario(phases, T, delta, h0, consts, h_ref, force_ref)
 
 
+def flight_and_hand_scenario(T=8):
+    """Two feet, a hand added at step 2, every contact off at step 4,
+    both feet down again from step 5."""
+    phases = (
+        ContactPhase("l_foot", 0, 3, foot_surface(0.09)),
+        ContactPhase("r_foot", 0, 3, foot_surface(-0.09)),
+        ContactPhase("hand", 2, 4, foot_surface(0.4)),
+        ContactPhase("l_foot", 5, T, foot_surface(0.09)),
+        ContactPhase("r_foot", 5, T, foot_surface(-0.09)),
+    )
+    h0 = MomentumState(np.array([0.0, 0.0, 0.5]), np.zeros(3), np.zeros(3))
+    return MomentumScenario(phases, T, 0.1, h0, RobotConstants(M=30.0),
+                            np.tile(h0.as_vector(), (T + 1, 1)), {})
+
+
 def positive_stance_point(p, rng=None, noise=0.5):
     """A point whose forces keep a large positive normal component."""
     scn = p.scenario
     x = np.zeros(p.n)
     f0 = np.array([0.0, 0.0, 100.0])
+    base = contact_bases(p)
     for i, ph in enumerate(scn.phases):
         for t in range(ph.sigma, ph.epsilon):
-            b = p.layout.contact_base[(i, t)]
+            b = base[(i, t)]
             k = t - ph.sigma
             x[b : b + 3] = (k + 1) * (k + 2) / 2.0 * f0
     if rng is not None:
@@ -76,10 +93,11 @@ def static_stance_point(p):
     scn = p.scenario
     x = np.zeros(p.n)
     f0 = np.array([0.0, 0.0, M_TOTAL * G / 2.0])
+    base = contact_bases(p)
     for i, ph in enumerate(scn.phases):
         kappa = np.cross(ph.surface.t - scn.h0.r, f0)
         for t in range(ph.sigma, ph.epsilon):
-            b = p.layout.contact_base[(i, t)]
+            b = base[(i, t)]
             s = (t + 1) * (t + 2) / 2.0
             x[b : b + 3] = s * f0
             x[b + 3 : b + 6] = s * kappa
@@ -92,12 +110,12 @@ def map_sequential_point(p_seq, p_sim, x_seq):
     scn = p_seq.scenario
     sol = extract(p_seq, x_seq)
     x = np.zeros(p_sim.n)
-    for t in range(1, scn.T + 1):
-        b = p_sim.layout.state_base[t]
+    for t, b in state_bases(p_sim).items():
         x[b : b + 9] = sol["h"][t]
+    base = contact_bases(p_sim)
     for i, ph in enumerate(scn.phases):
         for t in range(ph.sigma, ph.epsilon):
-            b = p_sim.layout.contact_base[(i, t)]
+            b = base[(i, t)]
             try:
                 w = com_to_cop(
                     contact.ContactWrenchCom(sol["forces"][i][t], sol["kappas"][i][t]),
@@ -110,7 +128,63 @@ def map_sequential_point(p_seq, p_sim, x_seq):
     return x
 
 
+def dict_layout(scn, kind):
+    """The layout as (phase, step) -> index dicts, built step by step over
+    ContactPhase.active, as the layout was before it became a table of
+    samples: (contact bases, h_t bases, arrow indices, newton_key)."""
+    wrench, state_group, row_group = [4] * 3 + [1] * 3, [2] * 6 + [0] * 3, [5] * 6 + [3] * 3
+    base, state, block, group = {}, {}, [], []
+    for t in range(scn.T):
+        for i, ph in enumerate(scn.phases):
+            if ph.active(t):
+                base[(i, t)] = len(block)
+                block += [t] * 6
+                group += wrench
+        if kind == "simultaneous":
+            state[t + 1] = len(block)
+            block += [t + 1] * 9
+            group += state_group
+    arrow = {
+        j for i, ph in enumerate(scn.phases) if kind == "sequential" and ph.epsilon < scn.T
+        for m in range(max(ph.sigma, ph.epsilon - 2), ph.epsilon)
+        for j in range(base[(i, m)], base[(i, m)] + 6)
+    }
+    if kind == "sequential":
+        key = [scn.T if j in arrow else b for j, b in enumerate(block)]
+    else:
+        key = [6 * b + g for b, g in zip(block, group)]
+        key += [6 * t + g for t in range(scn.T) for g in row_group]
+    return base, state, sorted(arrow), key
+
+
 class TestLayouts:
+    @pytest.mark.parametrize("kind", ["sequential", "simultaneous"])
+    @pytest.mark.parametrize("make", [
+        make_standing_scenario,
+        lambda: make_stepping_scenario(T=21),
+        lambda: load_scenario(SCENARIOS / "step_stones.json"),
+        flight_and_hand_scenario,
+    ], ids=["standing", "stepping21", "step_stones", "flight"])
+    def test_matches_dict_layout(self, make, kind):
+        """Every sample, state, arrow entry and Newton key gets the index
+        of the dict-based layout, element for element; the simultaneous
+        form's wrenches stay keyed by (int, int) tuples."""
+        scn = make()
+        if not isinstance(scn, MomentumScenario):
+            refs = initialize_references(scn)
+            scn = scn.momentum_scenario(refs.h_bar, refs.lambda_bar)
+        p = (build_sequential if kind == "sequential" else build_simultaneous)(scn)
+        base, state, arrow, key = dict_layout(scn, kind)
+        assert list(contact_bases(p).items()) == list(base.items())
+        assert state_bases(p) == state
+        assert p.layout.arrow_indices.tolist() == arrow
+        assert p.layout.newton_key.tolist() == key
+        assert p.n == 6 * len(base) + 9 * len(state)
+        if kind == "simultaneous":
+            keys = list(extract(p, p.x0)["wrenches"])
+            assert keys == list(base)
+            assert all(type(i) is int and type(t) is int for i, t in keys)
+
     def test_sequential_count(self):
         p = build_sequential(biped_scenario(10))
         assert p.n == 120
@@ -129,15 +203,20 @@ class TestLayouts:
         # phase 1 ends at 5 < T: its steps 3, 4 are frozen boundary (arrow)
         arrow = set(p.layout.arrow_indices.tolist())
         for t in (3, 4):
-            b = p.layout.contact_base[(1, t)]
+            b = contact_bases(p)[(1, t)]
             assert set(range(b, b + 6)) <= arrow
         assert len(arrow) == 12
 
     def test_blocks_partition(self):
         for p in (build_sequential(biped_scenario(4)), build_simultaneous(biped_scenario(4)),
                   build_sequential(stepping_scenario())):
-            assert p.layout.var_block.size == p.n
-            arrow = np.flatnonzero(p.layout.var_block == -1)
+            lay = p.layout
+            owned = np.concatenate([(lay.contact_base[:, None] + np.arange(6)).ravel(),
+                                    (lay.state_base[:, None] + np.arange(9)).ravel()])
+            assert np.array_equal(np.sort(owned), np.arange(p.n))
+            blocks = var_blocks(p)
+            assert blocks.size == p.n
+            arrow = np.flatnonzero(blocks == -1)
             assert np.array_equal(arrow, p.layout.arrow_indices)
 
 
@@ -175,8 +254,9 @@ class TestSequentialMaps:
         wrenches = sample_wrenches(p, x)
         h = rollout_states(p, x)
         vals = p.compiled_ineq().value(x)
+        meta, _ = row_meta(p)
         for k in range(0, p.n_ineq, 4):
-            t, i, fam = p.ineq_meta[k]
+            t, i, fam = meta[k]
             if fam != "cop":
                 continue
             ph = scn.phases[i]
@@ -204,7 +284,7 @@ class TestSequentialMaps:
         x = static_stance_point(p)
         # push the CoP of contact 0 outside the support rectangle in y
         for t in range(scn.T):
-            b = p.layout.contact_base[(0, t)]
+            b = contact_bases(p)[(0, t)]
             s = (t + 1) * (t + 2) / 2.0
             x[b + 3] -= s * 0.08 * M_TOTAL * G / 2.0  # psi_x shifts CoP in y
         vals = p.compiled_ineq().value(x)
@@ -269,8 +349,9 @@ class TestSimultaneous:
         x = rng.normal(size=p.n)
         vals = p.compiled_ineq().value(x)
         sol = extract(p, x)
+        meta, _ = row_meta(p)
         for k in range(0, p.n_ineq, 10):
-            t, i, fam = p.ineq_meta[k]
+            t, i, fam = meta[k]
             assert fam == "contact"
             ph = scn.phases[i]
             w = sol["wrenches"][(i, t)]
@@ -287,13 +368,11 @@ class TestSimultaneous:
         p = build_simultaneous(scn)
         x = rng.normal(size=p.n) * 3
         sol = extract(p, x)
-        h = np.vstack([scn.h0.as_vector()] + [
-            x[p.layout.state_base[t] : p.layout.state_base[t] + 9] for t in range(1, scn.T + 1)
-        ])
+        h = np.vstack([scn.h0.as_vector()] + [x[b : b + 9] for b in state_bases(p).values()])
         assert np.array_equal(sol["h"], h)
         f = np.zeros((len(scn.phases), scn.T, 3))
         kappa = np.zeros_like(f)
-        for (i, t), b in p.layout.contact_base.items():
+        for (i, t), b in contact_bases(p).items():
             s = scn.phases[i].surface
             f[i, t] = s.R @ x[b : b + 3]
             cop = s.R[:, :2] @ x[b + 3 : b + 5] + s.t
@@ -309,18 +388,17 @@ class TestSimultaneous:
         scn = stepping_scenario()
         p = build_simultaneous(scn)
         M, g, dt = scn.consts.M, scn.consts.g, scn.delta
+        base, active = contact_bases(p), active_phases(p)
         for _ in range(3):
             x = rng.normal(size=p.n) * 3
-            h = np.vstack([scn.h0.as_vector()] + [
-                x[p.layout.state_base[t] : p.layout.state_base[t] + 9] for t in range(1, scn.T + 1)
-            ])
+            h = np.vstack([scn.h0.as_vector()] + [x[b : b + 9] for b in state_bases(p).values()])
             direct = []
             for t in range(scn.T):
                 r, l, k = h[t, :3], h[t, 3:6], h[t, 6:]
                 f_sum, kappa_sum = np.zeros(3), np.zeros(3)
-                for i in p.layout.active[t]:
+                for i in active[t]:
                     s = scn.phases[i].surface
-                    b = p.layout.contact_base[(i, t)]
+                    b = base[(i, t)]
                     f = s.R @ x[b : b + 3]
                     cop = s.R[:, :2] @ x[b + 3 : b + 5] + s.t
                     f_sum += f
@@ -359,8 +437,9 @@ def row_blocks(p, comp):
     """Per row of a compiled constraint function: the step blocks of its
     columns and whether it touches the arrow block."""
     out = []
+    block = var_blocks(p)
     for r in range(comp.m):
-        blocks = p.layout.var_block[comp.indices[comp.indptr[r] : comp.indptr[r + 1]]]
+        blocks = block[comp.indices[comp.indptr[r] : comp.indptr[r + 1]]]
         out.append((set(blocks[blocks >= 0].tolist()), bool(np.any(blocks < 0))))
     return out
 
@@ -374,8 +453,9 @@ def hessian_block_pairs(p):
         _, i, j, _, _ = comp.curvature_entries()
         ii.append(i)
         jj.append(j)
-    a = p.layout.var_block[np.concatenate(ii)]
-    b = p.layout.var_block[np.concatenate(jj)]
+    block = var_blocks(p)
+    a = block[np.concatenate(ii)]
+    b = block[np.concatenate(jj)]
     return set(zip(np.minimum(a, b).tolist(), np.maximum(a, b).tolist()))
 
 
@@ -383,8 +463,9 @@ class TestPatterns:
     def test_sequential_row_step_blocks(self):
         p = build_sequential(biped_scenario(5))
         rows = row_blocks(p, p.compiled_ineq())
-        assert len(rows) == p.n_ineq == len(p.ineq_meta)
-        for (blocks, arrow), (t, i, fam) in zip(rows, p.ineq_meta):
+        meta, _ = row_meta(p)
+        assert len(rows) == p.n_ineq == len(meta)
+        for (blocks, arrow), (t, i, fam) in zip(rows, meta):
             assert blocks <= {t, t - 1, t - 2}
             assert not arrow
 
@@ -393,7 +474,7 @@ class TestPatterns:
         rows = row_blocks(p, p.compiled_ineq())
         # CoP rows of late steps involve frozen boundary variables
         saw_arrow = False
-        for (blocks, arrow), (t, i, fam) in zip(rows, p.ineq_meta):
+        for (blocks, arrow), (t, i, fam) in zip(rows, row_meta(p)[0]):
             assert blocks <= {t, t - 1, t - 2}
             if arrow:
                 saw_arrow = True
@@ -402,8 +483,9 @@ class TestPatterns:
     def test_simultaneous_dynamics_row_step_blocks(self):
         p = build_simultaneous(biped_scenario(5))
         rows = row_blocks(p, p.compiled_eq())
-        assert len(rows) == p.n_eq == len(p.eq_meta)
-        for (blocks, arrow), (t, i, fam) in zip(rows, p.eq_meta):
+        _, meta = row_meta(p)
+        assert len(rows) == p.n_eq == len(meta)
+        for (blocks, arrow), (t, i, fam) in zip(rows, meta):
             assert blocks <= {t, t + 1}
             assert t + 1 in blocks
             assert not arrow
@@ -427,13 +509,14 @@ class TestPatterns:
         for build in (build_sequential, build_simultaneous):
             p = build(biped_scenario(4))
             x = rng.normal(size=p.n)
+            block = var_blocks(p)
             for comp, fn in ((p.compiled_eq(), p.eq), (p.compiled_ineq(), p.ineq)):
                 rows = row_blocks(p, comp)
                 J = qpm.gradient(fn, x)
                 assert len(rows) == J.shape[0] == comp.m
                 for (blocks, arrow), J_r in zip(rows, J):
                     cols = np.flatnonzero(np.abs(J_r) > 1e-14)
-                    seen = set(int(b) for b in p.layout.var_block[cols])
+                    seen = set(int(b) for b in block[cols])
                     assert seen <= (blocks | ({-1} if arrow else set()))
 
     @pytest.mark.parametrize(
@@ -611,7 +694,7 @@ class TestConvexifiedHessian:
         p = build_sequential(biped_scenario(4))
         # pick a CoP row at t >= 2, where the CoM position is non-constant
         # and the row carries genuine Q/P parts
-        k = next(k for k, (t, i, fam) in enumerate(p.ineq_meta) if fam == "cop" and t >= 2)
+        k = next(k for k, (t, i, fam) in enumerate(row_meta(p)[0]) if fam == "cop" and t >= 2)
         c = np.zeros(p.n_ineq)
         c[k] = 1.0
         H = lagrangian_hessian(p, c, np.zeros(0))
@@ -660,6 +743,17 @@ class TestScenarioValidation:
                 (ContactPhase("l", 0, 9, foot_surface(0.0)),),
                 5, 0.1, scn.h0, scn.consts, scn.h_ref, {0: np.zeros((5, 3))},
             )
+
+    def test_force_ref_is_its_own(self):
+        """The scenario keeps a dict of its own: the caller's stays as it
+        was, and editing it later leaves the scenario's references."""
+        scn = biped_scenario(5)
+        given = {}
+        ms = MomentumScenario(scn.phases, 5, 0.1, scn.h0, scn.consts, scn.h_ref, given)
+        assert given == {} and ms.force_ref is not given
+        assert sorted(ms.force_ref) == [0, 1] and not np.any(ms.force_ref[0])
+        given[0] = np.ones((5, 3))
+        assert not np.any(ms.force_ref[0])
 
     def test_bad_h_ref_shape(self):
         scn = biped_scenario(5)
